@@ -42,7 +42,9 @@ def null_space(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         return np.zeros((0, 0))
     if rows == 0:
         return np.eye(cols)
-    _, s, vt = np.linalg.svd(m)
+    # the kernel rows vt[rank:] need the full V only when rows < cols; a
+    # thin SVD never builds the rows x rows U
+    _, s, vt = np.linalg.svd(m, full_matrices=rows < cols)
     cutoff = tol * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return vt[rank:].T.copy()

@@ -20,6 +20,7 @@ from triple_lab import (
 )
 from triple_lab.derivations import (
     DEFAULT_SEED,
+    _leibniz_gram,
     default_point_set,
     leibniz_residual,
     space_from_json,
@@ -31,8 +32,12 @@ from triple_lab.repro import counterexample_map
 from triple_lab.triple_core import Q_operator
 
 
-def oracle_derivation_dim(system, kind):
-    """Independent path: stack per-map Leibniz defects and use scipy's kernel."""
+def oracle_leibniz_matrix(system, kind):
+    """Independent path: the Leibniz operator stacked from per-map defects.
+
+    Column ``a*n + b`` is the Leibniz defect of the matrix unit E_ab over all
+    basis triples, rows indexed (i, j, k, l) as in ``leibniz_residual``.
+    """
     n = system.dim
     p = system.product_tensor(kind)
     columns = []
@@ -47,8 +52,12 @@ def oracle_derivation_dim(system, kind):
             - np.einsum("mk,ijml->ijkl", d, p)
         )
         columns.append(defect.reshape(-1))
-    kernel = scipy.linalg.null_space(np.column_stack(columns))
-    return kernel.shape[1]
+    return np.column_stack(columns)
+
+
+def oracle_derivation_dim(system, kind):
+    """Kernel dimension of the stacked Leibniz operator, by scipy."""
+    return scipy.linalg.null_space(oracle_leibniz_matrix(system, kind)).shape[1]
 
 
 TRIPLE_DIMS = {
@@ -131,17 +140,36 @@ def test_derivation_space_rejects_bad_input():
         derivation_space(system, "triple", max_dim=3)
 
 
-def test_gram_fallback_matches_dense_path(monkeypatch):
-    import triple_lab.derivations as module
+ORACLE_SYSTEMS = (
+    "I_R(2,1)",
+    "I_C(2,1)",
+    "II_R(4)",
+    "III_R(3)",
+    "I_C(2,2)",
+    "I_R(2,2)+SPIN_R(4,0)",
+)
 
-    system = build_factor("I_C(2,2)")
-    dense = derivation_space(system, "triple")
-    monkeypatch.setattr(module, "_DENSE_ENTRY_LIMIT", 1)
-    gram = derivation_space(system, "triple")
-    assert gram.dim == dense.dim
-    worst = max(max(dense.project_map(t) for t in gram.basis),
-                max(gram.project_map(t) for t in dense.basis))
-    assert worst <= 1e-7
+
+@pytest.mark.parametrize("kind", ["triple", "symmetrized"])
+@pytest.mark.parametrize("label", ORACLE_SYSTEMS)
+def test_leibniz_gram_matches_stacked_oracle(label, kind):
+    system = direct_sum([build_factor(spec) for spec in label.split("+")])
+    leibniz = oracle_leibniz_matrix(system, kind)
+    expected = leibniz.T @ leibniz
+    gram = _leibniz_gram(system.product_tensor(kind))
+    assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+    kernel = scipy.linalg.null_space(leibniz)
+    space = derivation_space(system, kind)
+    basis = space.basis_stack().reshape(space.dim, -1).T
+    assert space.dim == kernel.shape[1]
+    assert np.linalg.norm(basis @ basis.T - kernel @ kernel.T, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["triple", "symmetrized"])
+def test_derivation_space_at_dimension_28(kind):
+    # II_R(8) has n = 28 (well under the cap of 64); its derivation algebra is
+    # so(8), of dimension 28
+    assert derivation_space(build_factor("II_R(8)"), kind).dim == 28
 
 
 def test_inner_derivation_identities():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,21 @@ def test_null_space_rejects_bad_tol():
 def test_null_space_rejects_nonfinite():
     with pytest.raises(InvalidInput):
         null_space(np.array([[np.nan, 0.0]]))
+
+
+def test_null_space_of_tall_matrix_skips_full_u():
+    # a full SVD would allocate the 4000 x 4000 U factor (128 MB)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4000, 2)) @ rng.standard_normal((2, 3))
+    tracemalloc.start()
+    try:
+        basis = null_space(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.shape == (3, 1)
+    assert np.linalg.norm(a @ basis) <= 1e-9 * np.linalg.norm(a)
+    assert peak < 16 * 2**20
 
 
 @settings(max_examples=40, deadline=None)
