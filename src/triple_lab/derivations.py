@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InvalidInput, TooLarge, Unsupported
 from .factors import complexify, extend_map_complex
-from .numerics import expm, least_squares_residual, null_space, orthonormal_columns
+from .numerics import expm, null_space, orthonormal_columns
 from .report import Report, STATUS_FAIL, STATUS_PASS
 from .structure import peirce
 from .triple_core import (
@@ -19,6 +19,7 @@ from .triple_core import (
     LinearMap,
     TripleSystem,
     _same_system,
+    batch_rows,
 )
 
 KINDS = ("triple", "symmetrized", "inner_span")
@@ -270,21 +271,22 @@ def local_derivation_residual(
         space = derivation_space(t.system, "triple")
     elif space.kind != "triple":
         raise InvalidInput("local derivation checks compare against kind='triple'")
-    stack = space.basis_stack()
-    worst = -1.0
-    worst_point = None
     for el in points:
         if el.system is not t.system and el.system != t.system:
             raise InvalidInput("sample point from a different system")
-        target = t.entries @ el.coords
-        if space.dim == 0:
-            residual = float(np.linalg.norm(target))
-        else:
-            evaluation = np.einsum("rnm,m->nr", stack, el.coords)
-            residual = least_squares_residual(evaluation, target)
-        if residual > worst:
-            worst = residual
-            worst_point = el
+    n = t.system.dim
+    coords = np.array([el.coords for el in points]).reshape(len(points), n)
+    stack = space.basis_stack()
+    rows = batch_rows(n * space.dim)
+    residuals = np.concatenate(
+        [
+            _local_residuals(stack, t.entries, coords[first : first + rows])
+            for first in range(0, len(points), rows)
+        ]
+    )
+    # argmax keeps the first point that attains the maximum
+    index = int(residuals.argmax())
+    worst, worst_point = float(residuals[index]), points[index]
     status = STATUS_PASS if worst <= tol else STATUS_FAIL
     return Report(
         statement_id=f"local_derivation[{t.system.name}]",
@@ -294,6 +296,24 @@ def local_derivation_residual(
         seed=seed,
         runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
+
+
+def _local_residuals(stack: np.ndarray, t: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Distance of T(a) from {D(a) : D in span(stack)} for each row a of coords.
+
+    The evaluation matrices E_a[:, r] = D_r(a) get one stacked thin SVD, and
+    the residual is ||T(a) - U_k U_k^T T(a)||.  The rank k of each E_a uses the
+    cutoff of ``lstsq(rcond=None)``: eps * max(n, r) * s_max.
+    """
+    targets = coords @ t.T
+    if stack.shape[0] == 0:
+        return np.linalg.norm(targets, axis=1)
+    evaluations = np.einsum("rnm,bm->bnr", stack, coords, optimize=True)
+    u, s, _ = np.linalg.svd(evaluations, full_matrices=False)
+    n, r = evaluations.shape[1:]
+    kept = s > np.finfo(float).eps * max(n, r) * s[:, :1]
+    coefficients = np.einsum("bnk,bn->bk", u, targets) * kept
+    return np.linalg.norm(targets - np.einsum("bnk,bk->bn", u, coefficients), axis=1)
 
 
 def rank_one_local_witness(t: LinearMap, x: Element) -> LinearMap:

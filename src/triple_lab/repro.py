@@ -180,17 +180,15 @@ def repro_example_counterexample(seed: int = DEFAULT_SEED) -> Report:
     t = counterexample_map(system)
     rng = np.random.default_rng(seed)
 
-    skew_worst = 0.0
-    cubic_worst = 0.0
-    for _ in range(128):
-        x = rng.standard_normal(4)
-        x /= np.linalg.norm(x)
-        skew_worst = max(skew_worst, abs(float(x @ (t.entries @ x))))
-        cube = system.product_arrays(x, x, x)
-        lhs = t.entries @ cube
-        tx = t.entries @ x
-        rhs = 2.0 * system.product_arrays(tx, x, x) + system.product_arrays(x, tx, x)
-        cubic_worst = max(cubic_worst, float(np.linalg.norm(lhs - rhs)))
+    # rows of one (128, 4) draw are the draws of 128 successive samples
+    xs = rng.standard_normal((128, 4))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    txs = xs @ t.entries.T
+    skew_worst = float(np.max(np.abs(np.sum(xs * txs, axis=1))))
+    lhs = triple_core.product_batch(system.tensor, xs, xs, xs) @ t.entries.T
+    rhs = 2.0 * triple_core.product_batch(system.tensor, txs, xs, xs)
+    rhs += triple_core.product_batch(system.tensor, xs, txs, xs)
+    cubic_worst = float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
 
     sym_report = derivations.is_derivation(t, "symmetrized", tol=1e-10)
     space = derivations.derivation_space(system, "triple")

@@ -122,20 +122,22 @@ def check_peirce_arithmetic(e: Element, tol: float = 1e-9) -> Report:
     for i in range(3):
         for j in range(3):
             for k in range(3):
+                # products[u, v, w] = {u-th of E_i, v-th of E_j, w-th of E_k}
+                products = np.einsum(
+                    "abcl,au,bv,cw->uvwl", system.tensor, bases[i], bases[j], bases[k],
+                    optimize=True,
+                )
+                if not products.size:
+                    continue
                 target = i - j + k
                 annihilated = (i, j) in ((0, 2), (2, 0)) or (j, k) in ((2, 0), (0, 2))
-                for u in bases[i].T:
-                    for v in bases[j].T:
-                        for w in bases[k].T:
-                            p = system.product_arrays(u, v, w)
-                            if annihilated or not 0 <= target <= 2:
-                                r = float(np.linalg.norm(p))
-                            else:
-                                r = float(np.linalg.norm(p - projections[target] @ p))
-                            if r > worst:
-                                worst = r
-                                if r > tol:
-                                    witness = {"peirce_indices": [i, j, k]}
+                if not annihilated and 0 <= target <= 2:
+                    products = products - products @ projections[target].T
+                r = float(np.linalg.norm(products, axis=-1).max())
+                if r > worst:
+                    worst = r
+                    if r > tol:
+                        witness = {"peirce_indices": [i, j, k]}
     status = STATUS_PASS if worst <= tol else STATUS_FAIL
     return Report(
         statement_id=f"peirce_arithmetic[{system.name}]",

@@ -23,6 +23,19 @@ NORM_KINDS = ("operator", "spin", "hilbert", "product")
 # n^4 tensor entries stay below ~1.7e7 for desk-scale systems.
 MAX_DIM = 64
 
+# Samples per draw of the randomized Jordan check, whatever the sample count;
+# a count up to this is a single draw.
+BATCH_ROWS = 1024
+# Entries of one stack of per-row intermediates (outer products, maps,
+# evaluation matrices) that a batched check holds: 2 MB.  The Jordan check
+# holds four such stacks at once.
+BATCH_ENTRIES = 2**18
+
+
+def batch_rows(per_row: int) -> int:
+    """Rows per chunk of a batched check whose rows hold ``per_row`` entries each."""
+    return max(1, BATCH_ENTRIES // max(per_row, 1))
+
 
 class TripleSystem:
     """A finite-dimensional real-trilinear triple system.
@@ -114,7 +127,8 @@ class TripleSystem:
     # -- products on raw coordinate arrays ---------------------------------
 
     def product_arrays(self, x, y, z) -> np.ndarray:
-        return np.einsum("ijkl,i,j,k->l", self.tensor, x, y, z)
+        rows = [np.reshape(v, (1, -1)) for v in (x, y, z)]
+        return product_batch(self.tensor, *rows)[0]
 
     def sym_tensor(self) -> np.ndarray:
         """Structure tensor of the fully symmetric product <a,b,c>."""
@@ -218,6 +232,30 @@ def _same_system_map(a, b) -> TripleSystem:
 # -- products and operators -------------------------------------------------
 
 
+def product_batch(c, x, y, z) -> np.ndarray:
+    """Rows {x_b, y_b, z_b} of a product with structure tensor ``c``.
+
+    ``x``, ``y`` and ``z`` are (b, n) stacks of coordinates.  The outer
+    products x_b (x) y_b form a (b, n^2) matrix, one GEMM against the
+    (n^2, n^2) unfolding of ``c`` gives the maps z -> {x_b, y_b, z}, and a
+    batched matrix-vector product applies them to z_b.
+    """
+    return _apply_maps(_product_maps(c, x, y), z)
+
+
+def _product_maps(c, x, y) -> np.ndarray:
+    """(b, n, n) stack M with {x_b, y_b, z} = z @ M[b]."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    b, n = x.shape
+    xy = (x[:, :, None] * y[:, None, :]).reshape(b, n * n)
+    return (xy @ c.reshape(n * n, n * n)).reshape(b, n, n)
+
+
+def _apply_maps(maps, z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    return np.matmul(z[:, None, :], maps)[:, 0, :]
+
+
 def triple_product(x: Element, y: Element, z: Element) -> Element:
     system = _same_system(x, y, z)
     return Element(system, system.product_arrays(x.coords, y.coords, z.coords))
@@ -226,8 +264,8 @@ def triple_product(x: Element, y: Element, z: Element) -> Element:
 def symmetrized_product(a: Element, b: Element, c: Element) -> Element:
     """Fully symmetric product <a,b,c>: the average of the three cyclic shifts."""
     system = _same_system(a, b, c)
-    value = np.einsum("ijkl,i,j,k->l", system.sym_tensor(), a.coords, b.coords, c.coords)
-    return Element(system, value)
+    rows = [e.coords[None, :] for e in (a, b, c)]
+    return Element(system, product_batch(system.sym_tensor(), *rows)[0])
 
 
 def L_operator(a: Element, b: Element) -> LinearMap:
@@ -281,22 +319,20 @@ def check_jordan_identity(
         used_seed = seed
         rng = np.random.default_rng(seed)
         count = max(int(samples), 1000)
-        vecs = rng.standard_normal((5, count, n))
-        vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-        a, b, x, y, z = vecs
-        w = np.einsum("ijkl,bi,bj,bk->bl", c, x, y, z, optimize=True)
-        lhs = np.einsum("ijkl,bi,bj,bk->bl", c, a, b, w, optimize=True)
-        u = np.einsum("ijkl,bi,bj,bk->bl", c, a, b, x, optimize=True)
-        t1 = np.einsum("ijkl,bi,bj,bk->bl", c, u, y, z, optimize=True)
-        v = np.einsum("ijkl,bi,bj,bk->bl", c, b, a, y, optimize=True)
-        t2 = np.einsum("ijkl,bi,bj,bk->bl", c, x, v, z, optimize=True)
-        w2 = np.einsum("ijkl,bi,bj,bk->bl", c, a, b, z, optimize=True)
-        t3 = np.einsum("ijkl,bi,bj,bk->bl", c, x, y, w2, optimize=True)
-        norms = np.linalg.norm(lhs - t1 + t2 - t3, axis=1)
-        max_residual = float(norms.max())
+        rows = batch_rows(n * n)
+        worst = None
+        for first in range(0, count, BATCH_ROWS):
+            vecs = rng.standard_normal((5, min(BATCH_ROWS, count - first), n))
+            vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+            norms = np.concatenate(
+                [_jordan_defects(c, vecs[:, i : i + rows]) for i in range(0, vecs.shape[1], rows)]
+            )
+            if worst is None or norms.max() > max_residual:
+                max_residual = float(norms.max())
+                index = int(norms.argmax())
+                worst = (first + index, vecs[:, index, :].copy())
         if max_residual > tol:
-            worst = int(norms.argmax())
-            witness = {"sample_index": worst, "sample": vecs[:, worst, :]}
+            witness = {"sample_index": worst[0], "sample": worst[1]}
     status = STATUS_PASS if max_residual <= tol else STATUS_FAIL
     return Report(
         statement_id=f"jordan_identity[{system.name}]",
@@ -306,6 +342,18 @@ def check_jordan_identity(
         seed=used_seed,
         runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
+
+
+def _jordan_defects(c, vecs) -> np.ndarray:
+    """Per-sample norm of the Jordan identity's defect at rows (a, b, x, y, z)."""
+    a, b, x, y, z = vecs
+    # L(a,b) and L(x,y) each act twice: five GEMMs, not seven
+    ab, xy = _product_maps(c, a, b), _product_maps(c, x, y)
+    lhs = _apply_maps(ab, _apply_maps(xy, z))
+    t1 = product_batch(c, _apply_maps(ab, x), y, z)
+    t2 = product_batch(c, x, product_batch(c, b, a, y), z)
+    t3 = _apply_maps(xy, _apply_maps(ab, z))
+    return np.linalg.norm(lhs - t1 + t2 - t3, axis=1)
 
 
 def check_norm_axiom(
@@ -319,20 +367,27 @@ def check_norm_axiom(
 
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
+    samples = int(samples)
     worst = 0.0
     witness = {}
-    for _ in range(int(samples)):
-        coords = rng.standard_normal(system.dim)
-        if not np.any(coords):
-            continue
-        cube = system.product_arrays(coords, coords, coords)
-        lhs = element_norm(system, cube)
-        rhs = element_norm(system, coords) ** 3
-        rel = abs(lhs - rhs) / max(rhs, 1e-300)
-        if rel > worst:
-            worst = rel
-            if rel > tol:
-                witness = {"coords": coords, "cube_norm": lhs, "norm_cubed": rhs}
+    rows = batch_rows(system.dim**2)
+    # row by row, the blocks draw the same stream as one draw per sample
+    for first in range(0, samples, rows):
+        coords = rng.standard_normal((min(rows, samples - first), system.dim))
+        coords = coords[np.any(coords, axis=1)]
+        cubes = product_batch(system.tensor, coords, coords, coords)
+        lhs = np.array([element_norm(system, cube) for cube in cubes])
+        rhs = np.array([element_norm(system, row) for row in coords]) ** 3
+        rel = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
+        if rel.size and rel.max() > worst:
+            i = int(rel.argmax())
+            worst = float(rel[i])
+            if worst > tol:
+                witness = {
+                    "coords": coords[i],
+                    "cube_norm": float(lhs[i]),
+                    "norm_cubed": float(rhs[i]),
+                }
     status = STATUS_PASS if worst <= tol else STATUS_FAIL
     return Report(
         statement_id=f"norm_cube_identity[{system.name}]",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,7 @@ from triple_lab import (
 )
 from triple_lab.derivations import (
     DEFAULT_SEED,
+    DerivationSpace,
     _leibniz_gram,
     default_point_set,
     leibniz_residual,
@@ -28,6 +31,7 @@ from triple_lab.derivations import (
 )
 from triple_lab.errors import InvalidInput, TooLarge, Unsupported
 from triple_lab.factors import as_real_form
+from triple_lab.numerics import least_squares_residual
 from triple_lab.repro import counterexample_map
 from triple_lab.triple_core import Q_operator
 
@@ -232,6 +236,72 @@ def test_identity_is_not_local_on_hilbert_factor():
     )
     assert report.status == "fail"
     assert report.residuals["max_residual"] > 0.1
+
+
+def oracle_local_residual(t, points, space):
+    """Independent path: one lstsq solve per point; (max residual, first argmax)."""
+    stack = space.basis_stack()
+    residuals = []
+    for el in points:
+        target = t.entries @ el.coords
+        if space.dim == 0:
+            residuals.append(float(np.linalg.norm(target)))
+        else:
+            residuals.append(least_squares_residual(np.einsum("rnm,m->nr", stack, el.coords), target))
+    return max(residuals), int(np.argmax(residuals))
+
+
+def _counterexample_at_basis_points():
+    # the evaluation matrices lose rank at the basis points
+    system = build_factor("I_C(2,1)")
+    points = [system.basis_element(i) for i in range(4)]
+    return counterexample_map(system), points, derivation_space(system, "triple")
+
+
+def _identity_on_hilbert_factor():
+    # the identity's residual is ||a||: distinct norms, in shuffled order,
+    # make the argmax unique
+    system = build_factor("I_R(3,1)")
+    points = default_point_set(system, samples=40, seed=3)
+    scales = 1.0 + 0.01 * np.random.default_rng(3).permutation(len(points))
+    points = [Element(system, s * p.coords) for s, p in zip(scales, points)]
+    return system.identity_map(), points, derivation_space(system, "triple")
+
+
+def _dimension_zero_space():
+    system = build_factor("SPIN_R(3,1)")
+    t = system.linear_map(np.random.default_rng(5).standard_normal((4, 4)))
+    points = default_point_set(system, samples=20, seed=4)
+    return t, points, DerivationSpace(system, "triple", (), 1e-9)
+
+
+@pytest.mark.parametrize(
+    "case", [_counterexample_at_basis_points, _identity_on_hilbert_factor, _dimension_zero_space]
+)
+def test_local_residual_matches_per_point_lstsq(case):
+    t, points, space = case()
+    report = local_derivation_residual(t, points, space=space)
+    worst, index = oracle_local_residual(t, points, space)
+    assert abs(report.residuals["max_residual"] - worst) <= 1e-12
+    assert np.array_equal(report.witnesses["worst_point"], points[index].coords)
+
+
+def test_local_residual_memory_is_bounded_for_many_points():
+    # unchunked, the evaluation matrices and SVD factors of 20000 points at
+    # n = 10, r = 10 would take 16 MB each
+    system = build_factor("II_R(5)")
+    space = derivation_space(system, "triple")
+    rng = np.random.default_rng(8)
+    points = [Element(system, c) for c in rng.standard_normal((20000, system.dim))]
+    t = space.member(rng.standard_normal(space.dim))
+    tracemalloc.start()
+    try:
+        report = local_derivation_residual(t, points, space=space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == "pass"
+    assert peak < 16 * 2**20
 
 
 def test_local_residual_needs_points():

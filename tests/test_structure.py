@@ -8,6 +8,7 @@ from triple_lab import (
     are_orthogonal,
     build_factor,
     canonical_rank_witness,
+    canonical_tripotents,
     check_peirce_arithmetic,
     cube_root,
     derivation_space,
@@ -19,8 +20,10 @@ from triple_lab import (
 )
 from triple_lab.errors import InvalidInput, NoConvergence, NotTripotent
 from triple_lab.factors import representation_to_coords, coords_to_representation
+from triple_lab import structure
 from triple_lab.structure import (
     OrthogonalSystem,
+    PeirceSystem,
     check_ideal_invariance,
     offblock_leakage,
     peirce_invariant_residual,
@@ -98,6 +101,56 @@ def test_peirce_arithmetic_rank_one_factor():
     system = build_factor("SPIN_R(3,0)")
     report = check_peirce_arithmetic(system.basis_element(0))
     assert report.status == "pass"
+
+
+def test_peirce_arithmetic_on_large_factor():
+    # n = 32: 32,768 Peirce-basis triples in all
+    system = build_factor("I_C(4,4)")
+    report = check_peirce_arithmetic(system.basis_element(0))
+    assert report.status == "pass"
+    assert report.residuals["max_residual"] <= 1e-9
+
+
+def oracle_peirce_arithmetic(ps, tol=1e-9):
+    """The per-triple loop: one product per triple of Peirce basis vectors."""
+    system = ps.tripotent.system
+    bases = [ps.subspace_basis(k) for k in range(3)]
+    projections = [ps.p0.entries, ps.p1.entries, ps.p2.entries]
+    worst, witness = 0.0, {}
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                target = i - j + k
+                annihilated = (i, j) in ((0, 2), (2, 0)) or (j, k) in ((2, 0), (0, 2))
+                for u in bases[i].T:
+                    for v in bases[j].T:
+                        for w in bases[k].T:
+                            p = system.product_arrays(u, v, w)
+                            if annihilated or not 0 <= target <= 2:
+                                r = float(np.linalg.norm(p))
+                            else:
+                                r = float(np.linalg.norm(p - projections[target] @ p))
+                            if r > worst:
+                                worst = r
+                                if r > tol:
+                                    witness = {"peirce_indices": [i, j, k]}
+    return worst, witness
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_peirce_arithmetic_matches_per_triple_loop(monkeypatch, swap):
+    system = build_factor("II_R(5)")
+    e = canonical_tripotents(system)[0]
+    ps = peirce(e)
+    if swap:
+        # P1 and P2 exchanged: the rules fail, so the witness is compared too
+        ps = PeirceSystem(tripotent=e, p0=ps.p0, p1=ps.p2, p2=ps.p1)
+        monkeypatch.setattr(structure, "peirce", lambda element: ps)
+    report = check_peirce_arithmetic(e)
+    worst, witness = oracle_peirce_arithmetic(ps)
+    assert abs(report.residuals["max_residual"] - worst) <= 1e-12
+    assert report.witnesses == witness
+    assert report.status == ("fail" if swap else "pass")
 
 
 def test_are_orthogonal_examples():

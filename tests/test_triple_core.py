@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from triple_lab import (
     triple_product,
 )
 from triple_lab.errors import InvalidInput, SystemMismatch, Unsupported
+from triple_lab.factors import direct_sum
+from triple_lab import triple_core
 from triple_lab.triple_core import (
     check_complex_structure,
     check_hermitian_surrogate,
     linear_map_from_json,
     linear_map_to_json,
+    product_batch,
     system_from_json,
     system_to_json,
 )
@@ -282,3 +286,135 @@ def test_element_validation():
 def test_dimension_cap():
     with pytest.raises(InvalidInput):
         TripleSystem("too-big", np.zeros((65,) * 4))
+
+
+def oracle_products(c, x, y, z):
+    """Independent path: one unoptimized einsum per row."""
+    n = c.shape[0]
+    return np.array([np.einsum("ijkl,i,j,k->l", c, *rows) for rows in zip(x, y, z)]).reshape(-1, n)
+
+
+@pytest.mark.parametrize("label", SUITE + ["I_R(2,2)+SPIN_R(3,1)"])
+def test_product_batch_matches_per_row_einsum(label):
+    if "+" in label:
+        system = direct_sum([build_factor(part) for part in label.split("+")])
+    else:
+        system = build_factor(label)
+    rng = np.random.default_rng(11)
+    x, y, z = rng.standard_normal((3, 7, system.dim))
+    for c in (system.tensor, system.sym_tensor()):
+        expected = oracle_products(c, x, y, z)
+        assert np.max(np.abs(product_batch(c, x, y, z) - expected)) <= 1e-12
+    single = product_batch(system.tensor, x[:1], y[:1], z[:1])[0]
+    assert np.array_equal(system.product_arrays(x[0], y[0], z[0]), single)
+
+
+def test_product_batch_edge_shapes():
+    empty = np.zeros((0, 0, 0, 0))
+    assert product_batch(empty, *np.zeros((3, 5, 0))).shape == (5, 0)
+    system = build_factor("I_C(2,1)")
+    none = np.zeros((0, system.dim))
+    assert product_batch(system.tensor, none, none, none).shape == (0, system.dim)
+    x, y, z = np.random.default_rng(2).standard_normal((3, 1, system.dim))
+    single = product_batch(system.tensor, x, y, z)
+    assert single.shape == (1, system.dim)
+    assert np.max(np.abs(single - oracle_products(system.tensor, x, y, z))) <= 1e-14
+    assert TripleSystem("empty", empty).product_arrays(np.zeros(0), np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: standard_normal hands out a fixed sequence."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=float)
+        self._next = 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self._values[self._next : self._next + count].reshape(size)
+        self._next += count
+        return out
+
+
+def oracle_norm_axiom(system, samples, rng, tol=1e-8):
+    """The per-sample loop: one draw, one cube and two norms per sample."""
+    worst, witness = 0.0, {}
+    for _ in range(samples):
+        coords = rng.standard_normal(system.dim)
+        if not np.any(coords):
+            continue
+        lhs = element_norm(system, system.product_arrays(coords, coords, coords))
+        rhs = element_norm(system, coords) ** 3
+        rel = abs(lhs - rhs) / max(rhs, 1e-300)
+        if rel > worst:
+            worst = rel
+            if rel > tol:
+                witness = {"coords": coords}
+    return worst, witness
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_norm_axiom_matches_per_sample_loop(monkeypatch, corrupt):
+    system = build_factor("I_R(2,2)")
+    if corrupt:
+        tensor = np.array(system.tensor)
+        tensor[0, 0, 0, 0] += 0.1
+        system = TripleSystem("broken", tensor, norm_kind="operator", factor_kind="I_R(2,2)")
+    # blocks of 64 samples: 150 samples make three
+    monkeypatch.setattr(triple_core, "BATCH_ENTRIES", 64 * system.dim**2)
+    samples = 150
+    values = np.random.default_rng(4).standard_normal((samples, system.dim))
+    values[[0, 5, 64, samples - 1]] = 0.0  # rows the check must skip
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ScriptedRng(values.reshape(-1)))
+    report = check_norm_axiom(system, samples, seed=9)
+    worst, witness = oracle_norm_axiom(system, samples, _ScriptedRng(values.reshape(-1)))
+    assert abs(report.residuals["max_relative_residual"] - worst) <= 1e-12 * max(worst, 1.0)
+    assert report.status == ("fail" if corrupt else "pass")
+    if corrupt:
+        assert np.array_equal(report.witnesses["coords"], witness["coords"])
+    else:
+        assert report.witnesses == {} and witness == {}
+
+
+def test_randomized_jordan_matches_einsum_across_draws():
+    # a corrupted n = 16 system fails everywhere; 1500 samples are two draws,
+    # and with this seed the worst sample is in the second
+    system = build_factor("I_R(4,4)")
+    tensor = np.array(system.tensor)
+    tensor[0, 1, 0, 2] += 0.1
+    broken = TripleSystem("broken", tensor)
+    report = check_jordan_identity(broken, samples=1500, seed=3)
+    rng = np.random.default_rng(3)
+    draws = [rng.standard_normal((5, m, 16)) for m in (1024, 476)]
+    vecs = np.concatenate([d / np.linalg.norm(d, axis=2, keepdims=True) for d in draws], axis=1)
+
+    def product(x, y, z):
+        return np.einsum("ijkl,bi,bj,bk->bl", broken.tensor, x, y, z, optimize=True)
+
+    a, b, x, y, z = vecs
+    defect = (
+        product(a, b, product(x, y, z))
+        - product(product(a, b, x), y, z)
+        + product(x, product(b, a, y), z)
+        - product(x, y, product(a, b, z))
+    )
+    norms = np.linalg.norm(defect, axis=1)
+    assert report.status == "fail"
+    assert abs(report.residuals["max_residual"] - norms.max()) <= 1e-12 * norms.max()
+    assert report.witnesses["sample_index"] == int(norms.argmax()) >= 1024
+    assert np.array_equal(report.witnesses["sample"], vecs[:, int(norms.argmax()), :])
+
+
+def test_jordan_and_norm_memory_is_bounded_for_large_sample_counts():
+    # unchunked, 40000 samples at n = 16 would hold 26 MB of vectors and
+    # 82 MB per batch of outer products
+    system = build_factor("I_R(4,4)")
+    tracemalloc.start()
+    try:
+        jordan = check_jordan_identity(system, samples=40000, seed=1)
+        norm = check_norm_axiom(system, 40000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert jordan.status == "pass" and norm.status == "pass"
+    assert peak < 16 * 2**20
