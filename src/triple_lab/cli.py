@@ -78,9 +78,7 @@ def _cmd_der_check_local(args) -> int:
 
 def _cmd_repro_all(args) -> int:
     suite = repro.load_suite(args.suite)
-    report = repro.repro_all(
-        seed=args.seed, suite=suite, parallel=args.parallel, fault=args.fault
-    )
+    report = repro.repro_all(seed=args.seed, suite=suite, fault=args.fault)
     text = report.to_json(include_timings=args.timings)
     if args.out is None:
         print(text)
@@ -148,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     allcmd.add_argument("--seed", type=_parse_seed, default=repro.DEFAULT_SEED)
     allcmd.add_argument("--out", default=None)
     allcmd.add_argument("--markdown", default=None)
-    allcmd.add_argument("--parallel", action="store_true")
     allcmd.add_argument(
         "--fault",
         action="store_true",

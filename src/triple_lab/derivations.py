@@ -3,7 +3,6 @@ predicates separating local triple derivations from triple derivations."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 from .errors import InvalidInput, TooLarge, Unsupported
 from .factors import complexify, extend_map_complex
 from .numerics import expm, null_space, orthonormal_columns
-from .report import Report, STATUS_FAIL, STATUS_PASS
+from .report import Report, STATUS_FAIL, STATUS_PASS, timed
 from .structure import peirce
 from .triple_core import (
     Element,
@@ -213,9 +212,9 @@ def leibniz_residual(t: LinearMap, kind: str) -> dict:
     }
 
 
+@timed
 def is_derivation(t: LinearMap, kind: str = "triple", tol: float = 1e-10) -> Report:
     """Pass iff the Leibniz rule of the given product holds within tol."""
-    start = time.perf_counter()
     data = leibniz_residual(t, kind)
     worst = data["max_residual"]
     status = STATUS_PASS if worst <= tol else STATUS_FAIL
@@ -231,7 +230,6 @@ def is_derivation(t: LinearMap, kind: str = "triple", tol: float = 1e-10) -> Rep
         status=status,
         residuals={"max_residual": worst},
         witnesses=witnesses,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
@@ -251,6 +249,7 @@ def default_point_set(
     return points
 
 
+@timed
 def local_derivation_residual(
     t: LinearMap,
     points,
@@ -263,7 +262,6 @@ def local_derivation_residual(
     A pass on the sampled set is evidence; a fail is a certified refutation,
     because D(a) ranges over the full derivation space at each point.
     """
-    start = time.perf_counter()
     points = list(points)
     if not points:
         raise InvalidInput("local_derivation_residual needs at least one point")
@@ -294,7 +292,6 @@ def local_derivation_residual(
         residuals={"max_residual": worst},
         witnesses={"worst_point": worst_point.coords, "points": len(points)},
         seed=seed,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
@@ -339,12 +336,12 @@ def rank_one_local_witness(t: LinearMap, x: Element) -> LinearMap:
     return LinearMap(system, delta.entries / (2.0 * norm))
 
 
+@timed
 def check_complex_linearity(space: DerivationSpace, tol: float = 1e-8) -> Report:
     """Commutation of every basis member with the complex structure J."""
     j = space.system.complex_structure
     if j is None:
         raise Unsupported(f"{space.system.name} carries no complex structure")
-    start = time.perf_counter()
     worst = 0.0
     worst_index = None
     per_member = []
@@ -363,10 +360,10 @@ def check_complex_linearity(space: DerivationSpace, tol: float = 1e-8) -> Report
             "worst_member": worst_index,
             "commutators": per_member,
         },
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
+@timed
 def exp_flow_check(
     t: LinearMap,
     kind: str,
@@ -378,7 +375,6 @@ def exp_flow_check(
     For each t the residual is the worst basis-triple defect
     ||g{x,y,z} - {gx,gy,gz}||, compared against tol * (1 + ||g||^3).
     """
-    start = time.perf_counter()
     p = t.system.product_tensor(kind)
     residuals = {}
     status = STATUS_PASS
@@ -402,10 +398,10 @@ def exp_flow_check(
         status=status,
         residuals=residuals,
         witnesses=witness,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
+@timed
 def check_IAP_finite(system: TripleSystem, tol: float = 1e-8) -> Report:
     """Equality of the inner-derivation span and the triple-derivation space.
 
@@ -414,7 +410,6 @@ def check_IAP_finite(system: TripleSystem, tol: float = 1e-8) -> Report:
     rendering.  Checked through projections of each orthonormal basis onto
     the other.
     """
-    start = time.perf_counter()
     der = derivation_space(system, "triple")
     inner = derivation_space(system, "inner_span")
     worst_inner = max((der.project_map(t) for t in inner.basis), default=0.0)
@@ -430,10 +425,10 @@ def check_IAP_finite(system: TripleSystem, tol: float = 1e-8) -> Report:
             "triple_outside_inner": worst_der,
         },
         witnesses={} if ok else {"dims": [der.dim, inner.dim]},
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
+@timed
 def two_local_lift(
     t: LinearMap,
     samples: int = 64,
@@ -446,7 +441,6 @@ def two_local_lift(
     a map that agrees with a single derivation on every pair of points, the
     lift is expected to pass.
     """
-    start = time.perf_counter()
     system = t.system
     if system.complex_structure is not None:
         raise InvalidInput("two_local_lift expects a map on a real form")
@@ -468,7 +462,6 @@ def two_local_lift(
             "lift_local_residual": local_report.residuals["max_residual"],
         },
         seed=seed,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
         items=(local_report, derivation_report),
     )
 

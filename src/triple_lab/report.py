@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,3 +125,17 @@ class Report:
         for item in self.items:
             found.extend(item.flat_failures())
         return found
+
+
+def timed(fn):
+    """Decorate a function returning a ``Report`` so that report carries the
+    wall time of the call in ``runtime_ms``."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        report = fn(*args, **kwargs)
+        report.runtime_ms = int(1000 * (time.perf_counter() - start))
+        return report
+
+    return wrapper

@@ -2,108 +2,75 @@
 
 Each statement in the registry verifies one mathematical claim about
 derivations on generalized real Cartan factors, over the version-controlled
-factor suite.  Statements run with isolated seeds (seed xor statement index)
-so sequential and parallel runs produce identical reports.
+factor suite; the claim is the docstring of the statement's runner.
+Statements run in registry order with isolated seeds (seed xor statement
+index), so the report bytes depend only on the seed and the suite.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
 
 from . import derivations, factors, structure, triple_core
 from .errors import EmptySpec, InvalidInput, TripleLabError
-from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS
+from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS, timed
 from .triple_core import Element, LinearMap, TripleSystem
 
 DEFAULT_SEED = 0xA11CE
-
-#: statement registry: every verification the tool reproduces, keyed by what
-#: it establishes.  ``repro_all`` reports which registry entries a run left
-#: uncovered.
-STATEMENTS = {
-    "counterexample_rank_one_complex": (
-        "On realified C^2 the real-part swap map derives the symmetrized "
-        "product and is a local triple derivation, yet fails the triple "
-        "Leibniz rule with an explicit basis witness."
-    ),
-    "hilbert_factor_skew_characterization": (
-        "On real Hilbert factors the triple derivations are exactly the "
-        "skew-symmetric operators; symmetric maps fail every equivalent "
-        "predicate."
-    ),
-    "spin_rank_one_skew_characterization": (
-        "On rank-one real spin factors the triple derivations are exactly "
-        "the skew-symmetric operators."
-    ),
-    "derivations_complex_linear": (
-        "Real-linear triple derivations of a factor with complex structure "
-        "commute with J; the symmetrized space of the rank-one complex "
-        "factor does not."
-    ),
-    "rank_one_symmetrized_implies_local": (
-        "On rank-one factors an explicit inner derivation witnesses every "
-        "symmetrized-product derivation pointwise."
-    ),
-    "rank_gt_one_flow_equivalence": (
-        "exp(tT) flows of triple derivations are automorphisms of the triple "
-        "product; the counterexample flow is not."
-    ),
-    "direct_sum_theorem_surrogate": (
-        "Symmetrized and triple derivation spaces coincide on direct sums "
-        "without rank-one complex or quaternionic column summands, and a "
-        "strict gap appears when one is included."
-    ),
-    "ideal_invariance_cube_root": (
-        "Symmetrized-product derivations leave direct-sum blocks invariant; "
-        "odd cube roots stay inside the block of their argument."
-    ),
-    "two_local_complexification": (
-        "Extending a map to the complexification by T(x) + iT(y) turns "
-        "derivations into derivations and exposes the counterexample."
-    ),
-    "axioms_jordan_identity": "All suite factors satisfy the Jordan identity.",
-    "axioms_norm_cube": "All suite factors satisfy the cube-norm identity.",
-    "hermitian_positivity_advisory": (
-        "Advisory surrogate: L(a,a) is coordinate-symmetric with nonnegative "
-        "spectrum on basis elements."
-    ),
-    "peirce_arithmetic": (
-        "Peirce projections of canonical tripotents obey the multiplication "
-        "rules."
-    ),
-    "orthogonality_rank_witness": (
-        "Canonical orthogonal families certify the classification rank as a "
-        "lower bound."
-    ),
-    "inner_derivations_leibniz": (
-        "Maps L(a,b) - L(b,a) satisfy the triple Leibniz rule."
-    ),
-    "iap_span_equality": (
-        "The span of basis inner derivations equals the triple derivation "
-        "space (finite-dimensional inner approximation)."
-    ),
-    "tripotent_projection_identities": (
-        "At every canonical tripotent e, maps passing the local-derivation "
-        "check satisfy P0(e)T(e) = 0 and P2(e)T(e) = -Q(e)T(e)."
-    ),
-}
 
 
 def load_suite(path=None) -> dict:
     """The factor suite and tolerances; packaged default unless overridden."""
     if path is None:
-        text = resources.files("triple_lab").joinpath("suite.json").read_text()
-    else:
+        return json.loads(resources.files("triple_lab").joinpath("suite.json").read_text())
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return json.loads(text)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInput(f"cannot read suite file {path}: {exc}") from exc
+
+
+def _check_suite(config) -> None:
+    """Raise InvalidInput unless ``config`` holds every key a run reads, with its type."""
+
+    def require(ok, message):
+        if not ok:
+            raise InvalidInput(f"suite: {message}")
+
+    require(isinstance(config, dict), "the top level must be an object")
+    lists = (
+        ("factors", str),
+        ("hilbert_sizes", int),
+        ("complex_factors", str),
+        ("rank_one_factors", str),
+        ("sums_equal", list),
+        ("sums_gap", list),
+    )
+    for key, entry in lists:
+        value = config.get(key)
+        require(
+            isinstance(value, list) and all(isinstance(v, entry) for v in value),
+            f"{key!r} must be a list of {entry.__name__}",
+        )
+    for key in ("sums_equal", "sums_gap"):
+        require(
+            config[key] and all(isinstance(s, str) for specs in config[key] for s in specs),
+            f"{key!r} must be a non-empty list of lists of factor labels",
+        )
+    tables = (
+        ("tolerances", ("algebraic", "peirce", "flow"), (int, float), "numbers"),
+        ("samples", ("norm", "flow_maps", "tripotent_maps", "witness_pairs"), int, "integers"),
+    )
+    for key, names, kind, kind_name in tables:
+        table = config.get(key)
+        require(
+            isinstance(table, dict) and all(isinstance(table.get(n), kind) for n in names),
+            f"{key!r} must give {', '.join(names)} as {kind_name}",
+        )
 
 
 def counterexample_map(system: TripleSystem) -> LinearMap:
@@ -117,9 +84,10 @@ def counterexample_map(system: TripleSystem) -> LinearMap:
 
 
 class _RunContext:
-    """Built factors and cached derivation spaces for one reproduction run."""
+    """The checked suite and its built factors for one reproduction run."""
 
     def __init__(self, config: dict, fault: bool = False):
+        _check_suite(config)
         self.config = config
         self.tolerances = config["tolerances"]
         self.samples = config["samples"]
@@ -136,13 +104,6 @@ class _RunContext:
                 complex_structure=first.complex_structure,
                 factor_kind=first.factor_kind,
             )
-        self._spaces = {}
-
-    def space(self, system: TripleSystem, kind: str) -> derivations.DerivationSpace:
-        key = (id(system), kind)
-        if key not in self._spaces:
-            self._spaces[key] = derivations.derivation_space(system, kind)
-        return self._spaces[key]
 
 
 def _seeded_members(space, count, seed):
@@ -170,12 +131,24 @@ def _sub(statement_id, ok, residuals, witnesses=None, seed=None, items=()):
     )
 
 
+def _aggregate(statement_id, seed, items) -> Report:
+    """One report over sub-reports; it fails when any of them fails."""
+    items = tuple(items)
+    ok = all(item.status != STATUS_FAIL for item in items)
+    return Report(
+        statement_id=statement_id,
+        status=STATUS_PASS if ok else STATUS_FAIL,
+        seed=seed,
+        items=items,
+    )
+
+
 # -- individual statements -----------------------------------------------------
 
 
+@timed
 def repro_example_counterexample(seed: int = DEFAULT_SEED) -> Report:
     """Full verification of the rank-one complex counterexample."""
-    start = time.perf_counter()
     system = factors.build_factor("I_C(2,1)")
     t = counterexample_map(system)
     rng = np.random.default_rng(seed)
@@ -237,7 +210,6 @@ def repro_example_counterexample(seed: int = DEFAULT_SEED) -> Report:
             "leibniz_sum": leibniz,
         },
         seed=seed,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
@@ -297,22 +269,17 @@ def _skew_characterization(label_template, sizes, seed, expect_spin=False) -> Re
             and not_skew
         )
         items.append(_sub(f"{label_template.format(n=n)}", ok, residuals, seed=seed))
-    all_ok = all(item.status == STATUS_PASS for item in items)
-    return Report(
-        statement_id=(
-            "spin_rank_one_skew_characterization"
-            if expect_spin
-            else "hilbert_factor_skew_characterization"
-        ),
-        status=STATUS_PASS if all_ok else STATUS_FAIL,
-        seed=seed,
-        items=tuple(items),
+    statement_id = (
+        "spin_rank_one_skew_characterization"
+        if expect_spin
+        else "hilbert_factor_skew_characterization"
     )
+    return _aggregate(statement_id, seed, items)
 
 
+@timed
 def repro_hilbert_lemmas(n_list, seed: int = DEFAULT_SEED) -> Report:
     """Skew characterization on I_R(n,1) and SPIN_R(n,0) for each requested n."""
-    start = time.perf_counter()
     hilbert = _skew_characterization("I_R({n},1)", n_list, seed, expect_spin=False)
     spin = _skew_characterization("SPIN_R({n},0)", n_list, seed, expect_spin=True)
     ok = hilbert.status == STATUS_PASS and spin.status == STATUS_PASS
@@ -320,7 +287,6 @@ def repro_hilbert_lemmas(n_list, seed: int = DEFAULT_SEED) -> Report:
         statement_id="hilbert_and_spin_skew_characterization",
         status=STATUS_PASS if ok else STATUS_FAIL,
         seed=seed,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
         items=(hilbert, spin),
     )
 
@@ -338,9 +304,9 @@ def _is_gap_summand(spec: factors.FactorSpec) -> bool:
     )
 
 
+@timed
 def repro_theorem_surrogate(specs, seed: int = DEFAULT_SEED) -> Report:
     """Derivation-space comparison on a direct sum of factor specs."""
-    start = time.perf_counter()
     specs = [factors.FactorSpec.parse(s) if isinstance(s, str) else s for s in specs]
     if not specs:
         raise EmptySpec("the surrogate needs at least one factor spec")
@@ -393,26 +359,35 @@ def repro_theorem_surrogate(specs, seed: int = DEFAULT_SEED) -> Report:
         residuals=residuals,
         witnesses=witnesses,
         seed=seed,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
 def _stmt_counterexample(ctx, seed):
+    """On realified C^2 the real-part swap map derives the symmetrized
+    product and is a local triple derivation, yet fails the triple Leibniz
+    rule with an explicit basis witness."""
     return repro_example_counterexample(seed)
 
 
 def _stmt_hilbert_skew(ctx, seed):
-    report = _skew_characterization("I_R({n},1)", ctx.config["hilbert_sizes"], seed)
-    return report
+    """On real Hilbert factors the triple derivations are exactly the
+    skew-symmetric operators; symmetric maps fail every equivalent
+    predicate."""
+    return _skew_characterization("I_R({n},1)", ctx.config["hilbert_sizes"], seed)
 
 
 def _stmt_spin_skew(ctx, seed):
+    """On rank-one real spin factors the triple derivations are exactly the
+    skew-symmetric operators."""
     return _skew_characterization(
         "SPIN_R({n},0)", ctx.config["hilbert_sizes"], seed, expect_spin=True
     )
 
 
 def _stmt_complex_linear(ctx, seed):
+    """Real-linear triple derivations of a factor with complex structure
+    commute with J; the symmetrized space of the rank-one complex factor
+    does not."""
     items = []
     for label in ctx.config["complex_factors"]:
         system = factors.build_factor(label)
@@ -436,16 +411,12 @@ def _stmt_complex_linear(ctx, seed):
             {"max_commutator": worst},
         )
     )
-    ok = all(item.status == STATUS_PASS for item in items)
-    return Report(
-        statement_id="derivations_complex_linear",
-        status=STATUS_PASS if ok else STATUS_FAIL,
-        seed=seed,
-        items=tuple(items),
-    )
+    return _aggregate("derivations_complex_linear", seed, items)
 
 
 def _stmt_rank_one_witness(ctx, seed):
+    """On rank-one factors an explicit inner derivation witnesses every
+    symmetrized-product derivation pointwise."""
     pairs = ctx.samples["witness_pairs"]
     items = []
     for offset, label in enumerate(ctx.config["rank_one_factors"]):
@@ -465,21 +436,17 @@ def _stmt_rank_one_witness(ctx, seed):
         items.append(
             _sub(f"witness_formula[{label}]", worst <= 1e-8, {"max_relative_error": worst})
         )
-    ok = all(item.status == STATUS_PASS for item in items)
-    return Report(
-        statement_id="rank_one_symmetrized_implies_local",
-        status=STATUS_PASS if ok else STATUS_FAIL,
-        seed=seed,
-        items=tuple(items),
-    )
+    return _aggregate("rank_one_symmetrized_implies_local", seed, items)
 
 
 def _stmt_flows(ctx, seed):
+    """exp(tT) flows of triple derivations are automorphisms of the triple
+    product; the counterexample flow is not."""
     grid = [1.0, -1.0, 0.5, -0.5]
     count = ctx.samples["flow_maps"]
     items = []
     for system in ctx.factors:
-        der = ctx.space(system, "triple")
+        der = derivations.derivation_space(system, "triple")
         worst = 0.0
         ok = True
         for member in _seeded_members(der, count, seed):
@@ -506,31 +473,24 @@ def _stmt_flows(ctx, seed):
             {"max_residual": max(sym_rep.residuals.values())},
         )
     )
-    ok = all(item.status == STATUS_PASS for item in items)
-    return Report(
-        statement_id="rank_gt_one_flow_equivalence",
-        status=STATUS_PASS if ok else STATUS_FAIL,
-        seed=seed,
-        items=tuple(items),
-    )
+    return _aggregate("rank_gt_one_flow_equivalence", seed, items)
 
 
 def _stmt_surrogate(ctx, seed):
-    items = []
-    for specs in ctx.config["sums_equal"]:
-        items.append(repro_theorem_surrogate(specs, seed))
-    for specs in ctx.config["sums_gap"]:
-        items.append(repro_theorem_surrogate(specs, seed))
-    ok = all(item.status == STATUS_PASS for item in items)
-    return Report(
-        statement_id="direct_sum_theorem_surrogate",
-        status=STATUS_PASS if ok else STATUS_FAIL,
-        seed=seed,
-        items=tuple(items),
+    """Symmetrized and triple derivation spaces coincide on direct sums
+    without rank-one complex or quaternionic column summands, and a strict
+    gap appears when one is included."""
+    sums = ctx.config["sums_equal"] + ctx.config["sums_gap"]
+    return _aggregate(
+        "direct_sum_theorem_surrogate",
+        seed,
+        (repro_theorem_surrogate(specs, seed) for specs in sums),
     )
 
 
 def _stmt_ideal_invariance(ctx, seed):
+    """Symmetrized-product derivations leave direct-sum blocks invariant;
+    odd cube roots stay inside the block of their argument."""
     items = []
     rng = np.random.default_rng(seed)
     for specs in (ctx.config["sums_equal"][0], ctx.config["sums_gap"][0]):
@@ -556,16 +516,12 @@ def _stmt_ideal_invariance(ctx, seed):
                 },
             )
         )
-    ok = all(item.status == STATUS_PASS for item in items)
-    return Report(
-        statement_id="ideal_invariance_cube_root",
-        status=STATUS_PASS if ok else STATUS_FAIL,
-        seed=seed,
-        items=tuple(items),
-    )
+    return _aggregate("ideal_invariance_cube_root", seed, items)
 
 
 def _stmt_two_local(ctx, seed):
+    """Extending a map to the complexification by T(x) + iT(y) turns
+    derivations into derivations and exposes the counterexample."""
     base = factors.build_factor("I_R(2,2)")
     der = derivations.derivation_space(base, "triple")
     member = _seeded_members(der, 1, seed)[0]
@@ -585,38 +541,30 @@ def _stmt_two_local(ctx, seed):
     )
 
 
-def _per_factor(ctx, seed, statement_id, runner):
-    items = []
-    for system in ctx.factors:
-        items.append(runner(system))
-    ok = all(item.status != STATUS_FAIL for item in items)
-    return Report(
-        statement_id=statement_id,
-        status=STATUS_PASS if ok else STATUS_FAIL,
-        seed=seed,
-        items=tuple(items),
-    )
-
-
 def _stmt_jordan(ctx, seed):
-    return _per_factor(
-        ctx,
-        seed,
+    """All suite factors satisfy the Jordan identity."""
+    return _aggregate(
         "axioms_jordan_identity",
-        lambda s: triple_core.check_jordan_identity(s, tol=ctx.tolerances["algebraic"], seed=seed),
+        seed,
+        (
+            triple_core.check_jordan_identity(s, tol=ctx.tolerances["algebraic"], seed=seed)
+            for s in ctx.factors
+        ),
     )
 
 
 def _stmt_norm(ctx, seed):
-    return _per_factor(
-        ctx,
-        seed,
+    """All suite factors satisfy the cube-norm identity."""
+    return _aggregate(
         "axioms_norm_cube",
-        lambda s: triple_core.check_norm_axiom(s, ctx.samples["norm"], seed=seed),
+        seed,
+        (triple_core.check_norm_axiom(s, ctx.samples["norm"], seed=seed) for s in ctx.factors),
     )
 
 
 def _stmt_hermitian(ctx, seed):
+    """Advisory surrogate: L(a,a) is coordinate-symmetric with nonnegative
+    spectrum on basis elements."""
     items = tuple(triple_core.check_hermitian_surrogate(s) for s in ctx.factors)
     return Report(
         statement_id="hermitian_positivity_advisory",
@@ -631,6 +579,9 @@ def _stmt_hermitian(ctx, seed):
 
 
 def _stmt_peirce(ctx, seed):
+    """Peirce projections of canonical tripotents obey the multiplication
+    rules."""
+
     def run(system):
         worst = 0.0
         sub = []
@@ -641,19 +592,22 @@ def _stmt_peirce(ctx, seed):
         ok = all(r.status == STATUS_PASS for r in sub)
         return _sub(f"peirce[{system.name}]", ok, {"max_residual": worst})
 
-    return _per_factor(ctx, seed, "peirce_arithmetic", run)
+    return _aggregate("peirce_arithmetic", seed, map(run, ctx.factors))
 
 
 def _stmt_rank_witness(ctx, seed):
-    return _per_factor(
-        ctx,
-        seed,
+    """Canonical orthogonal families certify the classification rank as a
+    lower bound."""
+    return _aggregate(
         "orthogonality_rank_witness",
-        lambda s: structure.verify_rank_witness(s, factors.canonical_rank_witness(s)),
+        seed,
+        (structure.verify_rank_witness(s, factors.canonical_rank_witness(s)) for s in ctx.factors),
     )
 
 
 def _stmt_inner_leibniz(ctx, seed):
+    """Maps L(a,b) - L(b,a) satisfy the triple Leibniz rule."""
+
     def run(system):
         rng = np.random.default_rng(seed)
         worst = 0.0
@@ -675,21 +629,25 @@ def _stmt_inner_leibniz(ctx, seed):
             {"max_leibniz_residual": worst, "max_antisymmetry_defect": antisym},
         )
 
-    return _per_factor(ctx, seed, "inner_derivations_leibniz", run)
+    return _aggregate("inner_derivations_leibniz", seed, map(run, ctx.factors))
 
 
 def _stmt_iap(ctx, seed):
-    return _per_factor(
-        ctx, seed, "iap_span_equality", lambda s: derivations.check_IAP_finite(s)
+    """The span of basis inner derivations equals the triple derivation space
+    (finite-dimensional inner approximation)."""
+    return _aggregate(
+        "iap_span_equality", seed, map(derivations.check_IAP_finite, ctx.factors)
     )
 
 
 def _stmt_tripotent_identities(ctx, seed):
+    """At every canonical tripotent e, maps passing the local-derivation
+    check satisfy P0(e)T(e) = 0 and P2(e)T(e) = -Q(e)T(e)."""
     count = ctx.samples["tripotent_maps"]
 
     def run(system):
-        sym = ctx.space(system, "symmetrized")
-        der = ctx.space(system, "triple")
+        sym = derivations.derivation_space(system, "symmetrized")
+        der = derivations.derivation_space(system, "triple")
         points = derivations.default_point_set(system, samples=32, seed=seed)
         tripotents = factors.canonical_tripotents(system)
         worst_local = 0.0
@@ -717,9 +675,11 @@ def _stmt_tripotent_identities(ctx, seed):
             },
         )
 
-    return _per_factor(ctx, seed, "tripotent_projection_identities", run)
+    return _aggregate("tripotent_projection_identities", seed, map(run, ctx.factors))
 
 
+#: every statement the tool reproduces, in run order: (id, runner(ctx, seed)),
+#: each runner returning a report under its own id
 _STATEMENT_RUNNERS = (
     ("counterexample_rank_one_complex", _stmt_counterexample),
     ("hilbert_factor_skew_characterization", _stmt_hilbert_skew),
@@ -740,33 +700,31 @@ _STATEMENT_RUNNERS = (
     ("tripotent_projection_identities", _stmt_tripotent_identities),
 )
 
+#: the claim each statement establishes, read from its runner's docstring
+STATEMENTS = {
+    statement_id: " ".join(runner.__doc__.split())
+    for statement_id, runner in _STATEMENT_RUNNERS
+}
 
-def _worker_count(requested: int) -> int:
-    cap = os.environ.get("TRIPLE_LAB_THREADS")
-    if cap is not None:
-        return max(1, min(requested, int(cap)))
-    return max(1, requested)
 
-
+@timed
 def repro_all(
     seed: int = DEFAULT_SEED,
     suite: dict | None = None,
-    parallel: bool = False,
     fault: bool = False,
 ) -> Report:
-    """Run every registry statement and aggregate one report.
+    """Run every registry statement in order and aggregate one report.
 
-    Statement i runs with seed ``seed ^ i`` whether or not ``parallel`` is
-    set, so the report bytes depend only on (seed, suite).
+    Statement i runs with seed ``seed ^ i``, so the report bytes depend only
+    on (seed, suite).  Each statement's report carries its own runtime.
     """
-    start = time.perf_counter()
     config = suite if suite is not None else load_suite()
     ctx = _RunContext(config, fault=fault)
 
-    def run_one(index_runner):
-        index, (statement_id, runner) = index_runner
+    @timed
+    def run_one(index, statement_id, runner):
         try:
-            report = runner(ctx, seed ^ index)
+            return runner(ctx, seed ^ index)
         except TripleLabError as exc:
             # a broken tensor surfaces as exceptions deep in the checks;
             # record the failure instead of aborting the whole run
@@ -776,38 +734,20 @@ def repro_all(
                 witnesses={"error": f"{type(exc).__name__}: {exc}"},
                 seed=seed ^ index,
             )
-        if report.statement_id != statement_id:
-            report = Report(
-                statement_id=statement_id,
-                status=report.status,
-                residuals=report.residuals,
-                witnesses=report.witnesses,
-                seed=report.seed,
-                runtime_ms=report.runtime_ms,
-                items=report.items if report.items else (report,),
-            )
-        return report
 
-    tasks = list(enumerate(_STATEMENT_RUNNERS))
-    if parallel and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
-            items = list(pool.map(run_one, tasks))
-    else:
-        items = [run_one(task) for task in tasks]
-
-    executed = {item.statement_id for item in items}
-    uncovered = sorted(set(STATEMENTS) - executed)
-    ok = all(item.status != STATUS_FAIL and item.all_passed for item in items)
+    # read at call time, so a caller may wrap the runners
+    items = tuple(
+        run_one(index, statement_id, runner)
+        for index, (statement_id, runner) in enumerate(_STATEMENT_RUNNERS)
+    )
     return Report(
         statement_id="repro_all",
-        status=STATUS_PASS if ok else STATUS_FAIL,
+        status=STATUS_PASS if all(item.all_passed for item in items) else STATUS_FAIL,
         witnesses={
             "statements": len(items),
             "suite": list(config["factors"]),
-            "uncovered_statements": uncovered,
             "fault_injected": bool(fault),
         },
         seed=seed,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
-        items=tuple(items),
+        items=items,
     )

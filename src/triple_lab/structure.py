@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from . import factors
 from .errors import InvalidInput, NoConvergence, NotTripotent, TripleLabError
 from .numerics import null_space, orthonormal_columns, span_distance
-from .report import Report, STATUS_FAIL, STATUS_PASS
+from .report import Report, STATUS_FAIL, STATUS_PASS, timed
 from .triple_core import (
     Element,
     L_operator,
@@ -106,13 +105,13 @@ def peirce_invariant_residual(ps: PeirceSystem) -> float:
     return worst
 
 
+@timed
 def check_peirce_arithmetic(e: Element, tol: float = 1e-9) -> Report:
     """Peirce multiplication rules over Peirce-basis triples.
 
     {E0,E2,E} = {E2,E0,E} = 0 entirely, and {E_i,E_j,E_k} lands in
     E_{i-j+k} (the zero space when i-j+k is outside 0..2).
     """
-    start = time.perf_counter()
     ps = peirce(e)
     bases = [ps.subspace_basis(k) for k in range(3)]
     projections = [ps.p0.entries, ps.p1.entries, ps.p2.entries]
@@ -144,7 +143,6 @@ def check_peirce_arithmetic(e: Element, tol: float = 1e-9) -> Report:
         status=status,
         residuals={"max_residual": worst},
         witnesses=witness,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
@@ -168,13 +166,13 @@ def are_orthogonal(a: Element, b: Element, tol: float = 1e-10) -> bool:
     return verdicts[0]
 
 
+@timed
 def verify_rank_witness(system: TripleSystem, family, tol: float = 1e-10) -> Report:
     """Certify rank >= card(family) and compare with the classification hint.
 
     Witnesses only ever certify a lower bound; the exact rank is metadata
     from the factor classification.
     """
-    start = time.perf_counter()
     if isinstance(family, OrthogonalSystem):
         elements = list(family.elements)
     else:
@@ -210,7 +208,6 @@ def verify_rank_witness(system: TripleSystem, family, tol: float = 1e-10) -> Rep
         status=STATUS_PASS if ok else STATUS_FAIL,
         residuals=residuals,
         witnesses=witness,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
@@ -343,9 +340,9 @@ def offblock_leakage(t: LinearMap) -> float:
     return float(np.max(np.abs(t.entries[mask])))
 
 
+@timed
 def check_ideal_invariance(system: TripleSystem, maps, tol: float = 1e-8) -> Report:
     """Block invariance of maps on a direct sum: T(block) stays in the block."""
-    start = time.perf_counter()
     worst = 0.0
     witness = {}
     for idx, t in enumerate(maps):
@@ -359,5 +356,4 @@ def check_ideal_invariance(system: TripleSystem, maps, tol: float = 1e-8) -> Rep
         status=STATUS_PASS if worst <= tol else STATUS_FAIL,
         residuals={"max_offblock_entry": worst},
         witnesses=witness,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )

@@ -10,13 +10,12 @@ rather than a storage assumption.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, SystemMismatch, Unsupported
-from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS
+from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS, timed
 
 NORM_KINDS = ("operator", "spin", "hilbert", "product")
 
@@ -284,6 +283,7 @@ def Q_operator(a: Element) -> LinearMap:
 # -- axiom checks -------------------------------------------------------------
 
 
+@timed
 def check_jordan_identity(
     system: TripleSystem,
     tol: float = 1e-10,
@@ -297,7 +297,6 @@ def check_jordan_identity(
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
-    start = time.perf_counter()
     n = system.dim
     c = system.tensor
     witness = {}
@@ -340,7 +339,6 @@ def check_jordan_identity(
         residuals={"max_residual": max_residual},
         witnesses=witness,
         seed=used_seed,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
@@ -356,6 +354,7 @@ def _jordan_defects(c, vecs) -> np.ndarray:
     return np.linalg.norm(lhs - t1 + t2 - t3, axis=1)
 
 
+@timed
 def check_norm_axiom(
     system: TripleSystem,
     samples: int,
@@ -365,7 +364,6 @@ def check_norm_axiom(
     """Relative residual of ||{a,a,a}|| = ||a||^3 on seeded random elements."""
     from .factors import element_norm  # late import: factors builds on this module
 
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     samples = int(samples)
     worst = 0.0
@@ -395,16 +393,15 @@ def check_norm_axiom(
         residuals={"max_relative_residual": worst},
         witnesses=witness,
         seed=seed,
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
+@timed
 def check_complex_structure(system: TripleSystem, tol: float = 1e-12) -> Report:
     """J-compatibility: {Jx,y,z} = J{x,y,z} and {x,Jy,z} = -J{x,y,z} on basis triples."""
     j = system.complex_structure
     if j is None:
         raise Unsupported(f"{system.name} carries no complex structure")
-    start = time.perf_counter()
     c = system.tensor
     outer = np.einsum("ai,ajkl->ijkl", j, c) - np.einsum("lm,ijkm->ijkl", j, c)
     middle = np.einsum("aj,iakl->ijkl", j, c) + np.einsum("lm,ijkm->ijkl", j, c)
@@ -420,10 +417,10 @@ def check_complex_structure(system: TripleSystem, tol: float = 1e-12) -> Report:
         status=STATUS_PASS if worst <= tol else STATUS_FAIL,
         residuals=residuals,
         witnesses={} if worst <= tol else {"tolerance": tol},
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
+@timed
 def check_hermitian_surrogate(system: TripleSystem, tol: float = 1e-8) -> Report:
     """Advisory check: L(a,a) symmetric with nonnegative spectrum in coordinates.
 
@@ -431,7 +428,6 @@ def check_hermitian_surrogate(system: TripleSystem, tol: float = 1e-8) -> Report
     each factor, so coordinate symmetry of L(a,a) is the finite-dimensional
     surrogate for hermitian-ness.  Advisory only, never acceptance-blocking.
     """
-    start = time.perf_counter()
     worst_asym = 0.0
     min_eig = 0.0
     for i in range(system.dim):
@@ -450,7 +446,6 @@ def check_hermitian_surrogate(system: TripleSystem, tol: float = 1e-8) -> Report
             "min_eigenvalue": min_eig,
             "tolerance": tol,
         },
-        runtime_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 

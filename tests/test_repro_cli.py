@@ -1,16 +1,17 @@
 import io
 import json
+import time
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from triple_lab import build_factor, cli
-from triple_lab.errors import EmptySpec
+from triple_lab import build_factor, cli, repro
+from triple_lab.errors import EmptySpec, InvalidInput
+from triple_lab.report import Report, timed
 from triple_lab.repro import (
     STATEMENTS,
-    _STATEMENT_RUNNERS,
     counterexample_map,
     load_suite,
     repro_all,
@@ -117,10 +118,29 @@ def test_degenerate_one_dimensional_summands_do_not_force_a_gap():
     assert report.witnesses["forbidden_summand"] is False
 
 
-def test_statement_registry_is_covered():
-    ids = [statement_id for statement_id, _ in _STATEMENT_RUNNERS]
-    assert sorted(ids) == sorted(STATEMENTS)
+def test_repro_all_runs_each_registry_runner_once(monkeypatch):
+    calls = []
+
+    def slowed(statement_id, runner):
+        def run(ctx, seed):
+            calls.append(statement_id)
+            time.sleep(0.006)
+            return runner(ctx, seed)
+
+        return run
+
+    monkeypatch.setattr(
+        repro,
+        "_STATEMENT_RUNNERS",
+        tuple((sid, slowed(sid, runner)) for sid, runner in repro._STATEMENT_RUNNERS),
+    )
+    report = repro_all(seed=0xA11CE, suite=SMALL_SUITE)
+    ids = [item.statement_id for item in report.items]
+    assert calls == list(STATEMENTS)
+    assert ids == list(STATEMENTS)
     assert len(set(ids)) == len(ids)
+    # only the timing around each runner call sees the sleep
+    assert all(item.runtime_ms >= 5 for item in report.items)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +151,7 @@ def full_report():
 def test_repro_all_passes(full_report):
     assert full_report.status == "pass"
     assert not full_report.flat_failures()
-    assert full_report.witnesses["uncovered_statements"] == []
+    assert "uncovered_statements" not in full_report.witnesses
     statuses = {item.statement_id: item.status for item in full_report.items}
     assert statuses["hermitian_positivity_advisory"] == "advisory"
     assert all(status in ("pass", "advisory") for status in statuses.values())
@@ -140,9 +160,7 @@ def test_repro_all_passes(full_report):
 def test_repro_all_is_deterministic():
     first = repro_all(seed=0xA11CE, suite=SMALL_SUITE)
     second = repro_all(seed=0xA11CE, suite=SMALL_SUITE)
-    parallel = repro_all(seed=0xA11CE, suite=SMALL_SUITE, parallel=True)
     assert first.to_json() == second.to_json()
-    assert first.to_json() == parallel.to_json()
     other_seed = repro_all(seed=1, suite=SMALL_SUITE)
     assert other_seed.status == "pass"
     assert other_seed.to_json() != first.to_json()
@@ -154,14 +172,6 @@ def test_repro_all_fault_injection():
     failures = faulted.flat_failures()
     assert failures
     assert any(f.witnesses for f in failures)
-
-
-def test_thread_cap_env_var(monkeypatch):
-    monkeypatch.setenv("TRIPLE_LAB_THREADS", "1")
-    capped = repro_all(seed=0xA11CE, suite=SMALL_SUITE, parallel=True)
-    monkeypatch.delenv("TRIPLE_LAB_THREADS")
-    free = repro_all(seed=0xA11CE, suite=SMALL_SUITE, parallel=True)
-    assert capped.to_json() == free.to_json()
 
 
 def test_timings_are_excluded_from_canonical_json(full_report):
@@ -178,12 +188,32 @@ def test_suite_config_loads():
 
 
 def test_report_fail_requires_evidence():
-    from triple_lab.report import Report
-
     with pytest.raises(ValueError):
         Report(statement_id="x", status="fail")
     with pytest.raises(ValueError):
         Report(statement_id="x", status="bogus")
+
+
+def test_timed_sets_runtime_on_every_return_path():
+    error = InvalidInput("no report")
+
+    @timed
+    def check(branch):
+        """A check with two return paths and a raise."""
+        time.sleep(0.006)
+        if branch == "early":
+            return Report(statement_id="early", status="pass")
+        if branch == "raise":
+            raise error
+        return Report(statement_id="late", status="fail", residuals={"r": 1.0})
+
+    assert check.__name__ == "check"
+    assert check.__doc__ == "A check with two return paths and a raise."
+    assert check("early").runtime_ms >= 5
+    assert check("late").runtime_ms >= 5
+    with pytest.raises(InvalidInput) as raised:
+        check("raise")
+    assert raised.value is error
 
 
 # -- command-line interface ------------------------------------------------
@@ -284,7 +314,7 @@ def test_cli_repro_all_with_suite_override(tmp_path):
     assert first.returncode == 0, first.stderr
     second = run_cli(
         ["repro", "all", "--seed", "0xA11CE", "--suite", "small.json",
-         "--out", "r2.json", "--parallel"],
+         "--out", "r2.json"],
         cwd=tmp_path,
     )
     assert second.returncode == 0, second.stderr
@@ -300,3 +330,30 @@ def test_cli_repro_all_with_suite_override(tmp_path):
     assert fault.returncode == 1
     payload = json.loads((tmp_path / "rf.json").read_text())
     assert payload["status"] == "fail"
+
+
+MALFORMED_SUITES = {
+    "missing_key": json.dumps({k: v for k, v in SMALL_SUITE.items() if k != "tolerances"}),
+    "empty_sums_equal": json.dumps(dict(SMALL_SUITE, sums_equal=[])),
+    "empty_sums_gap": json.dumps(dict(SMALL_SUITE, sums_gap=[])),
+    "sample_count_not_int": json.dumps(
+        dict(SMALL_SUITE, samples=dict(SMALL_SUITE["samples"], flow_maps="4"))
+    ),
+    "top_level_list": json.dumps([SMALL_SUITE]),
+    "invalid_json": "{not json",
+    "missing_file": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SUITES))
+def test_cli_rejects_malformed_suite(tmp_path, case):
+    text = MALFORMED_SUITES[case]
+    if text is not None:
+        (tmp_path / "bad.json").write_text(text)
+    result = run_cli(["repro", "all", "--suite", "bad.json"], cwd=tmp_path)
+    assert result.returncode == 2
+    assert "error:" in result.stderr
+    if case not in ("invalid_json", "missing_file"):
+        # a suite passed in directly is checked the same way
+        with pytest.raises(InvalidInput):
+            repro_all(suite=json.loads(text))
