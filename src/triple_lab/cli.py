@@ -4,12 +4,11 @@ derivation spaces, and run the full reproduction suite."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import derivations, factors, repro, structure, triple_core
 from .errors import TripleLabError
-from .report import STATUS_FAIL
+from .report import STATUS_FAIL, canonical_json, read_json, write_json
 
 
 def _parse_seed(text: str) -> int:
@@ -21,12 +20,10 @@ def _parse_dims(text: str) -> tuple:
 
 
 def _write_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     if path is None:
-        print(text)
+        print(canonical_json(payload))
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(payload, path)
 
 
 def _cmd_factor_build(args) -> int:
@@ -48,7 +45,7 @@ def _cmd_structure_peirce(args) -> int:
     arithmetic = structure.check_peirce_arithmetic(e)
     payload = {
         "factor": system.name,
-        "tripotent": [float(v) for v in e.coords],
+        "tripotent": e.coords.tolist(),
         "peirce_dims": list(ps.dims()),
         "projection_invariant_residual": structure.peirce_invariant_residual(ps),
         "arithmetic": arithmetic.to_dict(),
@@ -68,8 +65,7 @@ def _cmd_der_compute(args) -> int:
 
 def _cmd_der_check_local(args) -> int:
     system = triple_core.load_system(args.factor)
-    with open(args.map, "r", encoding="utf-8") as fh:
-        t = triple_core.linear_map_from_json(json.load(fh), system)
+    t = triple_core.linear_map_from_json(read_json(args.map, "map"), system)
     points = derivations.default_point_set(system, samples=args.samples, seed=args.seed)
     report = derivations.local_derivation_residual(t, points, seed=args.seed)
     _write_json(report.to_dict(), args.report)
@@ -79,12 +75,7 @@ def _cmd_der_check_local(args) -> int:
 def _cmd_repro_all(args) -> int:
     suite = repro.load_suite(args.suite)
     report = repro.repro_all(seed=args.seed, suite=suite, fault=args.fault)
-    text = report.to_json(include_timings=args.timings)
-    if args.out is None:
-        print(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_json(report.to_dict(include_timings=args.timings), args.out)
     if args.markdown is not None:
         with open(args.markdown, "w", encoding="utf-8") as fh:
             fh.write(report.to_markdown())

@@ -474,7 +474,7 @@ def space_to_json(space: DerivationSpace) -> dict:
         "kind": space.kind,
         "dim": space.system.dim,
         "tol": space.tol,
-        "basis": [[float(x) for x in t.entries.reshape(-1)] for t in space.basis],
+        "basis": [t.entries.reshape(-1).tolist() for t in space.basis],
     }
 
 

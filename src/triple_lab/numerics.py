@@ -99,7 +99,7 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "entries": [float(x) for x in a.reshape(-1)],
+        "entries": a.reshape(-1).tolist(),
     }
 
 

@@ -1,4 +1,4 @@
-"""Structured pass/fail records with deterministic JSON serialization."""
+"""Structured pass/fail records and the package's one JSON encoding."""
 
 from __future__ import annotations
 
@@ -9,11 +9,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidInput
+
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_ADVISORY = "advisory"
 
 _STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_ADVISORY)
+
+
+def canonical_json(payload) -> str:
+    """Sorted keys, no whitespace, ASCII: the bytes of every file the package writes.
+
+    One ``json.dumps`` call runs CPython's C encoder; ``json.dump`` always
+    streams through the pure-Python encoder, which is 4-5x slower on the
+    dense factor files (0.65 s against 0.14 s for the 6.8 MB ``III_R(8)``).
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def write_json(payload, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(payload))
+
+
+def read_json(path, what: str):
+    """The parsed JSON file at ``path``; InvalidInput if it cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInput(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _plain(value):
@@ -90,12 +116,7 @@ class Report:
         return payload
 
     def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(
-            self.to_dict(include_timings),
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=True,
-        )
+        return canonical_json(self.to_dict(include_timings))
 
     def worst_residual(self) -> float:
         values = [v for v in self.residuals.values()]

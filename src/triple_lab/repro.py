@@ -17,7 +17,7 @@ import numpy as np
 
 from . import derivations, factors, structure, triple_core
 from .errors import EmptySpec, InvalidInput, TripleLabError
-from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS, timed
+from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS, read_json, timed
 from .triple_core import Element, LinearMap, TripleSystem
 
 DEFAULT_SEED = 0xA11CE
@@ -27,19 +27,19 @@ def load_suite(path=None) -> dict:
     """The factor suite and tolerances; packaged default unless overridden."""
     if path is None:
         return json.loads(resources.files("triple_lab").joinpath("suite.json").read_text())
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InvalidInput(f"cannot read suite file {path}: {exc}") from exc
+    return read_json(path, "suite")
 
 
 def _check_suite(config) -> None:
-    """Raise InvalidInput unless ``config`` holds every key a run reads, with its type."""
+    """Raise InvalidInput unless ``config`` holds exactly the keys a run reads, typed."""
 
     def require(ok, message):
         if not ok:
             raise InvalidInput(f"suite: {message}")
+
+    def require_known(table, known, where):
+        unknown = sorted(set(table) - set(known))
+        require(not unknown, f"unknown key(s) {', '.join(map(repr, unknown))}{where}")
 
     require(isinstance(config, dict), "the top level must be an object")
     lists = (
@@ -50,6 +50,11 @@ def _check_suite(config) -> None:
         ("sums_equal", list),
         ("sums_gap", list),
     )
+    tables = (
+        ("tolerances", ("algebraic", "peirce", "flow"), (int, float), "numbers"),
+        ("samples", ("norm", "flow_maps", "tripotent_maps", "witness_pairs"), int, "integers"),
+    )
+    require_known(config, [key for key, _ in lists] + [key for key, *_ in tables], "")
     for key, entry in lists:
         value = config.get(key)
         require(
@@ -61,16 +66,13 @@ def _check_suite(config) -> None:
             config[key] and all(isinstance(s, str) for specs in config[key] for s in specs),
             f"{key!r} must be a non-empty list of lists of factor labels",
         )
-    tables = (
-        ("tolerances", ("algebraic", "peirce", "flow"), (int, float), "numbers"),
-        ("samples", ("norm", "flow_maps", "tripotent_maps", "witness_pairs"), int, "integers"),
-    )
     for key, names, kind, kind_name in tables:
         table = config.get(key)
         require(
             isinstance(table, dict) and all(isinstance(table.get(n), kind) for n in names),
             f"{key!r} must give {', '.join(names)} as {kind_name}",
         )
+        require_known(table, names, f" in {key!r}")
 
 
 def counterexample_map(system: TripleSystem) -> LinearMap:

@@ -9,13 +9,20 @@ rather than a storage assumption.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, SystemMismatch, Unsupported
-from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS, timed
+from .report import (
+    Report,
+    STATUS_ADVISORY,
+    STATUS_FAIL,
+    STATUS_PASS,
+    read_json,
+    timed,
+    write_json,
+)
 
 NORM_KINDS = ("operator", "spin", "hilbert", "product")
 
@@ -458,26 +465,51 @@ def system_to_json(system: TripleSystem) -> dict:
     return {
         "name": system.name,
         "dim": system.dim,
-        "tensor": [float(x) for x in system.tensor.reshape(-1)],
+        "tensor": system.tensor.reshape(-1).tolist(),
         "norm_kind": system.norm_kind,
         "rank_hint": system.rank_hint,
-        "complex_structure": None if j is None else [float(x) for x in j.reshape(-1)],
+        "complex_structure": None if j is None else j.reshape(-1).tolist(),
         "factor_kind": system.factor_kind,
     }
 
 
+def _require_keys(payload, keys, what: str) -> None:
+    """Raise InvalidInput unless ``payload`` is an object holding every key in ``keys``."""
+    if not isinstance(payload, dict):
+        raise InvalidInput(f"{what}: the top level must be an object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise InvalidInput(f"{what}: missing key(s) {', '.join(missing)}")
+
+
+def _wire_dim(payload) -> int:
+    try:
+        n = int(payload["dim"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"dim must be an integer, got {payload['dim']!r}") from exc
+    if n < 0:
+        raise InvalidInput(f"dim must be non-negative, got {n}")
+    return n
+
+
+def _wire_floats(payload, key: str, size: int, size_text: str) -> np.ndarray:
+    """``payload[key]`` as a flat float array of ``size`` entries, or InvalidInput."""
+    try:
+        values = np.asarray(payload[key], dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{key} must be a list of numbers") from exc
+    if values.size != size:
+        raise InvalidInput(f"{key} length {values.size} != {size_text} = {size}")
+    return values
+
+
 def system_from_json(payload: dict) -> TripleSystem:
-    n = int(payload["dim"])
-    tensor = np.asarray(payload["tensor"], dtype=float)
-    if tensor.size != n**4:
-        raise InvalidInput(f"tensor length {tensor.size} != dim^4 = {n ** 4}")
-    tensor = tensor.reshape(n, n, n, n)
+    _require_keys(payload, ("name", "dim", "tensor", "norm_kind"), "factor")
+    n = _wire_dim(payload)
+    tensor = _wire_floats(payload, "tensor", n**4, "dim^4").reshape(n, n, n, n)
     j = payload.get("complex_structure")
     if j is not None:
-        j = np.asarray(j, dtype=float)
-        if j.size != n * n:
-            raise InvalidInput("complex_structure length != dim^2")
-        j = j.reshape(n, n)
+        j = _wire_floats(payload, "complex_structure", n * n, "dim^2").reshape(n, n)
     blocks = None
     factor_kind = str(payload.get("factor_kind", "custom"))
     if factor_kind.startswith("sum("):
@@ -496,27 +528,23 @@ def system_from_json(payload: dict) -> TripleSystem:
 
 
 def save_system(system: TripleSystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(system), fh, sort_keys=True, separators=(",", ":"))
+    write_json(system_to_json(system), path)
 
 
 def load_system(path) -> TripleSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return system_from_json(json.load(fh))
+    return system_from_json(read_json(path, "factor"))
 
 
 def linear_map_to_json(t: LinearMap) -> dict:
     return {
         "dim": t.system.dim,
-        "entries": [float(x) for x in t.entries.reshape(-1)],
+        "entries": t.entries.reshape(-1).tolist(),
     }
 
 
 def linear_map_from_json(payload: dict, system: TripleSystem) -> LinearMap:
-    n = int(payload["dim"])
+    _require_keys(payload, ("dim", "entries"), "map")
+    n = _wire_dim(payload)
     if n != system.dim:
         raise InvalidInput(f"map dim {n} != system dim {system.dim}")
-    entries = np.asarray(payload["entries"], dtype=float)
-    if entries.size != n * n:
-        raise InvalidInput("entries length != dim^2")
-    return LinearMap(system, entries.reshape(n, n))
+    return LinearMap(system, _wire_floats(payload, "entries", n * n, "dim^2").reshape(n, n))

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from triple_lab import build_factor, cli, repro
+from triple_lab import build_factor, cli, repro, triple_core
 from triple_lab.errors import EmptySpec, InvalidInput
 from triple_lab.report import Report, timed
 from triple_lab.repro import (
@@ -28,10 +28,9 @@ SMALL_SUITE = {
     "rank_one_factors": ["I_C(2,1)"],
     "sums_equal": [["I_R(2,2)", "SPIN_R(3,0)"]],
     "sums_gap": [["I_R(2,2)", "I_C(2,1)"]],
-    "tolerances": {"algebraic": 1e-10, "peirce": 1e-9, "spectral": 1e-8, "flow": 1e-7},
+    "tolerances": {"algebraic": 1e-10, "peirce": 1e-9, "flow": 1e-7},
     "samples": {
         "norm": 16,
-        "local_points": 64,
         "flow_maps": 4,
         "tripotent_maps": 8,
         "witness_pairs": 8,
@@ -342,6 +341,14 @@ MALFORMED_SUITES = {
     "top_level_list": json.dumps([SMALL_SUITE]),
     "invalid_json": "{not json",
     "missing_file": None,
+    # keys that nothing reads are refused, at the top level and in each table
+    "unknown_key": json.dumps(dict(SMALL_SUITE, spectral_gap=1e-8)),
+    "unknown_tolerance": json.dumps(
+        dict(SMALL_SUITE, tolerances=dict(SMALL_SUITE["tolerances"], spectral=1e-8))
+    ),
+    "unknown_sample": json.dumps(
+        dict(SMALL_SUITE, samples=dict(SMALL_SUITE["samples"], local_points=64))
+    ),
 }
 
 
@@ -357,3 +364,37 @@ def test_cli_rejects_malformed_suite(tmp_path, case):
         # a suite passed in directly is checked the same way
         with pytest.raises(InvalidInput):
             repro_all(suite=json.loads(text))
+
+
+def _factor_text(drop=(), **changes):
+    payload = dict(triple_core.system_to_json(build_factor("I_C(2,1)")), **changes)
+    return json.dumps({k: v for k, v in payload.items() if k not in drop})
+
+
+MALFORMED_WIRE_FILES = {
+    "missing_file": None,
+    "invalid_json": "{not json",
+    "top_level_list": json.dumps([1.0, 2.0]),
+    "missing_tensor": _factor_text(drop=("tensor",)),
+    "missing_norm_kind": _factor_text(drop=("norm_kind",)),
+    "wrong_tensor_length": _factor_text(tensor=[0.0] * 255),
+    "missing_entries": json.dumps({"dim": 4}),
+}
+# the map cases read a good factor; the factor cases compute a space from it
+WIRE_COMMANDS = {
+    "factor": ["der", "compute", "--factor", "bad.json", "--kind", "triple", "--out", "d.json"],
+    "map": ["der", "check-local", "--factor", "f.json", "--map", "bad.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WIRE_FILES))
+@pytest.mark.parametrize("role", sorted(WIRE_COMMANDS))
+def test_cli_rejects_malformed_factor_and_map_files(tmp_path, role, case):
+    triple_core.save_system(build_factor("I_C(2,1)"), tmp_path / "f.json")
+    text = MALFORMED_WIRE_FILES[case]
+    if text is not None:
+        (tmp_path / "bad.json").write_text(text)
+    result = run_cli(WIRE_COMMANDS[role], cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert not (tmp_path / "d.json").exists()

@@ -1,5 +1,7 @@
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +273,131 @@ def test_linear_map_json_roundtrip():
     assert sorted(payload.keys()) == ["dim", "entries"]
     back = linear_map_from_json(payload, system)
     assert np.array_equal(back.entries, t.entries)
+
+
+def _signed_zero_system():
+    # -0.0 survives the outer-slot symmetrization only where both slots hold it
+    tensor = np.full((2, 2, 2, 2), -0.0)
+    tensor[0, 0, 0, 0] = 1.0 / 3.0
+    tensor[1, 1, 1, 1] = -2.25
+    tensor[0, 1, 0, 1] = 1e-300
+    return TripleSystem("signed_zero", tensor, norm_kind="operator", rank_hint=None)
+
+
+WIRE_CASES = {
+    "I_C(2,1)": lambda: build_factor("I_C(2,1)"),
+    "I_R(2,2)+SPIN_R(3,1)": lambda: direct_sum(
+        [build_factor("I_R(2,2)"), build_factor("SPIN_R(3,1)")]
+    ),
+    "signed_zero": _signed_zero_system,
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIRE_CASES))
+def test_saved_bytes_match_streaming_encoder_oracle(tmp_path, case):
+    # the oracle is the earlier writer: per-entry float() lists streamed
+    # through the pure-Python encoder
+    system = WIRE_CASES[case]()
+    j = system.complex_structure
+    old_payload = {
+        "name": system.name,
+        "dim": system.dim,
+        "tensor": [float(x) for x in system.tensor.reshape(-1)],
+        "norm_kind": system.norm_kind,
+        "rank_hint": system.rank_hint,
+        "complex_structure": None if j is None else [float(x) for x in j.reshape(-1)],
+        "factor_kind": system.factor_kind,
+    }
+    expected = "".join(
+        json.JSONEncoder(sort_keys=True, separators=(",", ":")).iterencode(old_payload)
+    ).encode("ascii")
+    path = tmp_path / "system.json"
+    triple_core.save_system(system, path)
+    assert path.read_bytes() == expected
+    if case == "signed_zero":
+        assert b"-0.0," in expected and b'"rank_hint":null' in expected
+    if case == "I_C(2,1)":
+        assert b'"complex_structure":[' in expected
+    if case.startswith("I_R(2,2)+"):
+        assert b'"factor_kind":"sum(' in expected
+    assert triple_core.load_system(path) == system
+
+
+def test_wire_lists_hold_builtin_floats():
+    from triple_lab.derivations import derivation_space, space_to_json
+    from triple_lab.numerics import matrix_to_json
+
+    system = build_factor("I_C(2,1)")
+    payload = system_to_json(system)
+    space = space_to_json(derivation_space(system, "triple"))
+    lists = [
+        payload["tensor"],
+        payload["complex_structure"],
+        linear_map_to_json(system.identity_map())["entries"],
+        *space["basis"],
+        matrix_to_json(np.arange(6.0).reshape(2, 3))["entries"],
+    ]
+    assert all(lists) and len(space["basis"]) == 4
+    assert all(type(v) is float for values in lists for v in values)
+
+
+# json.dump( streams through the pure-Python encoder; a per-entry float()
+# comprehension boxes one numpy scalar at a time (parsing split text is fine)
+SLOW_WIRE_PATTERNS = (r"\bjson\.dump\(", r"\bfloat\((\w+)\) for \1 in (?!\w+\.split\()")
+
+
+def test_no_module_writes_json_through_the_slow_path():
+    package = Path(triple_core.__file__).parent
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if any(re.search(pattern, line) for pattern in SLOW_WIRE_PATTERNS)
+    ]
+    assert offenders == []
+
+
+def test_slow_wire_patterns_match_what_they_forbid():
+    samples = {
+        "json.dump(payload, fh)": True,
+        "json.dumps(payload)": False,
+        '"tensor": [float(x) for x in arr.reshape(-1)],': True,
+        '"tripotent": [float(v) for v in e.coords],': True,
+        'system.element([float(v) for v in text.split(",")])': False,
+        "arr.reshape(-1).tolist()": False,
+    }
+    for line, slow in samples.items():
+        assert any(re.search(p, line) for p in SLOW_WIRE_PATTERNS) is slow, line
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"entries": [0.0] * 16},
+        {"dim": "four", "entries": [0.0] * 16},
+        {"dim": 4, "entries": ["a"] * 16},
+        {"dim": 4, "entries": [0.0] * 15},
+    ],
+    ids=["no_dim", "dim_not_int", "entries_not_numbers", "short"],
+)
+def test_linear_map_json_rejects_malformed_payload(payload):
+    with pytest.raises(InvalidInput):
+        linear_map_from_json(payload, build_factor("I_R(2,2)"))
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"dim": -1, "tensor": [0.0]},
+        {"tensor": ["x"] * 256},
+        {"complex_structure": [0.0] * 15},
+    ],
+    ids=["dim_negative", "tensor_not_numbers", "short_complex_structure"],
+)
+def test_system_json_rejects_malformed_payload(changes):
+    payload = dict(system_to_json(build_factor("I_C(2,1)")), **changes)
+    with pytest.raises(InvalidInput):
+        system_from_json(payload)
 
 
 def test_element_validation():
