@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from . import derivations, factors, repro, structure, triple_core
-from .errors import TripleLabError
+from .errors import InvalidInput, TripleLabError
 from .report import STATUS_FAIL, canonical_json, read_json, write_json
 
 
@@ -37,10 +37,15 @@ def _cmd_factor_build(args) -> int:
 def _cmd_structure_peirce(args) -> int:
     system = triple_core.load_system(args.factor)
     text = args.tripotent
-    if "," in text or "." in text:
-        e = system.element([float(v) for v in text.split(",")])
-    else:
-        e = system.basis_element(int(text))
+    try:
+        if "," in text or "." in text:
+            e = system.element([float(v) for v in text.split(",")])
+        else:
+            e = system.basis_element(int(text))
+    except ValueError as exc:
+        raise InvalidInput(
+            f"--tripotent {text!r} is neither a basis index nor coordinates"
+        ) from exc
     ps = structure.peirce(e)
     arithmetic = structure.check_peirce_arithmetic(e)
     payload = {

@@ -117,6 +117,8 @@ class TripleSystem:
         return Element(self, coords)
 
     def basis_element(self, index: int) -> "Element":
+        if not 0 <= index < self.dim:
+            raise InvalidInput(f"basis index {index} is outside 0..{self.dim - 1}")
         coords = np.zeros(self.dim)
         coords[index] = 1.0
         return Element(self, coords)

@@ -1,0 +1,63 @@
+"""The package runs on numpy alone: no scipy at run time, and the imports in
+``src/triple_lab`` match the runtime dependencies declared in pyproject.toml."""
+
+import ast
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import triple_lab
+
+PACKAGE = Path(triple_lab.__file__).resolve().parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+# one interpreter imports the package, then runs ``python -m triple_lab --help``
+# through runpy, then prints the scipy modules it holds
+CHILD = """
+import json, runpy, sys
+import triple_lab
+sys.argv = ["triple_lab", "--help"]
+try:
+    runpy.run_module("triple_lab", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code in (None, 0), exc.code
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
+
+def test_import_and_help_load_no_scipy(child_env, tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        cwd=tmp_path,
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    *help_text, modules = result.stdout.splitlines()
+    assert any("usage: triple-lab" in line for line in help_text)
+    assert json.loads(modules) == []
+
+
+def _third_party_imports(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "triple_lab"}
+
+
+def test_imports_match_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with PYPROJECT.open("rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.\-]+", spec).group(0).lower() for spec in declared}
+    imported = set().union(*map(_third_party_imports, sorted(PACKAGE.glob("*.py"))))
+    assert imported == declared == {"numpy"}

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,6 +153,58 @@ def test_expm_inverse_property(n, seed):
     a *= 5.0 / max(np.linalg.norm(a, 2), 5.0)
     product = expm(a) @ expm(-a)
     assert np.max(np.abs(product - np.eye(n))) < 1e-10
+
+
+# 1-norms at 0.9 theta_m for Higham's (2005) bounds theta_3 .. theta_13, all
+# taken by the unscaled [13/13] approximant, and two in the scaling-and-squaring
+# branch
+EXPM_NORMS = {
+    "theta3": 0.9 * 1.495585217958292e-2,
+    "theta5": 0.9 * 2.539398330063230e-1,
+    "theta7": 0.9 * 9.504178996162932e-1,
+    "theta9": 0.9 * 2.097847961257068,
+    "theta13": 0.9 * 5.371920351148152,
+    "scaled_20": 20.0,
+    "scaled_50": 50.0,
+}
+EXPM_SIZES = range(1, 33)
+
+
+def _with_norm1(a, norm):
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+def _relative_frobenius(x, y):
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("band", sorted(EXPM_NORMS))
+def test_expm_matches_scipy_across_norms(band):
+    rng = np.random.default_rng(sorted(EXPM_NORMS).index(band))
+    for n in EXPM_SIZES:
+        a = _with_norm1(rng.standard_normal((n, n)), EXPM_NORMS[band])
+        assert _relative_frobenius(expm(a), scipy.linalg.expm(a)) <= 1e-11, n
+
+
+@pytest.mark.parametrize("band", sorted(EXPM_NORMS))
+def test_expm_of_skew_matrix_is_orthogonal(band):
+    rng = np.random.default_rng(100 + sorted(EXPM_NORMS).index(band))
+    for n in EXPM_SIZES[1:]:
+        b = rng.standard_normal((n, n))
+        a = _with_norm1(b - b.T, EXPM_NORMS[band])
+        g = expm(a)
+        assert np.max(np.abs(g.T @ g - np.eye(n))) <= 1e-12, n
+        assert _relative_frobenius(g, scipy.linalg.expm(a)) <= 1e-11, n
+
+
+def test_expm_of_diagonal_is_exact():
+    rng = np.random.default_rng(7)
+    for n in EXPM_SIZES:
+        d = rng.uniform(-50.0, 50.0, n)
+        d[rng.random(n) < 0.25] = 0.0
+        g = expm(np.diag(d))
+        assert np.array_equal(g, np.diag(np.exp(d))), n
+        assert _relative_frobenius(g, scipy.linalg.expm(np.diag(d))) <= 1e-11, n
 
 
 def test_orthonormal_columns_and_distance():

@@ -303,6 +303,24 @@ def test_cli_structure_peirce(tmp_path):
     assert "error" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "tripotent",
+    ["99", "-1", "x", "1,x,0,0", "1,,0,0", "1,0,0", "1,0,0,0,0"],
+    ids=["index_out_of_range", "negative_index", "index_not_int", "coordinate_not_number",
+         "empty_coordinate", "too_few_coordinates", "too_many_coordinates"],
+)
+def test_cli_structure_peirce_rejects_bad_tripotent(tmp_path, tripotent):
+    triple_core.save_system(build_factor("I_C(2,1)"), tmp_path / "f.json")
+    result = run_cli(
+        ["structure", "peirce", "--factor", "f.json", "--tripotent", tripotent,
+         "--report", "p.json"],
+        cwd=tmp_path,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_cli_repro_all_with_suite_override(tmp_path):
     (tmp_path / "small.json").write_text(json.dumps(SMALL_SUITE))
     first = run_cli(
