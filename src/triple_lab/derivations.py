@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, TooLarge, Unsupported
+from .errors import InvalidInput, Unsupported
 from .factors import complexify, extend_map_complex
 from .numerics import expm, null_space, orthonormal_columns
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
@@ -108,7 +108,6 @@ def derivation_space(
     system: TripleSystem,
     kind: str,
     tol: float = 1e-9,
-    max_dim: int = 64,
 ) -> DerivationSpace:
     """Orthonormal basis of a derivation space, deterministically computed.
 
@@ -120,23 +119,16 @@ def derivation_space(
     """
     if kind not in KINDS:
         raise InvalidInput(f"unknown derivation kind {kind!r}")
-    if system.dim > max_dim:
-        raise TooLarge(f"dimension {system.dim} exceeds the cap of {max_dim}")
     n = system.dim
     if n == 0:
         return DerivationSpace(system, kind, (), tol)
     if kind == "inner_span":
-        vectors = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                delta = (
-                    np.einsum("abkl,a,b->lk", system.tensor, _unit(n, i), _unit(n, j))
-                    - np.einsum("abkl,a,b->lk", system.tensor, _unit(n, j), _unit(n, i))
-                )
-                vectors.append(delta.reshape(-1))
-        if not vectors:
-            return DerivationSpace(system, kind, (), tol)
-        basis_matrix = orthonormal_columns(np.column_stack(vectors), tol=tol)
+        # column (i, j), i < j, is L(e_i, e_j) - L(e_j, e_i), whose entry [l, k] is
+        # c[i, j, k, l] - c[j, i, k, l]
+        c = system.tensor
+        rows, cols = np.triu_indices(n, 1)
+        vectors = (c[rows, cols] - c[cols, rows]).transpose(0, 2, 1).reshape(rows.size, n * n)
+        basis_matrix = orthonormal_columns(vectors.T, tol=tol)
     else:
         # G is symmetric positive semi-definite, so its singular values are
         # its eigenvalues, the squares of those of L: for tol <= 1e-6 the
@@ -156,12 +148,6 @@ def derivation_space(
     space = DerivationSpace(system, kind, maps, tol)
     _validate_space(space)
     return space
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
 
 
 def _validate_space(space: DerivationSpace) -> None:

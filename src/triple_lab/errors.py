@@ -33,7 +33,7 @@ class Unsupported(TripleLabError):
     """The requested computation is not defined for this system."""
 
 
-class TooLarge(TripleLabError):
+class TooLarge(InvalidInput):
     """The system dimension exceeds the supported cap."""
 
 

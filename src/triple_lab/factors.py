@@ -93,10 +93,6 @@ def qconj(a) -> np.ndarray:
     return np.asarray(a) * _QCONJ_SIGNS
 
 
-def _qmat_mul(x, y) -> np.ndarray:
-    return np.einsum("uva,vwb,abg->uwg", x, y, QMUL)
-
-
 def _qmat_adjoint(x) -> np.ndarray:
     return qconj(x).transpose(1, 0, 2)
 

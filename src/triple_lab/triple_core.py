@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, SystemMismatch, Unsupported
+from .errors import InvalidInput, SystemMismatch, TooLarge, Unsupported
 from .report import (
     Report,
     STATUS_ADVISORY,
@@ -66,7 +66,7 @@ class TripleSystem:
             raise InvalidInput(f"tensor must be n^4, got shape {tensor.shape}")
         n = tensor.shape[0] if tensor.ndim == 4 else 0
         if n > MAX_DIM:
-            raise InvalidInput(f"dimension {n} exceeds the cap of {MAX_DIM}")
+            raise TooLarge(f"dimension {n} exceeds the cap of {MAX_DIM}")
         if tensor.size and not np.all(np.isfinite(tensor)):
             raise InvalidInput("tensor has non-finite entries")
         swapped = tensor.transpose(2, 1, 0, 3)

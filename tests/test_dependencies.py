@@ -1,5 +1,6 @@
 """The package runs on numpy alone: no scipy at run time, and the imports in
-``src/triple_lab`` match the runtime dependencies declared in pyproject.toml."""
+``src/triple_lab`` match the runtime dependencies declared in pyproject.toml.
+Every private module-level helper in ``src/triple_lab`` has a caller there."""
 
 import ast
 import json
@@ -61,3 +62,38 @@ def test_imports_match_runtime_dependencies():
     declared = {re.match(r"[A-Za-z0-9_.\-]+", spec).group(0).lower() for spec in declared}
     imported = set().union(*map(_third_party_imports, sorted(PACKAGE.glob("*.py"))))
     assert imported == declared == {"numpy"}
+
+
+def _unreferenced_private_definitions(package: Path) -> list:
+    """Module-level ``_private`` functions and classes of ``package`` that no
+    name, attribute or import anywhere in the package refers to."""
+    definitions, referenced = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        definitions += [
+            f"{path.stem}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return [name for name in definitions if name.split(".")[1] not in referenced]
+
+
+def test_no_unreferenced_private_definitions():
+    assert _unreferenced_private_definitions(PACKAGE) == []
+
+
+def test_unreferenced_private_check_finds_a_dead_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\nclass _Dead:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import _used\n")
+    assert _unreferenced_private_definitions(tmp_path) == ["a._dead", "a._Dead"]

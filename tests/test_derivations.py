@@ -29,9 +29,9 @@ from triple_lab.derivations import (
     space_from_json,
     space_to_json,
 )
-from triple_lab.errors import InvalidInput, TooLarge, Unsupported
+from triple_lab.errors import InvalidInput, Unsupported
 from triple_lab.factors import as_real_form
-from triple_lab.numerics import least_squares_residual
+from triple_lab.numerics import least_squares_residual, orthonormal_columns
 from triple_lab.repro import counterexample_map
 from triple_lab.triple_core import Q_operator
 
@@ -136,12 +136,27 @@ def test_orthonormality_of_bases():
         assert np.max(np.abs(gram - np.eye(space.dim))) <= 1e-10
 
 
+@pytest.mark.parametrize("label", ["I_C(2,2)", "SPIN_R(5,0)", "I_H(2,1)", "III_R(4)"])
+def test_inner_span_is_the_span_of_basis_inner_derivations(label):
+    system = build_factor(label)
+    space = derivation_space(system, "inner_span")
+    e = [system.basis_element(i) for i in range(system.dim)]
+    # independent path: one L_operator contraction per pair
+    spanning = [
+        inner_derivation(e[i], e[j]).entries.reshape(-1)
+        for i in range(system.dim)
+        for j in range(i + 1, system.dim)
+    ]
+    reference = orthonormal_columns(np.column_stack(spanning), tol=space.tol)
+    basis = space.basis_stack().reshape(space.dim, -1).T
+    assert basis.shape == reference.shape
+    assert np.max(np.abs(basis @ basis.T - reference @ reference.T)) <= 1e-12
+
+
 def test_derivation_space_rejects_bad_input():
     system = build_factor("I_R(2,2)")
     with pytest.raises(InvalidInput):
         derivation_space(system, "cubic")
-    with pytest.raises(TooLarge):
-        derivation_space(system, "triple", max_dim=3)
 
 
 ORACLE_SYSTEMS = (

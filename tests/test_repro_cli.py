@@ -7,7 +7,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from triple_lab import build_factor, cli, repro, triple_core
+from triple_lab import build_factor, cli, derivation_space, derivations, repro, triple_core
+from triple_lab.derivations import DerivationSpace
 from triple_lab.errors import EmptySpec, InvalidInput
 from triple_lab.report import Report, timed
 from triple_lab.repro import (
@@ -16,7 +17,6 @@ from triple_lab.repro import (
     load_suite,
     repro_all,
     repro_example_counterexample,
-    repro_hilbert_lemmas,
     repro_theorem_surrogate,
 )
 
@@ -32,7 +32,6 @@ SMALL_SUITE = {
     "samples": {
         "norm": 16,
         "flow_maps": 4,
-        "tripotent_maps": 8,
         "witness_pairs": 8,
     },
 }
@@ -82,9 +81,10 @@ def test_repro_example_counterexample_statement():
 
 
 def test_repro_hilbert_lemmas_statement():
-    report = repro_hilbert_lemmas([2, 3], seed=1)
-    assert report.status == "pass"
-    hilbert, spin = report.items
+    statements = {item.statement_id: item for item in repro_all(suite=SMALL_SUITE).items}
+    hilbert = statements["hilbert_factor_skew_characterization"]
+    spin = statements["spin_rank_one_skew_characterization"]
+    assert hilbert.status == spin.status == "pass"
     dims = {item.statement_id: item.residuals["triple_dim"] for item in hilbert.items}
     assert dims == {"I_R(2,1)": 1.0, "I_R(3,1)": 3.0}
     for item in list(hilbert.items) + list(spin.items):
@@ -97,6 +97,8 @@ def test_repro_theorem_surrogate_equal_and_gap():
     assert equal.status == "pass"
     assert equal.residuals["gap"] == 0.0
     assert equal.residuals["max_offblock_leakage"] <= 1e-8
+    assert equal.residuals["basis_local_residual"] <= 1e-8
+    assert equal.residuals["basis_triple_leibniz_residual"] <= 1e-8
 
     gap = repro_theorem_surrogate(["I_R(2,2)", "I_C(2,1)"], seed=2)
     assert gap.status == "pass"
@@ -115,6 +117,53 @@ def test_degenerate_one_dimensional_summands_do_not_force_a_gap():
     assert report.status == "pass"
     assert report.residuals["gap"] == 0.0
     assert report.witnesses["forbidden_summand"] is False
+
+
+def test_tripotent_identities_check_each_symmetrized_basis_map_once(monkeypatch):
+    checked = []
+    original = derivations.local_derivation_residual
+
+    def spy(t, *args, **kwargs):
+        checked.append(t.entries)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(derivations, "local_derivation_residual", spy)
+    ctx = repro._RunContext(SMALL_SUITE)
+    report = repro._stmt_tripotent_identities(ctx, seed=1)
+    assert report.status == "pass"
+    basis = [b.entries for s in ctx.factors for b in derivation_space(s, "symmetrized").basis]
+    assert len(checked) == len(basis)
+    assert all(np.array_equal(a, b) for a, b in zip(checked, basis))
+
+
+@pytest.fixture
+def one_symmetric_basis_map(monkeypatch):
+    """Every symmetrized space gets the unit symmetric map I / sqrt(n) as its
+    last basis map, which no triple derivation matches at any nonzero point."""
+    original = derivations.derivation_space
+
+    def patched(system, kind, *args, **kwargs):
+        space = original(system, kind, *args, **kwargs)
+        if kind != "symmetrized":
+            return space
+        unit_symmetric = system.linear_map(np.eye(system.dim) / np.sqrt(system.dim))
+        return DerivationSpace(system, kind, space.basis[:-1] + (unit_symmetric,), space.tol)
+
+    monkeypatch.setattr(derivations, "derivation_space", patched)
+
+
+def test_tripotent_identities_fail_on_one_bad_basis_map(one_symmetric_basis_map):
+    report = repro._stmt_tripotent_identities(repro._RunContext(SMALL_SUITE), seed=1)
+    assert report.status == "fail"
+    assert all(item.residuals["max_local_residual"] > 0.1 for item in report.items)
+
+
+def test_equal_gap_surrogate_fails_on_one_bad_basis_map(one_symmetric_basis_map):
+    report = repro_theorem_surrogate(["I_R(2,2)", "SPIN_R(4,0)"], seed=2)
+    assert report.witnesses["forbidden_summand"] is False
+    assert report.status == "fail"
+    assert report.residuals["basis_local_residual"] > 0.1
+    assert report.residuals["basis_triple_leibniz_residual"] > 0.1
 
 
 def test_repro_all_runs_each_registry_runner_once(monkeypatch):
@@ -366,6 +415,10 @@ MALFORMED_SUITES = {
     ),
     "unknown_sample": json.dumps(
         dict(SMALL_SUITE, samples=dict(SMALL_SUITE["samples"], local_points=64))
+    ),
+    # the tripotent identities run on the symmetrized basis, not on samples
+    "unknown_sample_tripotent_maps": json.dumps(
+        dict(SMALL_SUITE, samples=dict(SMALL_SUITE["samples"], tripotent_maps=64))
     ),
 }
 

@@ -17,7 +17,7 @@ from triple_lab import (
     symmetrized_product,
     triple_product,
 )
-from triple_lab.errors import InvalidInput, SystemMismatch, Unsupported
+from triple_lab.errors import InvalidInput, SystemMismatch, TooLarge, Unsupported
 from triple_lab.factors import direct_sum
 from triple_lab import triple_core
 from triple_lab.triple_core import (
@@ -411,8 +411,10 @@ def test_element_validation():
 
 
 def test_dimension_cap():
-    with pytest.raises(InvalidInput):
+    # the one cap on n; TooLarge is an InvalidInput, so either handler catches it
+    with pytest.raises(TooLarge):
         TripleSystem("too-big", np.zeros((65,) * 4))
+    assert issubclass(TooLarge, InvalidInput)
 
 
 def oracle_products(c, x, y, z):
