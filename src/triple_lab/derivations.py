@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidInput, Unsupported
 from .factors import complexify, extend_map_complex
-from .numerics import expm, null_space, orthonormal_columns
+from .numerics import expm, null_space, orthonormal_columns, span_distance
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
 from .structure import peirce
 from .triple_core import (
@@ -19,6 +19,7 @@ from .triple_core import (
     TripleSystem,
     _same_system,
     batch_rows,
+    in_slots,
 )
 
 KINDS = ("triple", "symmetrized", "inner_span")
@@ -54,14 +55,6 @@ class DerivationSpace:
         for w, t in zip(weights, self.basis):
             entries += w * t.entries
         return LinearMap(self.system, entries)
-
-    def project_map(self, t: LinearMap) -> float:
-        """Distance from ``t`` to the span of the basis (Frobenius norm)."""
-        vec = t.entries.reshape(-1)
-        stack = self.basis_stack().reshape(self.dim, -1)
-        if self.dim == 0:
-            return float(np.linalg.norm(vec))
-        return float(np.linalg.norm(vec - stack.T @ (stack @ vec)))
 
 
 def _leibniz_gram(p: np.ndarray) -> np.ndarray:
@@ -179,13 +172,13 @@ def leibniz_residual(t: LinearMap, kind: str) -> dict:
         raise InvalidInput(f"no Leibniz identity for kind {kind!r}")
     p = t.system.product_tensor(kind)
     m = t.entries
-    res = np.einsum("lm,ijkm->ijkl", m, p, optimize=True)
-    res -= np.einsum("mi,mjkl->ijkl", m, p, optimize=True)
-    res -= np.einsum("mj,imkl->ijkl", m, p, optimize=True)
-    res -= np.einsum("mk,ijml->ijkl", m, p, optimize=True)
+    res = p @ m.T
+    res -= in_slots(p, m)
+    res -= in_slots(p, None, m)
+    res -= in_slots(p, None, None, m)
     if res.size == 0:
         return {"max_residual": 0.0, "witness_triple": None}
-    norms = np.sqrt(np.einsum("ijkl,ijkl->ijk", res, res))
+    norms = np.sqrt(np.einsum("...l,...l->...", res, res))
     worst = np.unravel_index(int(norms.argmax()), norms.shape)
     i, j, k = (int(v) for v in worst)
     applied = m @ p[i, j, k, :]
@@ -367,13 +360,11 @@ def exp_flow_check(
     witness = {}
     for value in t_grid:
         g = expm(float(value) * t.entries)
-        lhs = np.einsum("lm,ijkm->ijkl", g, p, optimize=True)
-        rhs = np.einsum("ai,bj,ck,abcl->ijkl", g, g, g, p, optimize=True)
-        diff = lhs - rhs
+        diff = p @ g.T - in_slots(p, g, g, g)
         if diff.size == 0:
             worst = 0.0
         else:
-            worst = float(np.sqrt(np.einsum("ijkl,ijkl->ijk", diff, diff).max()))
+            worst = float(np.sqrt(np.einsum("...l,...l->...", diff, diff).max()))
         bound = tol * (1.0 + np.linalg.norm(g, 2) ** 3)
         residuals[f"t={value:g}"] = worst
         if worst > bound:
@@ -398,8 +389,10 @@ def check_IAP_finite(system: TripleSystem, tol: float = 1e-8) -> Report:
     """
     der = derivation_space(system, "triple")
     inner = derivation_space(system, "inner_span")
-    worst_inner = max((der.project_map(t) for t in inner.basis), default=0.0)
-    worst_der = max((inner.project_map(t) for t in der.basis), default=0.0)
+    n2 = system.dim**2
+    der_cols, inner_cols = (s.basis_stack().reshape(s.dim, n2).T for s in (der, inner))
+    worst_inner = max((span_distance(t.entries, der_cols) for t in inner.basis), default=0.0)
+    worst_der = max((span_distance(t.entries, inner_cols) for t in der.basis), default=0.0)
     ok = der.dim == inner.dim and worst_inner <= tol and worst_der <= tol
     return Report(
         statement_id=f"iap_span_equality[{system.name}]",

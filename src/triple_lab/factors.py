@@ -391,7 +391,6 @@ def build_factor(spec) -> TripleSystem:
     else:  # SPIN_C
         tensor = _spin_complex_tensor(spec.dims[0])
         complex_structure = _interleaved_j(spec.dims[0])
-    tensor = 0.5 * (tensor + tensor.transpose(2, 1, 0, 3))
     return TripleSystem(
         name=spec.label(),
         tensor=tensor,
@@ -501,47 +500,71 @@ def as_real_form(system: TripleSystem) -> TripleSystem:
 # -- factor-kind label utilities ----------------------------------------------
 
 
-def _split_sum_label(label: str) -> list:
-    inner = label[len("sum(") : -1]
+def _split_label(label: str):
+    """``(wrapper, parts)`` of a ``sum(A|B|...)``, ``realform(X)`` or
+    ``complexified(X)`` label, and ``(None, (label,))`` for a factor label."""
+    label = label.strip()
+    wrapper, _, inner = label.partition("(")
+    if wrapper not in ("sum", "realform", "complexified") or not inner.endswith(")"):
+        return None, (label,)
     parts = []
     depth = 0
     current = []
-    for ch in inner:
+    for ch in inner[:-1]:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "|" and depth == 0:
+        if ch == "|" and depth == 0 and wrapper == "sum":
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     parts.append("".join(current))
-    return parts
+    return wrapper, tuple(parts)
 
 
 def kind_dim(label: str) -> int:
-    label = label.strip()
-    if label.startswith("sum(") and label.endswith(")"):
-        return sum(kind_dim(part) for part in _split_sum_label(label))
-    if label.startswith("complexified(") and label.endswith(")"):
-        return 2 * kind_dim(label[len("complexified(") : -1])
-    if label.startswith("realform(") and label.endswith(")"):
-        return kind_dim(label[len("realform(") : -1])
-    return FactorSpec.parse(label).dim()
+    wrapper, parts = _split_label(label)
+    if wrapper is None:
+        return FactorSpec.parse(label).dim()
+    return (2 if wrapper == "complexified" else 1) * sum(kind_dim(part) for part in parts)
 
 
-def blocks_from_kind(label: str) -> tuple:
-    """Recover (offset, length, kind) block metadata from a sum label."""
-    if not (label.startswith("sum(") and label.endswith(")")):
-        raise Unsupported(f"{label!r} is not a direct-sum label")
+def blocks_from_kind(label: str):
+    """(offset, length, kind) per summand of a sum label, through ``realform``
+    wrappers (a real form keeps the coordinates); None for any other label."""
+    wrapper, parts = _split_label(label)
+    if wrapper == "realform":
+        return blocks_from_kind(parts[0])
+    if wrapper != "sum":
+        return None
     blocks = []
     offset = 0
-    for part in _split_sum_label(label):
+    for part in parts:
         d = kind_dim(part)
         blocks.append((offset, d, part))
         offset += d
     return tuple(blocks)
+
+
+def _leaves(label: str, offset: int = 0, stride: int = 1) -> list:
+    """(factor label, coordinate positions) of each constructed factor in ``label``.
+
+    A sum places its parts one after another, ``realform(X)`` keeps the
+    coordinates of X, and ``complexified(X)`` puts them on the real slots, the
+    even coordinates.
+    """
+    wrapper, parts = _split_label(label)
+    if wrapper is None:
+        return [(label, offset + stride * np.arange(kind_dim(label)))]
+    if wrapper == "complexified":
+        stride *= 2
+    out = []
+    for part in parts:
+        out += _leaves(part, offset, stride)
+        offset += stride * kind_dim(part)
+    return out
 
 
 # -- coordinates <-> representations, norms ------------------------------------
@@ -597,6 +620,11 @@ def _spin_norm(label: str, coords) -> float:
 
 
 def _norm_for_kind(label: str, norm_kind: str, coords) -> float:
+    wrapper, parts = _split_label(label)
+    if wrapper == "realform":  # a real form keeps the coordinates and the norm
+        return _norm_for_kind(parts[0], norm_kind, coords)
+    if wrapper == "complexified":
+        raise Unsupported(f"no norm is defined for factor kind {label!r}")
     if norm_kind == "hilbert":
         return float(np.linalg.norm(coords))
     if norm_kind == "spin":
@@ -604,12 +632,9 @@ def _norm_for_kind(label: str, norm_kind: str, coords) -> float:
     if norm_kind == "operator":
         return _operator_norm(label, coords)
     if norm_kind == "product":
-        try:
-            blocks = blocks_from_kind(label)
-        except Unsupported as exc:
-            raise Unsupported(
-                f"product norm needs per-summand factor kinds, got {label!r}"
-            ) from exc
+        blocks = blocks_from_kind(label)
+        if blocks is None:
+            raise Unsupported(f"product norm needs per-summand factor kinds, got {label!r}")
         coords = np.asarray(coords, dtype=float)
         worst = 0.0
         for offset, length, part in blocks:
@@ -620,8 +645,11 @@ def _norm_for_kind(label: str, norm_kind: str, coords) -> float:
 
 
 def _default_norm_kind(label: str) -> str:
-    if label.startswith("sum("):
+    wrapper, parts = _split_label(label)
+    if wrapper == "sum":
         return "product"
+    if wrapper == "realform":
+        return _default_norm_kind(parts[0])
     try:
         return FactorSpec.parse(label).norm_kind()
     except InvalidSpec as exc:
@@ -631,8 +659,8 @@ def _default_norm_kind(label: str) -> str:
 def element_norm(system: TripleSystem, coords) -> float:
     """The factor's own norm of a coordinate vector.
 
-    Supported for constructed factors and their direct sums; complexified or
-    custom systems have no recognized norm and raise Unsupported.
+    Supported for constructed factors, their direct sums and real forms;
+    complexified systems have no recognized norm and raise Unsupported.
     """
     return _norm_for_kind(system.factor_kind, system.norm_kind, coords)
 
@@ -695,30 +723,20 @@ def _tripotent_coord_list(label: str) -> list:
     return out
 
 
+def _embedded(system: TripleSystem, coord_list) -> list:
+    """``coord_list`` of each factor inside the system's label, placed at its coordinates."""
+    out = []
+    for label, positions in _leaves(system.factor_kind):
+        for coords in coord_list(label):
+            v = np.zeros(system.dim)
+            v[positions] = coords
+            out.append(Element(system, v))
+    return out
+
+
 def canonical_tripotents(system: TripleSystem) -> list:
     """A small list of constructor-supplied tripotents for the system."""
-    label = system.factor_kind
-    if label.startswith("sum("):
-        out = []
-        for offset, length, part in blocks_from_kind(label):
-            for coords in _tripotent_coord_list(part):
-                v = np.zeros(system.dim)
-                v[offset : offset + length] = coords
-                out.append(Element(system, v))
-        return out
-    if label.startswith("complexified(") or label.startswith("realform("):
-        inner = label[label.index("(") + 1 : -1]
-        base = _tripotent_coord_list(inner)
-        out = []
-        for coords in base:
-            v = np.zeros(system.dim)
-            if label.startswith("complexified("):
-                v[0::2] = coords
-            else:
-                v[:] = coords
-            out.append(Element(system, v))
-        return out
-    return [Element(system, c) for c in _tripotent_coord_list(label)]
+    return _embedded(system, _tripotent_coord_list)
 
 
 def _witness_coord_list(label: str) -> list:
@@ -779,16 +797,4 @@ def _witness_coord_list(label: str) -> list:
 
 def canonical_rank_witness(system: TripleSystem) -> list:
     """A pairwise-orthogonal family of nonzero elements realizing rank_hint."""
-    label = system.factor_kind
-    if label.startswith("sum("):
-        out = []
-        for offset, length, part in blocks_from_kind(label):
-            for coords in _witness_coord_list(part):
-                v = np.zeros(system.dim)
-                v[offset : offset + length] = coords
-                out.append(Element(system, v))
-        return out
-    if label.startswith("realform("):
-        inner = label[len("realform(") : -1]
-        return [Element(system, c) for c in _witness_coord_list(inner)]
-    return [Element(system, c) for c in _witness_coord_list(label)]
+    return _embedded(system, _witness_coord_list)

@@ -24,7 +24,7 @@ DEFAULT_SEED = 0xA11CE
 
 
 def load_suite(path=None) -> dict:
-    """The factor suite and tolerances; packaged default unless overridden."""
+    """The factor suite and sample counts; packaged default unless overridden."""
     if path is None:
         return json.loads(resources.files("triple_lab").joinpath("suite.json").read_text())
     return read_json(path, "suite")
@@ -50,11 +50,8 @@ def _check_suite(config) -> None:
         ("sums_equal", list),
         ("sums_gap", list),
     )
-    tables = (
-        ("tolerances", ("algebraic", "peirce", "flow"), (int, float), "numbers"),
-        ("samples", ("norm", "flow_maps", "witness_pairs"), int, "integers"),
-    )
-    require_known(config, [key for key, _ in lists] + [key for key, *_ in tables], "")
+    samples = ("norm", "flow_maps", "witness_pairs")
+    require_known(config, [key for key, _ in lists] + ["samples"], "")
     for key, entry in lists:
         value = config.get(key)
         require(
@@ -66,13 +63,12 @@ def _check_suite(config) -> None:
             config[key] and all(isinstance(s, str) for specs in config[key] for s in specs),
             f"{key!r} must be a non-empty list of lists of factor labels",
         )
-    for key, names, kind, kind_name in tables:
-        table = config.get(key)
-        require(
-            isinstance(table, dict) and all(isinstance(table.get(n), kind) for n in names),
-            f"{key!r} must give {', '.join(names)} as {kind_name}",
-        )
-        require_known(table, names, f" in {key!r}")
+    table = config.get("samples")
+    require(
+        isinstance(table, dict) and all(isinstance(table.get(n), int) for n in samples),
+        f"'samples' must give {', '.join(samples)} as integers",
+    )
+    require_known(table, samples, " in 'samples'")
 
 
 def counterexample_map(system: TripleSystem) -> LinearMap:
@@ -91,7 +87,6 @@ class _RunContext:
     def __init__(self, config: dict, fault: bool = False):
         _check_suite(config)
         self.config = config
-        self.tolerances = config["tolerances"]
         self.samples = config["samples"]
         self.factors = [factors.build_factor(label) for label in config["factors"]]
         if fault and self.factors:
@@ -429,13 +424,13 @@ def _stmt_flows(ctx, seed):
         worst = 0.0
         ok = True
         for member in _seeded_members(der, count, seed):
-            rep = derivations.exp_flow_check(member, "triple", grid, tol=ctx.tolerances["flow"])
+            rep = derivations.exp_flow_check(member, "triple", grid)
             worst = max(worst, max(rep.residuals.values(), default=0.0))
             ok = ok and rep.status == STATUS_PASS
         items.append(_sub(f"flows[{system.name}]", ok, {"max_residual": worst}))
     counterexample_system = factors.build_factor("I_C(2,1)")
     t = counterexample_map(counterexample_system)
-    rep = derivations.exp_flow_check(t, "triple", [1.0], tol=ctx.tolerances["flow"])
+    rep = derivations.exp_flow_check(t, "triple", [1.0])
     defect = rep.residuals["t=1"]
     items.append(
         _sub(
@@ -444,7 +439,7 @@ def _stmt_flows(ctx, seed):
             {"defect_at_t1": defect},
         )
     )
-    sym_rep = derivations.exp_flow_check(t, "symmetrized", grid, tol=ctx.tolerances["flow"])
+    sym_rep = derivations.exp_flow_check(t, "symmetrized", grid)
     items.append(
         _sub(
             "counterexample_flow_preserves_symmetrized_product",
@@ -525,10 +520,7 @@ def _stmt_jordan(ctx, seed):
     return _aggregate(
         "axioms_jordan_identity",
         seed,
-        (
-            triple_core.check_jordan_identity(s, tol=ctx.tolerances["algebraic"], seed=seed)
-            for s in ctx.factors
-        ),
+        (triple_core.check_jordan_identity(s, seed=seed) for s in ctx.factors),
     )
 
 
@@ -565,7 +557,7 @@ def _stmt_peirce(ctx, seed):
         worst = 0.0
         sub = []
         for e in factors.canonical_tripotents(system):
-            rep = structure.check_peirce_arithmetic(e, tol=ctx.tolerances["peirce"])
+            rep = structure.check_peirce_arithmetic(e)
             sub.append(rep)
             worst = max(worst, rep.residuals["max_residual"])
         ok = all(r.status == STATUS_PASS for r in sub)

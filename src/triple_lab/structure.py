@@ -17,6 +17,7 @@ from .triple_core import (
     Q_operator,
     TripleSystem,
     _same_system,
+    in_slots,
 )
 
 
@@ -67,7 +68,7 @@ def peirce(e: Element, tol: float = 1e-9) -> PeirceSystem:
     if not is_tripotent(e, tol=max(tol, 1e-9)):
         raise NotTripotent("peirce decomposition needs a tripotent")
     n = e.system.dim
-    a = np.einsum("ijkl,i,j->lk", e.system.tensor, e.coords, e.coords)
+    a = L_operator(e, e).entries
     eye = np.eye(n)
     p2 = a @ (2.0 * a - eye)
     p1 = 4.0 * a @ (eye - a)
@@ -93,8 +94,7 @@ def peirce_invariant_residual(ps: PeirceSystem) -> float:
     if n == 0:
         return 0.0
     eye = np.eye(n)
-    e = ps.tripotent
-    a = np.einsum("ijkl,i,j->lk", e.system.tensor, e.coords, e.coords)
+    a = L_operator(ps.tripotent, ps.tripotent).entries
     mats = [ps.p0.entries, ps.p1.entries, ps.p2.entries]
     worst = float(np.max(np.abs(mats[0] + mats[1] + mats[2] - eye)))
     for k, m in enumerate(mats):
@@ -122,10 +122,7 @@ def check_peirce_arithmetic(e: Element, tol: float = 1e-9) -> Report:
         for j in range(3):
             for k in range(3):
                 # products[u, v, w] = {u-th of E_i, v-th of E_j, w-th of E_k}
-                products = np.einsum(
-                    "abcl,au,bv,cw->uvwl", system.tensor, bases[i], bases[j], bases[k],
-                    optimize=True,
-                )
+                products = in_slots(system.tensor, bases[i], bases[j], bases[k])
                 if not products.size:
                     continue
                 target = i - j + k
@@ -217,7 +214,7 @@ def verify_rank_witness(system: TripleSystem, family, tol: float = 1e-10) -> Rep
 def _odd_power_span(a: Element) -> np.ndarray:
     """Orthonormal basis of span{a, {aaa}, {a,{aaa},a}, ...} up to stabilization."""
     system = a.system
-    q = np.einsum("ijkl,i,k->lj", system.tensor, a.coords, a.coords)
+    q = Q_operator(a).entries
     vectors = [a.coords]
     current = a.coords
     for _ in range(system.dim):
@@ -240,8 +237,9 @@ def _newton_cube_root(a: Element, tol: float, max_iters: int) -> np.ndarray:
         residual = float(np.linalg.norm(f))
         if residual <= tol * scale:
             return b
-        jac = 2.0 * np.einsum("ijkl,i,j->lk", system.tensor, b, b)
-        jac += np.einsum("ijkl,i,k->lj", system.tensor, b, b)
+        point = Element(system, b)
+        jac = 2.0 * L_operator(point, point).entries
+        jac += Q_operator(point).entries
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
@@ -287,7 +285,7 @@ def cube_root(a: Element, tol: float = 1e-8, max_iters: int = 200) -> Element:
     coords = None
     if factors.is_matrix_kind(label):
         coords = factors.odd_cube_root_coords(label, a.coords)
-    elif label.startswith("sum(") and system.blocks is not None and all(
+    elif system.blocks is not None and all(
         factors.is_matrix_kind(part) for _, _, part in system.blocks
     ):
         coords = np.zeros(system.dim)

@@ -92,7 +92,7 @@ class TripleSystem:
         self.rank_hint = None if rank_hint is None else int(rank_hint)
         self.complex_structure = complex_structure
         self.factor_kind = str(factor_kind)
-        # (offset, length, factor_kind) per summand; direct sums only.
+        # (offset, length, factor_kind) per summand; direct sums and their real forms only.
         self.blocks = None if blocks is None else tuple(blocks)
         self._sym_tensor = None
 
@@ -264,6 +264,19 @@ def _apply_maps(maps, z) -> np.ndarray:
     return np.matmul(z[:, None, :], maps)[:, 0, :]
 
 
+def in_slots(p, *maps) -> np.ndarray:
+    """Tensor whose entry [u, v, w, l] is {A e_u, B e_v, C e_w}_l for maps (A, B, C).
+
+    Each map is an n x r matrix applied to one input slot of the structure
+    tensor ``p``; ``None`` (or a missing trailing map) leaves that slot alone.
+    A map on the output slot is ``in_slots(...) @ m.T`` at the call site.
+    """
+    for slot, m in enumerate(maps):
+        if m is not None:
+            p = np.moveaxis(np.tensordot(m, p, axes=([0], [slot])), 0, slot)
+    return p
+
+
 def triple_product(x: Element, y: Element, z: Element) -> Element:
     system = _same_system(x, y, z)
     return Element(system, system.product_arrays(x.coords, y.coords, z.coords))
@@ -412,8 +425,9 @@ def check_complex_structure(system: TripleSystem, tol: float = 1e-12) -> Report:
     if j is None:
         raise Unsupported(f"{system.name} carries no complex structure")
     c = system.tensor
-    outer = np.einsum("ai,ajkl->ijkl", j, c) - np.einsum("lm,ijkm->ijkl", j, c)
-    middle = np.einsum("aj,iakl->ijkl", j, c) + np.einsum("lm,ijkm->ijkl", j, c)
+    applied = c @ j.T
+    outer = in_slots(c, j) - applied
+    middle = in_slots(c, None, j) + applied
     square = j @ j + np.eye(system.dim)
     residuals = {
         "outer_linearity": float(np.max(np.abs(outer))) if outer.size else 0.0,
@@ -440,9 +454,7 @@ def check_hermitian_surrogate(system: TripleSystem, tol: float = 1e-8) -> Report
     worst_asym = 0.0
     min_eig = 0.0
     for i in range(system.dim):
-        a = np.zeros(system.dim)
-        a[i] = 1.0
-        m = np.einsum("ijkl,i,j->lk", system.tensor, a, a)
+        m = system.tensor[i, i].T  # L(e_i, e_i)
         worst_asym = max(worst_asym, float(np.max(np.abs(m - m.T))) if m.size else 0.0)
         if m.size:
             eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
@@ -512,12 +524,9 @@ def system_from_json(payload: dict) -> TripleSystem:
     j = payload.get("complex_structure")
     if j is not None:
         j = _wire_floats(payload, "complex_structure", n * n, "dim^2").reshape(n, n)
-    blocks = None
-    factor_kind = str(payload.get("factor_kind", "custom"))
-    if factor_kind.startswith("sum("):
-        from .factors import blocks_from_kind  # late import, see check_norm_axiom
+    from .factors import blocks_from_kind  # late import, see check_norm_axiom
 
-        blocks = blocks_from_kind(factor_kind)
+    factor_kind = str(payload.get("factor_kind", "custom"))
     return TripleSystem(
         name=str(payload["name"]),
         tensor=tensor,
@@ -525,7 +534,7 @@ def system_from_json(payload: dict) -> TripleSystem:
         rank_hint=payload.get("rank_hint"),
         complex_structure=j,
         factor_kind=factor_kind,
-        blocks=blocks,
+        blocks=blocks_from_kind(factor_kind),
     )
 
 

@@ -97,3 +97,42 @@ def test_unreferenced_private_check_finds_a_dead_helper(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import _used\n")
     assert _unreferenced_private_definitions(tmp_path) == ["a._dead", "a._Dead"]
+
+
+def _four_index_einsums(path: Path) -> list:
+    """``(line, subscripts)`` of each einsum call in ``path`` that names four or
+    more indices on one operand, a hand-written contraction of the structure
+    tensor; a subscript that is not a string literal counts as well."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "einsum":
+            continue
+        first = node.args[0] if node.args else None
+        if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
+            found.append((node.lineno, None))
+            continue
+        operands = first.value.split("->")[0].split(",")
+        if any(sum(ch.isalpha() for ch in operand) >= 4 for operand in operands):
+            found.append((node.lineno, first.value))
+    return found
+
+
+@pytest.mark.parametrize("module", ["derivations", "structure"])
+def test_slot_contractions_use_the_kernel(module):
+    """Slot maps go through ``triple_core.in_slots`` and L/Q through their operators."""
+    assert _four_index_einsums(PACKAGE / f"{module}.py") == []
+
+
+def test_four_index_check_finds_a_hand_written_contraction(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import numpy as np\n"
+        'res = np.einsum("lm,ijkm->ijkl", m, p, optimize=True)\n'
+        'norms = np.einsum("...l,...l->...", res, res)\n'
+        "a = einsum(spec, p, x, x)\n"
+    )
+    assert _four_index_einsums(path) == [(2, "lm,ijkm->ijkl"), (4, None)]

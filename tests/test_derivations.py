@@ -31,7 +31,7 @@ from triple_lab.derivations import (
 )
 from triple_lab.errors import InvalidInput, Unsupported
 from triple_lab.factors import as_real_form
-from triple_lab.numerics import least_squares_residual, orthonormal_columns
+from triple_lab.numerics import least_squares_residual, orthonormal_columns, span_distance
 from triple_lab.repro import counterexample_map
 from triple_lab.triple_core import Q_operator
 
@@ -99,7 +99,8 @@ def test_symmetrized_contains_triple(label):
     expected_sym = SYM_DIMS.get(label, TRIPLE_DIMS[label])
     assert sym.dim == expected_sym
     assert oracle_derivation_dim(system, "symmetrized") == expected_sym
-    worst = max((sym.project_map(t) for t in tri.basis), default=0.0)
+    sym_cols = sym.basis_stack().reshape(sym.dim, -1).T
+    worst = max((span_distance(t.entries, sym_cols) for t in tri.basis), default=0.0)
     assert worst <= 1e-8
 
 

@@ -16,13 +16,14 @@ from triple_lab import (
     check_jordan_identity,
     complexify,
     direct_sum,
+    element_norm,
     extend_map_complex,
     inner_derivation,
     is_derivation,
     is_tripotent,
     triple_product,
 )
-from triple_lab.errors import EmptySpec, InvalidInput, InvalidSpec
+from triple_lab.errors import EmptySpec, InvalidInput, InvalidSpec, Unsupported
 from triple_lab.factors import (
     QMUL,
     blocks_from_kind,
@@ -34,8 +35,19 @@ from triple_lab.factors import (
     quaternion_matrix_to_complex,
     representation_to_coords,
 )
-from triple_lab.structure import are_orthogonal
-from triple_lab.triple_core import L_operator, system_from_json, system_to_json
+from triple_lab.structure import (
+    are_orthogonal,
+    cube_root,
+    offblock_leakage,
+    verify_rank_witness,
+)
+from triple_lab.triple_core import (
+    L_operator,
+    load_system,
+    save_system,
+    system_from_json,
+    system_to_json,
+)
 
 DIM_TABLE = {
     "I_R(2,2)": (4, 2),
@@ -256,8 +268,6 @@ def test_direct_sum_json_roundtrip_recovers_blocks(tmp_path):
     assert loaded.blocks == total.blocks
     assert loaded.norm_kind == "product"
     # the product norm works after the roundtrip
-    from triple_lab import element_norm
-
     coords = np.zeros(8)
     coords[0] = 2.0
     coords[4] = 1.0
@@ -295,6 +305,51 @@ def test_canonical_tripotents_on_sums_and_real_forms():
     assert real.complex_structure is None
     for e in canonical_tripotents(real):
         assert is_tripotent(e)
+
+
+def _real_form_of_sum():
+    return as_real_form(direct_sum([build_factor("I_R(2,2)"), build_factor("I_C(2,1)")]))
+
+
+def test_real_form_of_a_sum_keeps_the_summand_coordinates():
+    real = _real_form_of_sum()
+    total = direct_sum([build_factor("I_R(2,2)"), build_factor("I_C(2,1)")])
+    assert real.factor_kind == "realform(sum(I_R(2,2)|I_C(2,1)))"
+    assert blocks_from_kind(real.factor_kind) == ((0, 4, "I_R(2,2)"), (4, 4, "I_C(2,1)"))
+    tripotents = canonical_tripotents(real)
+    assert [int(np.flatnonzero(e.coords)[0]) for e in tripotents] == [0, 4]
+    for e in tripotents:
+        assert is_tripotent(e)
+    witness = canonical_rank_witness(real)
+    assert verify_rank_witness(real, witness).status == "pass"
+    coords = np.zeros(8)
+    coords[0], coords[4] = 2.0, 1.0
+    assert element_norm(real, coords) == 2.0
+    # the closed-form root of each matrix summand, as on the sum itself
+    a = np.random.default_rng(5).standard_normal(8)
+    assert np.array_equal(cube_root(real.element(a)).coords, cube_root(total.element(a)).coords)
+
+
+def test_real_form_of_a_sum_keeps_its_blocks_through_the_wire_format(tmp_path):
+    real = _real_form_of_sum()
+    save_system(real, tmp_path / "f.json")
+    loaded = load_system(tmp_path / "f.json")
+    assert loaded == real
+    assert loaded.blocks == real.blocks
+    assert offblock_leakage(loaded.identity_map()) == 0.0
+
+
+def test_complexified_labels_embed_the_real_lists_and_have_no_norm():
+    base = build_factor("I_R(2,2)")
+    system = complexify(base)
+    witness = canonical_rank_witness(system)
+    # the real parts sit on the even coordinates
+    assert [np.flatnonzero(e.coords).tolist() for e in witness] == [[0], [6]]
+    assert verify_rank_witness(system, witness).status == "pass"
+    for e in canonical_tripotents(system):
+        assert is_tripotent(e)
+    with pytest.raises(Unsupported):
+        element_norm(system, np.ones(system.dim))
 
 
 def test_realification_keeps_spin_product():

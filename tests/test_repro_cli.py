@@ -28,7 +28,6 @@ SMALL_SUITE = {
     "rank_one_factors": ["I_C(2,1)"],
     "sums_equal": [["I_R(2,2)", "SPIN_R(3,0)"]],
     "sums_gap": [["I_R(2,2)", "I_C(2,1)"]],
-    "tolerances": {"algebraic": 1e-10, "peirce": 1e-9, "flow": 1e-7},
     "samples": {
         "norm": 16,
         "flow_maps": 4,
@@ -232,7 +231,9 @@ def test_timings_are_excluded_from_canonical_json(full_report):
 def test_suite_config_loads():
     config = load_suite()
     assert "I_C(2,1)" in config["factors"]
-    assert config["tolerances"]["flow"] == 1e-7
+    assert set(config["samples"]) == {"norm", "flow_maps", "witness_pairs"}
+    # each check runs at its own default tolerance, so the suite sets none
+    assert "tolerances" not in config
 
 
 def test_report_fail_requires_evidence():
@@ -399,7 +400,7 @@ def test_cli_repro_all_with_suite_override(tmp_path):
 
 
 MALFORMED_SUITES = {
-    "missing_key": json.dumps({k: v for k, v in SMALL_SUITE.items() if k != "tolerances"}),
+    "missing_key": json.dumps({k: v for k, v in SMALL_SUITE.items() if k != "samples"}),
     "empty_sums_equal": json.dumps(dict(SMALL_SUITE, sums_equal=[])),
     "empty_sums_gap": json.dumps(dict(SMALL_SUITE, sums_gap=[])),
     "sample_count_not_int": json.dumps(
@@ -408,10 +409,11 @@ MALFORMED_SUITES = {
     "top_level_list": json.dumps([SMALL_SUITE]),
     "invalid_json": "{not json",
     "missing_file": None,
-    # keys that nothing reads are refused, at the top level and in each table
+    # keys that nothing reads are refused, at the top level and in the samples table
     "unknown_key": json.dumps(dict(SMALL_SUITE, spectral_gap=1e-8)),
+    # the checks run at their own default tolerances
     "unknown_tolerance": json.dumps(
-        dict(SMALL_SUITE, tolerances=dict(SMALL_SUITE["tolerances"], spectral=1e-8))
+        dict(SMALL_SUITE, tolerances={"algebraic": 1e-10, "peirce": 1e-9, "flow": 1e-7})
     ),
     "unknown_sample": json.dumps(
         dict(SMALL_SUITE, samples=dict(SMALL_SUITE["samples"], local_points=64))

@@ -438,6 +438,41 @@ def test_product_batch_matches_per_row_einsum(label):
     assert np.array_equal(system.product_arrays(x[0], y[0], z[0]), single)
 
 
+@pytest.mark.parametrize(
+    "ranks",
+    [
+        (5, None, None),
+        (None, 5, None),
+        (None, None, 5),
+        (5, 5, 5),
+        (2, None, 3),
+        (3, 1, 4),
+        (None, 0, 2),
+    ],
+    ids=lambda ranks: "-".join("x" if r is None else str(r) for r in ranks),
+)
+def test_in_slots_matches_einsum(ranks):
+    """{A e_u, B e_v, C e_w}_l against one einsum, square and rectangular maps."""
+    n = 5
+    rng = np.random.default_rng(sum(r or 0 for r in ranks))
+    p = rng.standard_normal((n,) * 4)
+    maps = [np.eye(n) if r is None else rng.standard_normal((n, r)) for r in ranks]
+    expected = np.einsum("abcl,au,bv,cw->uvwl", p, *maps)
+    got = triple_core.in_slots(p, *(None if r is None else m for r, m in zip(ranks, maps)))
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12
+
+
+def test_in_slots_edge_cases():
+    p = np.random.default_rng(2).standard_normal((3,) * 4)
+    # no maps, or only None, leave the tensor itself
+    assert triple_core.in_slots(p) is p
+    assert triple_core.in_slots(p, None, None, None) is p
+    empty = np.zeros((0,) * 4)
+    assert triple_core.in_slots(empty, np.zeros((0, 0)), None, np.zeros((0, 0))).shape == (0,) * 4
+    assert triple_core.in_slots(empty, np.zeros((0, 0))).shape == (0,) * 4
+
+
 def test_product_batch_edge_shapes():
     empty = np.zeros((0, 0, 0, 0))
     assert product_batch(empty, *np.zeros((3, 5, 0))).shape == (5, 0)
