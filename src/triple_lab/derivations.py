@@ -17,7 +17,10 @@ from .triple_core import (
     L_operator,
     LinearMap,
     TripleSystem,
+    _require_keys,
     _same_system,
+    _wire_dim,
+    _wire_floats,
     batch_rows,
     in_slots,
 )
@@ -458,11 +461,17 @@ def space_to_json(space: DerivationSpace) -> dict:
 
 
 def space_from_json(payload: dict, system: TripleSystem) -> DerivationSpace:
-    n = int(payload["dim"])
+    _require_keys(payload, ("kind", "dim", "tol", "basis"), "derivation space")
+    n = _wire_dim(payload)
     if n != system.dim:
         raise InvalidInput("dimension mismatch between space and system")
-    maps = tuple(
-        LinearMap(system, np.asarray(flat, dtype=float).reshape(n, n))
-        for flat in payload["basis"]
-    )
-    return DerivationSpace(system, str(payload["kind"]), maps, float(payload["tol"]))
+    if not isinstance(payload["basis"], list):
+        raise InvalidInput("basis must be a list of flat maps")
+    count = len(payload["basis"])
+    flat = _wire_floats(payload, "basis", count * n * n, f"{count} maps x dim^2")
+    try:
+        tol = float(payload["tol"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"tol must be a number, got {payload['tol']!r}") from exc
+    maps = tuple(LinearMap(system, m) for m in flat.reshape(count, n, n))
+    return DerivationSpace(system, str(payload["kind"]), maps, tol)

@@ -627,10 +627,12 @@ def _norm_for_kind(label: str, norm_kind: str, coords) -> float:
         raise Unsupported(f"no norm is defined for factor kind {label!r}")
     if norm_kind == "hilbert":
         return float(np.linalg.norm(coords))
-    if norm_kind == "spin":
-        return _spin_norm(label, coords)
-    if norm_kind == "operator":
-        return _operator_norm(label, coords)
+    if norm_kind in ("spin", "operator"):
+        try:
+            FactorSpec.parse(label)
+        except InvalidSpec as exc:
+            raise Unsupported(f"no {norm_kind} norm is defined for factor kind {label!r}") from exc
+        return (_spin_norm if norm_kind == "spin" else _operator_norm)(label, coords)
     if norm_kind == "product":
         blocks = blocks_from_kind(label)
         if blocks is None:

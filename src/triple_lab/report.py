@@ -21,11 +21,52 @@ _STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_ADVISORY)
 def canonical_json(payload) -> str:
     """Sorted keys, no whitespace, ASCII: the bytes of every file the package writes.
 
+    A dict may hold flat float64 ndarrays as values (the factor tensor and J
+    of the wire format).  Each is written as ``json.dumps(values.tolist())``
+    would write it, by ``_float_array_json``, without boxing its zeros; the
+    dict's other values go through ``json.dumps`` as any other payload does.
     One ``json.dumps`` call runs CPython's C encoder; ``json.dump`` always
     streams through the pure-Python encoder, which is 4-5x slower on the
     dense factor files (0.65 s against 0.14 s for the 6.8 MB ``III_R(8)``).
     """
+    if isinstance(payload, dict) and any(map(_is_flat_floats, payload.values())):
+        items = (f"{_dumps(key)}:{_value_json(payload[key])}" for key in sorted(payload))
+        return "{" + ",".join(items) + "}"
+    return _dumps(payload)
+
+
+def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def _is_flat_floats(value) -> bool:
+    return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64
+
+
+def _value_json(value) -> str:
+    return _float_array_json(value) if _is_flat_floats(value) else _dumps(value)
+
+
+def _float_array_json(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())`` for a flat float64 array, one run of zeros at a time.
+
+    Only entries whose bits are +0.0 count as zeros; -0.0, subnormals, NaN and
+    infinities are encoded with the nonzero entries by one ``json.dumps`` call
+    and split on ",".  A run of k zeros is one k-fold string repeat.
+    """
+    zero = np.ascontiguousarray(values).view(np.uint64) == 0
+    inner = _dumps(values[~zero].tolist())[1:-1]
+    texts = inner.split(",") if inner else []
+    # padded with False, the changes of ``zero`` alternate: run start, run end
+    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False)).tolist()
+    pieces, done, zeros = [], 0, 0
+    for start, end in zip(edges[0::2], edges[1::2]):
+        before = start - zeros  # nonzero entries ahead of this run
+        pieces += texts[done:before]
+        pieces.append("0.0" + ",0.0" * (end - start - 1))
+        done, zeros = before, zeros + end - start
+    pieces += texts[done:]
+    return "[" + ",".join(pieces) + "]"
 
 
 def write_json(payload, path) -> None:

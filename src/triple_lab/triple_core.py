@@ -102,7 +102,10 @@ class TripleSystem:
     def __eq__(self, other):
         if not isinstance(other, TripleSystem):
             return NotImplemented
-        if self.dim != other.dim or not np.array_equal(self.tensor, other.tensor):
+        metadata = ("dim", "norm_kind", "factor_kind", "rank_hint", "blocks")
+        if any(getattr(self, key) != getattr(other, key) for key in metadata):
+            return False
+        if not np.array_equal(self.tensor, other.tensor):
             return False
         a, b = self.complex_structure, other.complex_structure
         if (a is None) != (b is None):
@@ -473,17 +476,25 @@ def check_hermitian_surrogate(system: TripleSystem, tol: float = 1e-8) -> Report
 # -- serialization ------------------------------------------------------------
 
 
-def system_to_json(system: TripleSystem) -> dict:
-    """The wire format: exactly these keys, tensor flat in (i,j,k,l) row-major."""
+def _wire_payload(system: TripleSystem) -> dict:
+    """The wire format with the tensor and J as flat ndarray views."""
     j = system.complex_structure
     return {
         "name": system.name,
         "dim": system.dim,
-        "tensor": system.tensor.reshape(-1).tolist(),
+        "tensor": system.tensor.reshape(-1),
         "norm_kind": system.norm_kind,
         "rank_hint": system.rank_hint,
-        "complex_structure": None if j is None else j.reshape(-1).tolist(),
+        "complex_structure": None if j is None else j.reshape(-1),
         "factor_kind": system.factor_kind,
+    }
+
+
+def system_to_json(system: TripleSystem) -> dict:
+    """The wire format: exactly these keys, tensor flat in (i,j,k,l) row-major."""
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in _wire_payload(system).items()
     }
 
 
@@ -539,7 +550,8 @@ def system_from_json(payload: dict) -> TripleSystem:
 
 
 def save_system(system: TripleSystem, path) -> None:
-    write_json(system_to_json(system), path)
+    """Write the wire format; ``canonical_json`` encodes the tensor without boxing its zeros."""
+    write_json(_wire_payload(system), path)
 
 
 def load_system(path) -> TripleSystem:

@@ -471,3 +471,33 @@ def test_space_json_roundtrip():
     loaded = space_from_json(payload, system)
     assert loaded.dim == space.dim
     assert np.array_equal(loaded.basis_stack(), space.basis_stack())
+
+
+
+@pytest.mark.parametrize("missing", ["basis", "dim", "kind", "tol"])
+def test_space_json_requires_every_key(missing):
+    system = build_factor("I_C(2,1)")
+    payload = space_to_json(derivation_space(system, "triple"))
+    del payload[missing]
+    with pytest.raises(InvalidInput):
+        space_from_json(payload, system)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"dim": "four"},
+        {"dim": 3},
+        {"basis": [[0.0] * 16, [0.0] * 15]},
+        {"basis": [["x"] * 16]},
+        {"basis": 4},
+        {"tol": "tight"},
+    ],
+    ids=["dim_not_int", "dim_mismatch", "short_row", "row_not_numbers", "basis_not_list",
+         "tol_not_number"],
+)
+def test_space_json_rejects_malformed_payload(changes):
+    system = build_factor("I_C(2,1)")
+    payload = dict(space_to_json(derivation_space(system, "triple")), **changes)
+    with pytest.raises(InvalidInput):
+        space_from_json(payload, system)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triple_lab import (
     L_operator,
@@ -20,6 +22,7 @@ from triple_lab import (
 from triple_lab.errors import InvalidInput, SystemMismatch, TooLarge, Unsupported
 from triple_lab.factors import direct_sum
 from triple_lab import triple_core
+from triple_lab.report import canonical_json
 from triple_lab.triple_core import (
     check_complex_structure,
     check_hermitian_surrogate,
@@ -225,6 +228,17 @@ def test_norm_unsupported_for_unrecognized_kind():
         check_norm_axiom(system, samples=4)
 
 
+@pytest.mark.parametrize("norm_kind", ["operator", "spin"])
+def test_norm_unsupported_for_hand_built_system(norm_kind):
+    # factor_kind "custom" names no factor, so neither norm has a formula
+    tensor = build_factor("I_R(2,1)").tensor
+    system = TripleSystem("custom-copy", tensor, norm_kind=norm_kind)
+    with pytest.raises(Unsupported):
+        element_norm(system, np.ones(system.dim))
+    with pytest.raises(Unsupported):
+        check_norm_axiom(system, samples=4)
+
+
 def test_complex_structure_compatibility():
     for label in ("I_C(2,1)", "I_C(2,2)", "SPIN_C(3)"):
         report = check_complex_structure(build_factor(label))
@@ -254,6 +268,17 @@ def test_system_json_schema_and_roundtrip(tmp_path):
     assert loaded == system
     assert loaded.rank_hint == system.rank_hint
     assert loaded.norm_kind == system.norm_kind
+
+
+def test_system_equality_compares_metadata():
+    factor = build_factor("I_R(2,1)")
+    t = factor.tensor
+    assert TripleSystem("x", t, norm_kind="hilbert", factor_kind="I_R(2,1)") != factor
+    assert TripleSystem("x", t, norm_kind=factor.norm_kind, factor_kind="I_R(2,1)",
+                        rank_hint=factor.rank_hint) == factor
+    same = dict(norm_kind=factor.norm_kind, rank_hint=factor.rank_hint, factor_kind="I_R(2,1)")
+    for change in ({"factor_kind": "custom"}, {"rank_hint": 2}, {"blocks": ((0, 2, "I_R(2,1)"),)}):
+        assert TripleSystem("x", t, **dict(same, **change)) != factor, change
 
 
 def test_system_json_validates_symmetry():
@@ -290,6 +315,8 @@ WIRE_CASES = {
         [build_factor("I_R(2,2)"), build_factor("SPIN_R(3,1)")]
     ),
     "signed_zero": _signed_zero_system,
+    # n^4 = 65536 entries, almost all in long runs of +0.0
+    "SPIN_R(16,0)": lambda: build_factor("SPIN_R(16,0)"),
 }
 
 
@@ -314,6 +341,8 @@ def test_saved_bytes_match_streaming_encoder_oracle(tmp_path, case):
     path = tmp_path / "system.json"
     triple_core.save_system(system, path)
     assert path.read_bytes() == expected
+    # save_system encodes ndarray views; the dict API hands out lists
+    assert canonical_json(system_to_json(system)).encode("ascii") == expected
     if case == "signed_zero":
         assert b"-0.0," in expected and b'"rank_hint":null' in expected
     if case == "I_C(2,1)":
@@ -321,6 +350,30 @@ def test_saved_bytes_match_streaming_encoder_oracle(tmp_path, case):
     if case.startswith("I_R(2,2)+"):
         assert b'"factor_kind":"sum(' in expected
     assert triple_core.load_system(path) == system
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1.0 / 3.0, np.nan, np.inf, -np.inf, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(SPECIAL_FLOATS),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(1, 40).map(lambda k: [0.0] * k),
+        ),
+        max_size=40,
+    )
+)
+@example([])
+@example([[0.0] * 7])
+@example([[0.0] * 2, 1.0, [0.0] * 3, -0.0, [0.0]])
+def test_float_array_encoder_matches_json_dumps(parts):
+    # a part that is a list is a run of +0.0: runs land at the start, middle and end
+    arr = np.array([v for p in parts for v in (p if isinstance(p, list) else [p])], dtype=float)
+    expected = json.dumps({"v": arr.tolist()}, sort_keys=True, separators=(",", ":"))
+    assert canonical_json({"v": arr}) == expected
 
 
 def test_wire_lists_hold_builtin_floats():
