@@ -98,28 +98,28 @@ def _qmat_adjoint(x) -> np.ndarray:
 
 
 def quaternion_matrix_to_complex(x) -> np.ndarray:
-    """Embed an (m, n, 4) quaternionic matrix as a 2m x 2n complex matrix.
+    """Embed an (..., m, n, 4) quaternionic matrix as a 2m x 2n complex matrix.
 
     Each entry w + xi + yj + zk maps to [[w+xi, y+zi], [-y+zi, w-xi]]; the
     embedding is an isometric *-homomorphism, so operator norms agree.
+    Leading axes index a stack of matrices.
     """
     x = np.asarray(x, dtype=float)
-    m, n = x.shape[0], x.shape[1]
     z1 = x[..., 0] + 1j * x[..., 1]
     z2 = x[..., 2] + 1j * x[..., 3]
-    out = np.empty((2 * m, 2 * n), dtype=complex)
-    out[0::2, 0::2] = z1
-    out[0::2, 1::2] = z2
-    out[1::2, 0::2] = -np.conj(z2)
-    out[1::2, 1::2] = np.conj(z1)
+    out = np.empty(z1.shape[:-2] + (2 * z1.shape[-2], 2 * z1.shape[-1]), dtype=complex)
+    out[..., 0::2, 0::2] = z1
+    out[..., 0::2, 1::2] = z2
+    out[..., 1::2, 0::2] = -np.conj(z2)
+    out[..., 1::2, 1::2] = np.conj(z1)
     return out
 
 
 def complex_matrix_to_quaternion(z) -> np.ndarray:
     """Inverse of :func:`quaternion_matrix_to_complex` on its image."""
     z = np.asarray(z, dtype=complex)
-    z1 = z[0::2, 0::2]
-    z2 = z[0::2, 1::2]
+    z1 = z[..., 0::2, 0::2]
+    z2 = z[..., 0::2, 1::2]
     out = np.empty(z1.shape + (4,))
     out[..., 0] = z1.real
     out[..., 1] = z1.imag
@@ -571,15 +571,13 @@ def _leaves(label: str, offset: int = 0, stride: int = 1) -> list:
 
 
 def coords_to_representation(label: str, coords):
-    """Matrix representation of a coordinate vector of a matrix-kind factor."""
+    """Matrix representation of a matrix-kind factor's coordinates: a vector or a stack of rows."""
     spec = FactorSpec.parse(label)
     if spec.kind not in _MATRIX_FIELD:
         raise Unsupported(f"{label} has no matrix representation")
     field, basis = _basis_for(label)
-    coords = np.asarray(coords, dtype=float)
-    if field == "C":
-        return field, np.einsum("i,iuv->uv", coords.astype(complex), basis)
-    return field, np.einsum("i,i...->...", coords, basis)
+    coords = np.asarray(coords, dtype=complex if field == "C" else float)
+    return field, np.tensordot(coords, basis, axes=(-1, 0))
 
 
 def representation_to_coords(label: str, rep) -> np.ndarray:
@@ -592,57 +590,54 @@ def representation_to_coords(label: str, rep) -> np.ndarray:
     return np.einsum("uva,iuva->i", np.asarray(rep, dtype=float), basis)
 
 
-def _coords_to_complex_vector(coords) -> np.ndarray:
-    coords = np.asarray(coords, dtype=float)
-    return coords[0::2] + 1j * coords[1::2]
+def _row_dots(x, y) -> np.ndarray:
+    """Row-wise dot products, summed as ``np.dot`` sums one row: the norms below
+    equal a per-row ``np.linalg.norm`` bit for bit, ``norm(axis=1)`` does not."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _operator_norm(label: str, coords) -> float:
+def _row_norms(x) -> np.ndarray:
+    return np.sqrt(_row_dots(x, x))
+
+
+def _operator_norms(label: str, coords) -> np.ndarray:
     field, rep = coords_to_representation(label, coords)
     if field == "H":
         rep = quaternion_matrix_to_complex(rep)
-    sing = np.linalg.svd(rep, compute_uv=False)
-    return float(sing[0]) if sing.size else 0.0
+    return np.linalg.svd(rep, compute_uv=False)[:, 0]
 
 
-def _spin_norm(label: str, coords) -> float:
+def _spin_norms(label: str, coords) -> np.ndarray:
     spec = FactorSpec.parse(label)
-    coords = np.asarray(coords, dtype=float)
     if spec.kind == "SPIN_R":
         r = spec.dims[0]
         # X1 + X2 split with the l1 combination of the two Hilbert norms;
         # this equals the generic spin-norm formula for the real conjugation.
-        return float(np.linalg.norm(coords[:r]) + np.linalg.norm(coords[r:]))
-    v = _coords_to_complex_vector(coords)
-    quad = float(np.real(np.vdot(v, v)))
-    bilin = abs(complex(np.sum(v * v)))
-    return float(np.sqrt(quad + np.sqrt(max(quad * quad - bilin * bilin, 0.0))))
+        return _row_norms(coords[:, :r]) + _row_norms(coords[:, r:])
+    v = coords[:, 0::2] + 1j * coords[:, 1::2]
+    quad = _row_dots(np.conj(v), v).real
+    s = np.sum(v * v, axis=1)
+    bilin = np.hypot(s.real, s.imag)
+    return np.sqrt(quad + np.sqrt(np.maximum(quad * quad - bilin * bilin, 0.0)))
 
 
-def _norm_for_kind(label: str, norm_kind: str, coords) -> float:
+def _norms(label: str, norm_kind: str, coords, blocks=None) -> np.ndarray:
+    """Norms of the rows of a (b, n) stack; a product's summands are ``blocks`` or the label's."""
     wrapper, parts = _split_label(label)
     if wrapper == "realform":  # a real form keeps the coordinates and the norm
-        return _norm_for_kind(parts[0], norm_kind, coords)
+        return _norms(parts[0], norm_kind, coords, blocks)
     if wrapper == "complexified":
         raise Unsupported(f"no norm is defined for factor kind {label!r}")
     if norm_kind == "hilbert":
-        return float(np.linalg.norm(coords))
+        return _row_norms(coords)
     if norm_kind in ("spin", "operator"):
-        try:
-            FactorSpec.parse(label)
-        except InvalidSpec as exc:
-            raise Unsupported(f"no {norm_kind} norm is defined for factor kind {label!r}") from exc
-        return (_spin_norm if norm_kind == "spin" else _operator_norm)(label, coords)
+        return (_spin_norms if norm_kind == "spin" else _operator_norms)(label, coords)
     if norm_kind == "product":
-        blocks = blocks_from_kind(label)
+        blocks = blocks_from_kind(label) if blocks is None else blocks
         if blocks is None:
             raise Unsupported(f"product norm needs per-summand factor kinds, got {label!r}")
-        coords = np.asarray(coords, dtype=float)
-        worst = 0.0
-        for offset, length, part in blocks:
-            part_norm_kind = _default_norm_kind(part)
-            worst = max(worst, _norm_for_kind(part, part_norm_kind, coords[offset : offset + length]))
-        return worst
+        norms = [_norms(p, _default_norm_kind(p), coords[:, o : o + d]) for o, d, p in blocks]
+        return np.max(norms, axis=0)
     raise Unsupported(f"unknown norm kind {norm_kind!r}")
 
 
@@ -652,19 +647,26 @@ def _default_norm_kind(label: str) -> str:
         return "product"
     if wrapper == "realform":
         return _default_norm_kind(parts[0])
+    return FactorSpec.parse(label).norm_kind()
+
+
+def element_norms(system: TripleSystem, coords) -> np.ndarray:
+    """The factor's own norm of each row of a (b, n) coordinate stack, as a (b,) array.
+
+    Supported for constructed factors, their direct sums (summands read from
+    ``system.blocks``) and real forms; complexified systems and hand-built
+    summands have no recognized norm and raise Unsupported.
+    """
+    coords = np.asarray(coords, dtype=float)
     try:
-        return FactorSpec.parse(label).norm_kind()
-    except InvalidSpec as exc:
-        raise Unsupported(f"no norm is defined for factor kind {label!r}") from exc
+        return _norms(system.factor_kind, system.norm_kind, coords, system.blocks)
+    except InvalidSpec as exc:  # a label inside names no factor, so no norm formula
+        raise Unsupported(f"no norm is defined for factor kind {system.factor_kind!r}") from exc
 
 
 def element_norm(system: TripleSystem, coords) -> float:
-    """The factor's own norm of a coordinate vector.
-
-    Supported for constructed factors, their direct sums and real forms;
-    complexified systems have no recognized norm and raise Unsupported.
-    """
-    return _norm_for_kind(system.factor_kind, system.norm_kind, coords)
+    """The factor's own norm of one coordinate vector."""
+    return float(element_norms(system, np.reshape(coords, (1, -1)))[0])
 
 
 # -- odd cube roots via the matrix representation -------------------------------

@@ -127,21 +127,3 @@ def span_distance(vector, basis) -> float:
     if b.shape[1] == 0:
         return float(np.linalg.norm(v))
     return float(np.linalg.norm(v - b @ (b.T @ v)))
-
-
-def matrix_to_json(m) -> dict:
-    """Row-major serialization with an explicit (rows, cols) header."""
-    a = as_matrix(m)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "entries": a.reshape(-1).tolist(),
-    }
-
-
-def matrix_from_json(payload: dict) -> np.ndarray:
-    rows, cols = int(payload["rows"]), int(payload["cols"])
-    entries = np.asarray(payload["entries"], dtype=float)
-    if entries.size != rows * cols:
-        raise InvalidInput("entries length does not match rows*cols")
-    return as_matrix(entries.reshape(rows, cols))

@@ -166,15 +166,10 @@ def repro_example_counterexample(seed: int = DEFAULT_SEED) -> Report:
     local_report = derivations.local_derivation_residual(t, points, space=space, seed=seed)
     triple_report = derivations.is_derivation(t, "triple", tol=1e-10)
 
-    # exact witness values at the basis triple ((1,0), (i,0), (1,0))
-    product = system.product_arrays(*(np.eye(4)[i] for i in (0, 1, 0)))
-    applied = t.entries @ product
-    e0, e1 = np.eye(4)[0], np.eye(4)[1]
-    leibniz = (
-        system.product_arrays(t.entries @ e0, e1, e0)
-        + system.product_arrays(e0, t.entries @ e1, e0)
-        + system.product_arrays(e0, e1, t.entries @ e0)
-    )
+    # the exact witness is the basis triple ((1,0), (i,0), (1,0)); none if the rule held
+    witness = triple_report.witnesses
+    applied = np.asarray(witness.get("map_applied_to_product", np.nan))
+    leibniz = np.asarray(witness.get("leibniz_sum", np.nan))
     expected_sum = np.array([0.0, 0.0, 0.0, 1.0])  # the element (0, i)
     applied_err = float(np.linalg.norm(applied))
     leibniz_err = float(np.linalg.norm(leibniz - expected_sum))
@@ -186,6 +181,7 @@ def repro_example_counterexample(seed: int = DEFAULT_SEED) -> Report:
         and local_report.status == STATUS_PASS
         and triple_report.status == STATUS_FAIL
         and triple_report.residuals["max_residual"] >= 0.9
+        and witness.get("basis_triple") == [0, 1, 0]
         and applied_err <= 1e-12
         and leibniz_err <= 1e-12
     )
@@ -211,9 +207,10 @@ def repro_example_counterexample(seed: int = DEFAULT_SEED) -> Report:
 
 
 def _skew_characterization(statement_id, label_template, sizes, seed) -> Report:
-    items = []
     rng = np.random.default_rng(seed)
-    for n in sizes:
+
+    @timed
+    def run(n):
         with warnings.catch_warnings():
             # toy spin sizes below the classification threshold are intended here
             warnings.simplefilter("ignore")
@@ -259,8 +256,9 @@ def _skew_characterization(statement_id, label_template, sizes, seed) -> Report:
             and fails_local
             and not_skew
         )
-        items.append(_sub(f"{label_template.format(n=n)}", ok, residuals, seed=seed))
-    return _aggregate(statement_id, seed, items)
+        return _sub(f"{label_template.format(n=n)}", ok, residuals, seed=seed)
+
+    return _aggregate(statement_id, seed, map(run, sizes))
 
 
 def _is_gap_summand(spec: factors.FactorSpec) -> bool:
@@ -362,29 +360,27 @@ def _stmt_complex_linear(ctx, seed):
     """Real-linear triple derivations of a factor with complex structure
     commute with J; the symmetrized space of the rank-one complex factor
     does not."""
-    items = []
-    for label in ctx.config["complex_factors"]:
-        system = factors.build_factor(label)
-        der = derivations.derivation_space(system, "triple")
+
+    @timed
+    def run(label):
+        der = derivations.derivation_space(factors.build_factor(label), "triple")
         rep = derivations.check_complex_linearity(der)
-        items.append(
-            _sub(
-                f"triple_derivations_commute_with_J[{label}]",
-                rep.status == STATUS_PASS,
-                rep.residuals,
-            )
+        return _sub(
+            f"triple_derivations_commute_with_J[{label}]", rep.status == STATUS_PASS, rep.residuals
         )
-    rank_one = factors.build_factor("I_C(2,1)")
-    sym = derivations.derivation_space(rank_one, "symmetrized")
-    rep = derivations.check_complex_linearity(sym)
-    worst = rep.residuals["max_commutator"]
-    items.append(
-        _sub(
-            "symmetrized_space_breaks_complex_linearity[I_C(2,1)]",
+
+    @timed
+    def breaks(label):
+        sym = derivations.derivation_space(factors.build_factor(label), "symmetrized")
+        rep = derivations.check_complex_linearity(sym)
+        worst = rep.residuals["max_commutator"]
+        return _sub(
+            f"symmetrized_space_breaks_complex_linearity[{label}]",
             rep.status == STATUS_FAIL and worst >= 0.5,
             {"max_commutator": worst},
         )
-    )
+
+    items = [*map(run, ctx.config["complex_factors"]), breaks("I_C(2,1)")]
     return _aggregate("derivations_complex_linear", seed, items)
 
 
@@ -392,8 +388,9 @@ def _stmt_rank_one_witness(ctx, seed):
     """On rank-one factors an explicit inner derivation witnesses every
     symmetrized-product derivation pointwise."""
     pairs = ctx.samples["witness_pairs"]
-    items = []
-    for offset, label in enumerate(ctx.config["rank_one_factors"]):
+
+    @timed
+    def run(offset, label):
         system = factors.build_factor(label)
         sym = derivations.derivation_space(system, "symmetrized")
         rng = np.random.default_rng(seed ^ offset)
@@ -407,9 +404,9 @@ def _stmt_rank_one_witness(ctx, seed):
                 np.linalg.norm(delta.entries @ coords - member.entries @ coords)
             ) / x.norm()
             worst = max(worst, err)
-        items.append(
-            _sub(f"witness_formula[{label}]", worst <= 1e-8, {"max_relative_error": worst})
-        )
+        return _sub(f"witness_formula[{label}]", worst <= 1e-8, {"max_relative_error": worst})
+
+    items = (run(*pair) for pair in enumerate(ctx.config["rank_one_factors"]))
     return _aggregate("rank_one_symmetrized_implies_local", seed, items)
 
 
@@ -418,8 +415,9 @@ def _stmt_flows(ctx, seed):
     product; the counterexample flow is not."""
     grid = [1.0, -1.0, 0.5, -0.5]
     count = ctx.samples["flow_maps"]
-    items = []
-    for system in ctx.factors:
+
+    @timed
+    def run(system):
         der = derivations.derivation_space(system, "triple")
         worst = 0.0
         ok = True
@@ -427,9 +425,10 @@ def _stmt_flows(ctx, seed):
             rep = derivations.exp_flow_check(member, "triple", grid)
             worst = max(worst, max(rep.residuals.values(), default=0.0))
             ok = ok and rep.status == STATUS_PASS
-        items.append(_sub(f"flows[{system.name}]", ok, {"max_residual": worst}))
-    counterexample_system = factors.build_factor("I_C(2,1)")
-    t = counterexample_map(counterexample_system)
+        return _sub(f"flows[{system.name}]", ok, {"max_residual": worst})
+
+    items = list(map(run, ctx.factors))
+    t = counterexample_map(factors.build_factor("I_C(2,1)"))
     rep = derivations.exp_flow_check(t, "triple", [1.0])
     defect = rep.residuals["t=1"]
     items.append(
@@ -465,9 +464,10 @@ def _stmt_surrogate(ctx, seed):
 def _stmt_ideal_invariance(ctx, seed):
     """Symmetrized-product derivations leave direct-sum blocks invariant;
     odd cube roots stay inside the block of their argument."""
-    items = []
     rng = np.random.default_rng(seed)
-    for specs in (ctx.config["sums_equal"][0], ctx.config["sums_gap"][0]):
+
+    @timed
+    def run(specs):
         system = factors.direct_sum([factors.build_factor(s) for s in specs])
         sym = derivations.derivation_space(system, "symmetrized")
         leak_rep = structure.check_ideal_invariance(system, sym.basis)
@@ -480,17 +480,17 @@ def _stmt_ideal_invariance(ctx, seed):
             outside[offset : offset + length] = 0.0
             worst_root_leak = max(worst_root_leak, float(np.linalg.norm(outside)))
         ok = leak_rep.status == STATUS_PASS and worst_root_leak <= 1e-8
-        items.append(
-            _sub(
-                f"ideal_invariance[{system.name}]",
-                ok,
-                {
-                    "max_offblock_entry": leak_rep.residuals["max_offblock_entry"],
-                    "cube_root_outside_block": worst_root_leak,
-                },
-            )
+        return _sub(
+            f"ideal_invariance[{system.name}]",
+            ok,
+            {
+                "max_offblock_entry": leak_rep.residuals["max_offblock_entry"],
+                "cube_root_outside_block": worst_root_leak,
+            },
         )
-    return _aggregate("ideal_invariance_cube_root", seed, items)
+
+    sums = (ctx.config["sums_equal"][0], ctx.config["sums_gap"][0])
+    return _aggregate("ideal_invariance_cube_root", seed, map(run, sums))
 
 
 def _stmt_two_local(ctx, seed):
@@ -553,6 +553,7 @@ def _stmt_peirce(ctx, seed):
     """Peirce projections of canonical tripotents obey the multiplication
     rules."""
 
+    @timed
     def run(system):
         worst = 0.0
         sub = []
@@ -579,6 +580,7 @@ def _stmt_rank_witness(ctx, seed):
 def _stmt_inner_leibniz(ctx, seed):
     """Maps L(a,b) - L(b,a) satisfy the triple Leibniz rule."""
 
+    @timed
     def run(system):
         rng = np.random.default_rng(seed)
         worst = 0.0
@@ -615,6 +617,7 @@ def _stmt_tripotent_identities(ctx, seed):
     """At every canonical tripotent e, maps passing the local-derivation
     check satisfy P0(e)T(e) = 0 and P2(e)T(e) = -Q(e)T(e)."""
 
+    @timed
     def run(system):
         # the identities are linear in T, so the symmetrized basis decides them
         sym = derivations.derivation_space(system, "symmetrized")

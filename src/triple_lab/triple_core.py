@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, SystemMismatch, TooLarge, Unsupported
+from .errors import InvalidInput, InvalidSpec, SystemMismatch, TooLarge, Unsupported
 from .report import (
     Report,
     STATUS_ADVISORY,
@@ -125,9 +125,6 @@ class TripleSystem:
         coords = np.zeros(self.dim)
         coords[index] = 1.0
         return Element(self, coords)
-
-    def zero(self) -> "Element":
-        return Element(self, np.zeros(self.dim))
 
     def linear_map(self, entries) -> "LinearMap":
         return LinearMap(self, entries)
@@ -387,7 +384,7 @@ def check_norm_axiom(
     tol: float = 1e-8,
 ) -> Report:
     """Relative residual of ||{a,a,a}|| = ||a||^3 on seeded random elements."""
-    from .factors import element_norm  # late import: factors builds on this module
+    from .factors import element_norms  # late import: factors builds on this module
 
     rng = np.random.default_rng(seed)
     samples = int(samples)
@@ -399,8 +396,8 @@ def check_norm_axiom(
         coords = rng.standard_normal((min(rows, samples - first), system.dim))
         coords = coords[np.any(coords, axis=1)]
         cubes = product_batch(system.tensor, coords, coords, coords)
-        lhs = np.array([element_norm(system, cube) for cube in cubes])
-        rhs = np.array([element_norm(system, row) for row in coords]) ** 3
+        lhs = element_norms(system, cubes)
+        rhs = element_norms(system, coords) ** 3
         rel = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
         if rel.size and rel.max() > worst:
             i = int(rel.argmax())
@@ -477,7 +474,16 @@ def check_hermitian_surrogate(system: TripleSystem, tol: float = 1e-8) -> Report
 
 
 def _wire_payload(system: TripleSystem) -> dict:
-    """The wire format with the tensor and J as flat ndarray views."""
+    """The wire format with the tensor and J as flat ndarray views; Unsupported
+    when the factor_kind cannot carry the blocks, so the file would not load."""
+    from .factors import blocks_from_kind  # late import, see check_norm_axiom
+
+    try:
+        carried = blocks_from_kind(system.factor_kind) == system.blocks
+    except InvalidSpec:  # a hand-built summand: its label gives no size
+        carried = False
+    if not carried:
+        raise Unsupported(f"factor kind {system.factor_kind!r} does not record the summand sizes")
     j = system.complex_structure
     return {
         "name": system.name,

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 from triple_lab import (
     FactorSpec,
     Quaternion,
+    TripleSystem,
     as_real_form,
     build_factor,
     canonical_rank_witness,
     canonical_tripotents,
     check_jordan_identity,
+    check_norm_axiom,
     complexify,
     direct_sum,
     element_norm,
+    element_norms,
     extend_map_complex,
     inner_derivation,
     is_derivation,
@@ -24,12 +27,15 @@ from triple_lab import (
     triple_product,
 )
 from triple_lab.errors import EmptySpec, InvalidInput, InvalidSpec, Unsupported
+from triple_lab import factors
 from triple_lab.factors import (
     QMUL,
     blocks_from_kind,
     complex_matrix_to_quaternion,
     coords_to_representation,
+    is_matrix_kind,
     kind_dim,
+    odd_cube_root_coords,
     qconj,
     qmul,
     quaternion_matrix_to_complex,
@@ -140,6 +146,15 @@ def test_quaternion_complex_embedding_is_multiplicative():
     assert np.max(np.abs(
         quaternion_matrix_to_complex(adj) - quaternion_matrix_to_complex(x).conj().T
     )) < 1e-12
+
+
+def test_quaternion_embedding_takes_a_stack():
+    x = np.random.default_rng(12).standard_normal((5, 2, 3, 4))
+    stacked = quaternion_matrix_to_complex(x)
+    assert stacked.shape == (5, 4, 6)
+    for b in range(5):
+        assert np.array_equal(stacked[b], quaternion_matrix_to_complex(x[b]))
+    assert np.array_equal(complex_matrix_to_quaternion(stacked), x)
 
 
 MATRIX_KINDS = ["I_R(2,2)", "I_C(2,1)", "I_C(2,2)", "I_H(2,1)", "II_R(4)",
@@ -359,3 +374,110 @@ def test_realification_keeps_spin_product():
         system = build_factor("SPIN_R(2,1)")
     e = system.basis_element(0)
     assert np.allclose(triple_product(e, e, e).coords, e.coords)
+
+
+def _sum_with_hand_built_summand():
+    tensor = build_factor("I_R(2,1)").tensor
+    return direct_sum([TripleSystem("x", tensor, norm_kind="hilbert"), build_factor("I_R(2,1)")])
+
+
+def test_norm_of_a_sum_with_a_hand_built_summand_is_unsupported():
+    # the summand's label "custom" names no factor, so it has no norm formula
+    total = _sum_with_hand_built_summand()
+    for system in (total, direct_sum([total, build_factor("I_R(2,1)")])):
+        with pytest.raises(Unsupported):
+            element_norm(system, np.ones(system.dim))
+        with pytest.raises(Unsupported):
+            check_norm_axiom(system, samples=4)
+
+
+def test_a_sum_with_a_hand_built_summand_is_not_written(tmp_path):
+    # its label cannot carry the summand's size, so the file would not load back
+    total = _sum_with_hand_built_summand()
+    with pytest.raises(Unsupported):
+        save_system(total, tmp_path / "f.json")
+    assert not (tmp_path / "f.json").exists()
+    with pytest.raises(Unsupported):
+        system_to_json(total)
+
+
+# -- the per-row norm formulas that element_norms replaced, kept as an oracle --
+
+
+def _oracle_representation(label, coords):
+    field, basis = factors._basis_for(label)
+    if field == "C":
+        return field, np.einsum("i,iuv->uv", coords.astype(complex), basis)
+    return field, np.einsum("i,i...->...", coords, basis)
+
+
+def _oracle_norm(label, norm_kind, coords):
+    wrapper, parts = factors._split_label(label)
+    if wrapper == "realform":
+        return _oracle_norm(parts[0], norm_kind, coords)
+    if norm_kind == "hilbert":
+        return float(np.linalg.norm(coords))
+    if norm_kind == "product":
+        return max(
+            _oracle_norm(part, factors._default_norm_kind(part), coords[offset : offset + length])
+            for offset, length, part in blocks_from_kind(label)
+        )
+    if norm_kind == "operator":
+        field, rep = _oracle_representation(label, coords)
+        if field == "H":
+            rep = quaternion_matrix_to_complex(rep)
+        return float(np.linalg.svd(rep, compute_uv=False)[0])
+    spec = FactorSpec.parse(label)
+    if spec.kind == "SPIN_R":
+        r = spec.dims[0]
+        return float(np.linalg.norm(coords[:r]) + np.linalg.norm(coords[r:]))
+    v = coords[0::2] + 1j * coords[1::2]
+    quad = float(np.real(np.vdot(v, v)))
+    bilin = abs(complex(np.sum(v * v)))
+    return float(np.sqrt(quad + np.sqrt(max(quad * quad - bilin * bilin, 0.0))))
+
+
+NORM_LABELS = [
+    "I_R(2,2)", "I_R(3,1)", "I_R(4,4)", "I_C(2,1)", "I_C(2,2)", "I_C(4,4)", "I_H(2,1)",
+    "I_H(2,2)", "II_R(4)", "II_R(5)", "II_C(3)", "II_H(2)", "III_R(3)", "III_R(4)",
+    "III_H(2)", "SPIN_R(3,0)", "SPIN_R(3,1)", "SPIN_R(4,2)", "SPIN_C(4)",
+]
+
+
+def _oracle_sum():
+    return direct_sum([build_factor("I_R(2,2)"), build_factor("SPIN_C(3)")])
+
+
+NORM_SYSTEMS = {
+    **{label: (lambda label=label: build_factor(label)) for label in NORM_LABELS},
+    "sum(I_R(2,2)|SPIN_C(3))": _oracle_sum,
+    "realform(I_C(2,2))": lambda: as_real_form(build_factor("I_C(2,2)")),
+    "realform(sum(I_R(2,2)|SPIN_C(3)))": lambda: as_real_form(_oracle_sum()),
+}
+
+
+@pytest.mark.parametrize("name", list(NORM_SYSTEMS))
+def test_element_norms_equal_the_per_row_formulas_bit_for_bit(name):
+    system = NORM_SYSTEMS[name]()
+    rows = np.random.default_rng(system.dim).standard_normal((200, system.dim))
+    oracle = np.array([_oracle_norm(system.factor_kind, system.norm_kind, row) for row in rows])
+    assert np.array_equal(element_norms(system, rows), oracle)
+    assert np.array_equal(element_norms(system, rows[7:8]), oracle[7:8])
+    assert element_norm(system, rows[7]) == oracle[7]
+    assert element_norms(system, rows[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("label", [label for label in NORM_LABELS if is_matrix_kind(label)])
+def test_representations_and_cube_roots_equal_the_einsum_forms(label):
+    rows = np.random.default_rng(3).standard_normal((50, kind_dim(label)))
+    reps = [_oracle_representation(label, row) for row in rows]
+    assert np.array_equal(coords_to_representation(label, rows)[1], [rep for _, rep in reps])
+    for row, (field, rep) in zip(rows, reps):
+        assert np.array_equal(coords_to_representation(label, row)[1], rep)
+        if field == "H":
+            rep = quaternion_matrix_to_complex(rep)
+        u, s, vt = np.linalg.svd(rep, full_matrices=False)
+        root = (u * np.cbrt(s)) @ vt
+        if field == "H":
+            root = complex_matrix_to_quaternion(root)
+        assert np.array_equal(odd_cube_root_coords(label, row), representation_to_coords(label, root))

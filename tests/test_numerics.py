@@ -11,8 +11,6 @@ from triple_lab.errors import InvalidInput
 from triple_lab.numerics import (
     expm,
     least_squares_residual,
-    matrix_from_json,
-    matrix_to_json,
     null_space,
     orthonormal_columns,
     span_distance,
@@ -213,13 +211,3 @@ def test_orthonormal_columns_and_distance():
     assert basis.shape == (3, 1)
     assert span_distance([1.0, 0.0, 1.0], basis) < 1e-12
     assert abs(span_distance([0.0, 1.0, 0.0], basis) - 1.0) < 1e-12
-
-
-def test_matrix_json_roundtrip():
-    m = np.arange(6.0).reshape(2, 3)
-    payload = matrix_to_json(m)
-    assert payload["rows"] == 2 and payload["cols"] == 3
-    assert np.array_equal(matrix_from_json(payload), m)
-    payload["entries"] = payload["entries"][:-1]
-    with pytest.raises(InvalidInput):
-        matrix_from_json(payload)

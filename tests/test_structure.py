@@ -36,7 +36,7 @@ def test_is_tripotent_examples():
     system = build_factor("I_R(2,2)")
     e = system.basis_element(0)
     assert is_tripotent(e)
-    assert is_tripotent(system.zero())
+    assert is_tripotent(system.element(np.zeros(system.dim)))
     assert not is_tripotent(0.5 * e)  # cube scales by 1/8
 
 
@@ -54,7 +54,7 @@ def test_peirce_dimensions_match_eigen_oracle():
 
 def test_peirce_of_zero_is_identity_projection():
     system = build_factor("I_R(2,2)")
-    ps = peirce(system.zero())
+    ps = peirce(system.element(np.zeros(system.dim)))
     assert np.array_equal(ps.p0.entries, np.eye(4))
     assert ps.dims() == (4, 0, 0)
 
@@ -94,7 +94,7 @@ def test_peirce_arithmetic_on_matrix_units():
 
 def test_peirce_arithmetic_vacuous_for_zero():
     system = build_factor("I_R(2,2)")
-    assert check_peirce_arithmetic(system.zero()).status == "pass"
+    assert check_peirce_arithmetic(system.element(np.zeros(system.dim))).status == "pass"
 
 
 def test_peirce_arithmetic_rank_one_factor():
@@ -259,7 +259,7 @@ def test_cube_root_stays_in_generated_subtriple():
 def test_cube_root_rejects_zero_and_reports_nonconvergence():
     system = build_factor("SPIN_R(3,1)")
     with pytest.raises(InvalidInput):
-        cube_root(system.zero())
+        cube_root(system.element(np.zeros(system.dim)))
     rng = np.random.default_rng(41)
     a = Element(system, rng.standard_normal(system.dim))
     with pytest.raises(NoConvergence) as excinfo:
@@ -282,7 +282,7 @@ def test_minimal_tripotents():
     spin = build_factor("SPIN_R(4,0)")
     unit = spin.element(np.array([0.5, 0.5, 0.5, 0.5]))
     assert is_minimal_tripotent(unit)
-    assert not is_minimal_tripotent(spin.zero())
+    assert not is_minimal_tripotent(spin.element(np.zeros(spin.dim)))
 
 
 def test_ideal_invariance_of_symmetrized_derivations():

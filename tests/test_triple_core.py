@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import tracemalloc
@@ -21,7 +22,7 @@ from triple_lab import (
 )
 from triple_lab.errors import InvalidInput, SystemMismatch, TooLarge, Unsupported
 from triple_lab.factors import direct_sum
-from triple_lab import triple_core
+from triple_lab import factors, triple_core
 from triple_lab.report import canonical_json
 from triple_lab.triple_core import (
     check_complex_structure,
@@ -114,7 +115,7 @@ def test_L_operator_of_orthogonal_pair_vanishes():
     e11 = system.basis_element(0)
     e22 = system.basis_element(3)
     assert np.max(np.abs(L_operator(e11, e22).entries)) < 1e-14
-    zero = system.zero()
+    zero = system.element(np.zeros(system.dim))
     assert np.max(np.abs(L_operator(zero, e11).entries)) == 0.0
 
 
@@ -122,7 +123,7 @@ def test_Q_operator_basics():
     system = build_factor("I_R(2,2)")
     e = system.basis_element(0)
     assert np.allclose(Q_operator(e)(e).coords, e.coords, atol=1e-14)
-    assert np.max(np.abs(Q_operator(system.zero()).entries)) == 0.0
+    assert np.max(np.abs(Q_operator(system.element(np.zeros(system.dim))).entries)) == 0.0
 
 
 def test_Q_squared_is_peirce2_projection_on_unitary_tripotent():
@@ -378,7 +379,6 @@ def test_float_array_encoder_matches_json_dumps(parts):
 
 def test_wire_lists_hold_builtin_floats():
     from triple_lab.derivations import derivation_space, space_to_json
-    from triple_lab.numerics import matrix_to_json
 
     system = build_factor("I_C(2,1)")
     payload = system_to_json(system)
@@ -388,7 +388,6 @@ def test_wire_lists_hold_builtin_floats():
         payload["complex_structure"],
         linear_map_to_json(system.identity_map())["entries"],
         *space["basis"],
-        matrix_to_json(np.arange(6.0).reshape(2, 3))["entries"],
     ]
     assert all(lists) and len(space["basis"]) == 4
     assert all(type(v) is float for values in lists for v in values)
@@ -421,6 +420,68 @@ def test_slow_wire_patterns_match_what_they_forbid():
     }
     for line, slow in samples.items():
         assert any(re.search(p, line) for p in SLOW_WIRE_PATTERNS) is slow, line
+
+
+# the norm takes a (b, n) stack: element_norm is its one-row case, for one vector
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def per_sample_norm_calls(source: str) -> list:
+    """Line numbers of ``element_norm(`` calls inside a loop or a comprehension."""
+    found = []
+
+    def visit(node, looped):
+        if looped and isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "element_norm":
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, looped or isinstance(node, _LOOPS))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_no_module_takes_norms_one_sample_at_a_time():
+    package = Path(triple_core.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number in per_sample_norm_calls(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_per_sample_norm_guard_matches_what_it_forbids():
+    samples = {
+        "lhs = [element_norm(system, cube) for cube in cubes]": True,
+        "norms = np.array(list(factors.element_norm(s, r) for r in rows))": True,
+        "for row in rows:\n    out.append(element_norm(system, row))": True,
+        "while worst < 1:\n    worst = element_norm(system, x)": True,
+        "n = element_norm(system, coords)": False,
+        "lhs = element_norms(system, cubes)": False,
+        "for first in chunks:\n    lhs = element_norms(system, first)": False,
+    }
+    for source, slow in samples.items():
+        assert bool(per_sample_norm_calls(source)) is slow, source
+
+
+def test_norm_axiom_takes_two_norm_calls_per_chunk(monkeypatch):
+    system = build_factor("I_R(4,4)")
+    calls = []
+    stacked = factors.element_norms
+
+    def counting(system, coords):
+        calls.append(len(coords))
+        return stacked(system, coords)
+
+    monkeypatch.setattr(factors, "element_norms", counting)
+    samples = 40000
+    report = check_norm_axiom(system, samples, seed=1)
+    chunks = -(-samples // triple_core.batch_rows(system.dim**2))
+    assert report.status == "pass"
+    assert chunks > 1 and len(calls) == 2 * chunks
+    assert sum(calls) == 2 * samples  # the cubes, then the coordinates, of each chunk
 
 
 @pytest.mark.parametrize(
