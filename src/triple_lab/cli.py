@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from . import derivations, factors, repro, structure, triple_core
-from .errors import InvalidInput, TripleLabError
+from .errors import InvalidInput, InvalidSpec, TripleLabError
 from .report import STATUS_FAIL, canonical_json, read_json, write_json
 
 
@@ -16,7 +16,10 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_dims(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise InvalidSpec(f"--dims {text!r} is not a comma-separated list of integers") from exc
 
 
 def _write_json(payload: dict, path: str | None) -> None:

@@ -230,84 +230,32 @@ class FactorSpec:
 
 
 def _matrix_basis(spec: FactorSpec):
-    """Stacked representation basis plus the field tag ('R', 'C' or 'H')."""
+    """Stacked representation basis plus the field tag ('R', 'C' or 'H').
+
+    One rule for every matrix kind: e = eps E_uv for each unit eps of the
+    field, (1), (1, i) or (1, i, j, k).  Type I takes every e; types II and
+    III take e + sign e* over the pairs u <= v, with sign -1 for the skew
+    kinds II_R and III_H, drop the zero results and scale the rest to unit
+    norm.
+    """
     kind = spec.kind
     field = _MATRIX_FIELD[kind]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-
-    def unit(m, n, u, v, dtype=float):
-        e = np.zeros((m, n), dtype=dtype)
-        e[u, v] = 1.0
-        return e
-
-    def qunit(n, u, v, component):
-        e = np.zeros((n, n, 4))
-        e[u, v, component] = 1.0
-        return e
-
+    type_one = kind.startswith("I_")
+    m, n = spec.dims if type_one else spec.dims * 2
+    units = {"R": (1.0,), "C": (1.0 + 0j, 1j), "H": tuple(np.eye(4))}[field]
+    sign = -1.0 if kind in ("II_R", "III_H") else 1.0
     basis = []
-    if kind == "I_R":
-        m, n = spec.dims
-        basis = [unit(m, n, u, v) for u in range(m) for v in range(n)]
-    elif kind == "I_C":
-        m, n = spec.dims
-        for u in range(m):
-            for v in range(n):
-                basis.append(unit(m, n, u, v, complex))
-                basis.append(1j * unit(m, n, u, v, complex))
-    elif kind == "I_H":
-        m, n = spec.dims
-        for u in range(m):
-            for v in range(n):
-                for comp in range(4):
-                    e = np.zeros((m, n, 4))
-                    e[u, v, comp] = 1.0
-                    basis.append(e)
-    elif kind == "II_R":
-        n = spec.dims[0]
-        basis = [
-            (unit(n, n, u, v) - unit(n, n, v, u)) * inv_sqrt2
-            for u in range(n)
-            for v in range(u + 1, n)
-        ]
-    elif kind == "III_R":
-        n = spec.dims[0]
-        for u in range(n):
-            for v in range(u, n):
-                if u == v:
-                    basis.append(unit(n, n, u, u))
-                else:
-                    basis.append((unit(n, n, u, v) + unit(n, n, v, u)) * inv_sqrt2)
-    elif kind == "II_C":
-        n = spec.dims[0]
-        for u in range(n):
-            for v in range(u, n):
-                if u == v:
-                    basis.append(unit(n, n, u, u, complex))
-                else:
-                    basis.append((unit(n, n, u, v, complex) + unit(n, n, v, u, complex)) * inv_sqrt2)
-                    basis.append((unit(n, n, u, v, complex) - unit(n, n, v, u, complex)) * 1j * inv_sqrt2)
-    elif kind == "II_H":
-        n = spec.dims[0]
-        for u in range(n):
-            for v in range(u, n):
-                if u == v:
-                    basis.append(qunit(n, u, u, 0))
-                else:
-                    for comp in range(4):
-                        e = qunit(n, u, v, comp) + _QCONJ_SIGNS[comp] * qunit(n, v, u, comp)
-                        basis.append(e * inv_sqrt2)
-    elif kind == "III_H":
-        n = spec.dims[0]
-        for u in range(n):
-            for v in range(u, n):
-                if u == v:
-                    for comp in (1, 2, 3):
-                        basis.append(qunit(n, u, u, comp))
-                else:
-                    for comp in range(4):
-                        e = qunit(n, u, v, comp) - _QCONJ_SIGNS[comp] * qunit(n, v, u, comp)
-                        basis.append(e * inv_sqrt2)
+    for u in range(m):
+        for v in range(0 if type_one else u, n):
+            for unit in units:
+                e = np.zeros((m, n) + np.shape(unit), dtype=np.result_type(unit))
+                e[u, v] = unit
+                if not type_one:
+                    e = e + sign * (_qmat_adjoint(e) if field == "H" else np.conj(e).T)
+                    if not e.any():
+                        continue
+                    e = e * (0.5 if u == v else 1.0 / np.sqrt(2.0))
+                basis.append(e)
     return field, np.stack(basis)
 
 
@@ -694,37 +642,19 @@ def is_matrix_kind(label: str) -> bool:
 # -- canonical tripotents and rank witnesses ------------------------------------
 
 
+def _basis_vec(dim: int, i: int, scale=1.0) -> np.ndarray:
+    v = np.zeros(dim)
+    v[i] = scale
+    return v
+
+
 def _tripotent_coord_list(label: str) -> list:
+    """The first rank witness; a spin factor of rank 2 lists e1 before it."""
     spec = FactorSpec.parse(label)
-    kind, dims = spec.kind, spec.dims
-    dim = spec.dim()
-    out = []
-
-    def basis_vec(i, scale=1.0):
-        v = np.zeros(dim)
-        v[i] = scale
-        return v
-
-    if kind in ("I_R", "I_C", "I_H", "III_R", "II_C", "II_H", "III_H"):
-        out.append(basis_vec(0))
-    if kind == "II_R":
-        out.append(basis_vec(0, np.sqrt(2.0)))
-    if kind == "SPIN_R":
-        r, s = dims
-        out.append(basis_vec(0))
-        if s >= 1:
-            v = np.zeros(dim)
-            v[0] = 0.5
-            v[r] = 0.5
-            out.append(v)
-    if kind == "SPIN_C":
-        out.append(basis_vec(0))
-        if dims[0] >= 2:
-            v = np.zeros(dim)
-            v[0] = 0.5
-            v[3] = 0.5  # (e1 + i e2) / 2
-            out.append(v)
-    return out
+    witness = _witness_coord_list(label)
+    if spec.kind in _MATRIX_FIELD or spec.rank() == 1:
+        return witness[:1]
+    return [_basis_vec(spec.dim(), 0)] + witness[:1]
 
 
 def _embedded(system: TripleSystem, coord_list) -> list:
@@ -744,59 +674,29 @@ def canonical_tripotents(system: TripleSystem) -> list:
 
 
 def _witness_coord_list(label: str) -> list:
+    """Coordinates of a rank witness, read off the basis enumeration.
+
+    A matrix kind takes, for t < rank, the first basis element nonzero at
+    (t, t); II_R has a zero diagonal and takes sqrt(2) times the element at
+    (2t, 2t + 1).  A spin factor takes e1 at rank 1 and (e1 +- f)/2 at rank 2,
+    with f the first X2 coordinate (SPIN_R) or i e2 (SPIN_C).
+    """
     spec = FactorSpec.parse(label)
-    kind, dims = spec.kind, spec.dims
-    dim = spec.dim()
-    out = []
-
-    def basis_vec(i, scale=1.0):
-        v = np.zeros(dim)
-        v[i] = scale
-        return v
-
-    if kind in ("I_R", "I_C", "I_H"):
-        m, n = dims
-        per_unit = {"I_R": 1, "I_C": 2, "I_H": 4}[kind]
-        for t in range(min(m, n)):
-            out.append(basis_vec(per_unit * (t * n + t)))
-    elif kind == "II_R":
-        n = dims[0]
-        pair_index = {}
-        idx = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                pair_index[(u, v)] = idx
-                idx += 1
-        for t in range(n // 2):
-            out.append(basis_vec(pair_index[(2 * t, 2 * t + 1)], np.sqrt(2.0)))
-    elif kind in ("III_R", "II_C", "II_H", "III_H"):
-        n = dims[0]
-        idx = 0
-        per_diag = {"III_R": 1, "II_C": 1, "II_H": 1, "III_H": 3}[kind]
-        per_off = {"III_R": 1, "II_C": 2, "II_H": 4, "III_H": 4}[kind]
-        for u in range(n):
-            out.append(basis_vec(idx))
-            idx += per_diag + per_off * (n - 1 - u)
-    elif kind == "SPIN_R":
-        r, s = dims
-        if s == 0:
-            out.append(basis_vec(0))
-        else:
-            u = np.zeros(dim)
-            u[0], u[r] = 0.5, 0.5
-            v = np.zeros(dim)
-            v[0], v[r] = 0.5, -0.5
-            out.extend([u, v])
-    elif kind == "SPIN_C":
-        if dims[0] == 1:
-            out.append(basis_vec(0))
-        else:
-            u = np.zeros(dim)
-            u[0], u[3] = 0.5, 0.5
-            v = np.zeros(dim)
-            v[0], v[3] = 0.5, -0.5
-            out.extend([u, v])
-    return out
+    dim, rank = spec.dim(), spec.rank()
+    if spec.kind in _MATRIX_FIELD:
+        basis = _basis_for(label)[1]
+        skew = spec.kind == "II_R"
+        out = []
+        for t in range(rank):
+            u, v = (2 * t, 2 * t + 1) if skew else (t, t)
+            i = next(i for i, e in enumerate(basis) if e[u, v].any())
+            out.append(_basis_vec(dim, i, np.sqrt(2.0) if skew else 1.0))
+        return out
+    e1 = _basis_vec(dim, 0)
+    if rank == 1:
+        return [e1]
+    f = _basis_vec(dim, spec.dims[0] if spec.kind == "SPIN_R" else 3)
+    return [(e1 + f) / 2, (e1 - f) / 2]
 
 
 def canonical_rank_witness(system: TripleSystem) -> list:

@@ -108,9 +108,6 @@ def _seeded_members(space, count, seed):
     rng = np.random.default_rng(seed)
     members = []
     for _ in range(count):
-        if space.dim == 0:
-            members.append(space.system.linear_map(np.zeros((space.system.dim,) * 2)))
-            continue
         weights = rng.standard_normal(space.dim)
         weights /= max(np.linalg.norm(weights), 1e-300)
         members.append(space.member(weights))
@@ -427,25 +424,25 @@ def _stmt_flows(ctx, seed):
             ok = ok and rep.status == STATUS_PASS
         return _sub(f"flows[{system.name}]", ok, {"max_residual": worst})
 
+    @timed
+    def breaks_triple_product(t):
+        rep = derivations.exp_flow_check(t, "triple", [1.0])
+        defect = rep.residuals["t=1"]
+        ok = rep.status == STATUS_FAIL and defect >= 0.1
+        return _sub("counterexample_flow_breaks_triple_product", ok, {"defect_at_t1": defect})
+
+    @timed
+    def preserves_symmetrized_product(t):
+        rep = derivations.exp_flow_check(t, "symmetrized", grid)
+        return _sub(
+            "counterexample_flow_preserves_symmetrized_product",
+            rep.status == STATUS_PASS,
+            {"max_residual": max(rep.residuals.values())},
+        )
+
     items = list(map(run, ctx.factors))
     t = counterexample_map(factors.build_factor("I_C(2,1)"))
-    rep = derivations.exp_flow_check(t, "triple", [1.0])
-    defect = rep.residuals["t=1"]
-    items.append(
-        _sub(
-            "counterexample_flow_breaks_triple_product",
-            rep.status == STATUS_FAIL and defect >= 0.1,
-            {"defect_at_t1": defect},
-        )
-    )
-    sym_rep = derivations.exp_flow_check(t, "symmetrized", grid)
-    items.append(
-        _sub(
-            "counterexample_flow_preserves_symmetrized_product",
-            sym_rep.status == STATUS_PASS,
-            {"max_residual": max(sym_rep.residuals.values())},
-        )
-    )
+    items += [breaks_triple_product(t), preserves_symmetrized_product(t)]
     return _aggregate("rank_gt_one_flow_equivalence", seed, items)
 
 

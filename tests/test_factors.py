@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -310,6 +311,48 @@ def test_canonical_tripotents_and_witnesses(label):
         assert witness[i].norm() > 0
         for j in range(i + 1, len(witness)):
             assert are_orthogonal(witness[i], witness[j])
+
+
+# SHA-256 prefixes of (basis, tripotent coordinates, rank-witness coordinates),
+# recorded from the per-kind constructors that the single (u, v, unit)
+# enumeration replaced.  The arrays come from exact assignments and correctly
+# rounded scalar operations, no BLAS call, so the digests hold on any
+# little-endian machine.
+ENUMERATION_DIGESTS = {
+    "I_R(1,3)": ("785ebf8d1f3b24aa", "4f2f028327bb81d0", "4f2f028327bb81d0"),
+    "I_C(3,1)": ("dc03ffd3f186452e", "5b9dc27822f05b99", "5b9dc27822f05b99"),
+    "I_H(1,1)": ("4fba9cfbbf2a2db6", "17ef346263a3f021", "17ef346263a3f021"),
+    "I_H(2,3)": ("84b29d0d08542b57", "0bd4b706fe4c4600", "72399c9e09a64f81"),
+    "II_R(2)": ("62326871855b6b27", "9a6a58cb766ff109", "9a6a58cb766ff109"),
+    "II_R(5)": ("68cd0109a5f51c6b", "048728f7b5d29d06", "fc3c9f7ae47fd696"),
+    "II_C(1)": ("42ee487f212ac2ea", "c6144efb4632f420", "c6144efb4632f420"),
+    "II_C(3)": ("a903806a6940897c", "d4a55727b8d7fbc8", "d0fe6a698a37ddf8"),
+    "II_H(1)": ("5fe6f8ecc577bcbe", "c6144efb4632f420", "c6144efb4632f420"),
+    "II_H(3)": ("118a75e1d376dd60", "fd5377873579e760", "db9d9ca0f268aa0f"),
+    "III_R(1)": ("2fb95dbacbac8331", "c6144efb4632f420", "c6144efb4632f420"),
+    "III_R(4)": ("53898276edab6fec", "d6e443f26b11e41a", "6dc6ab21496f4074"),
+    "III_H(1)": ("d60a188fa88f9c89", "4f2f028327bb81d0", "4f2f028327bb81d0"),
+    "III_H(3)": ("7f0f160bd545f3c7", "5abfc6b4edfbc4a3", "1ca896ba043b48bf"),
+    "SPIN_R(3,0)": (None, "4f2f028327bb81d0", "4f2f028327bb81d0"),
+    "SPIN_R(4,2)": (None, "be947e1a2462090c", "085bf60f4988f954"),
+    "SPIN_C(1)": (None, "0e8576dbd5f5b941", "0e8576dbd5f5b941"),
+    "SPIN_C(4)": (None, "becbd024514c9529", "a90e1d2a60c8d51c"),
+}
+
+
+def _digest(arrays) -> str:
+    a = np.asarray(arrays)
+    header = repr((a.dtype.str, a.shape)).encode()
+    return hashlib.sha256(header + a.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("label", list(ENUMERATION_DIGESTS))
+def test_basis_tripotents_and_witnesses_are_pinned(label):
+    basis, tripotents, witness = ENUMERATION_DIGESTS[label]
+    if basis is not None:
+        assert _digest(factors._basis_for(label)[1]) == basis
+    assert _digest(factors._tripotent_coord_list(label)) == tripotents
+    assert _digest(factors._witness_coord_list(label)) == witness
 
 
 def test_canonical_tripotents_on_sums_and_real_forms():

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import time
 from collections import namedtuple
@@ -265,6 +266,26 @@ def test_timed_sets_runtime_on_every_return_path():
     assert raised.value is error
 
 
+def test_every_flow_sub_report_is_timed(monkeypatch):
+    # a clock that advances 1 s per call: a timed report reads at least 1000 ms,
+    # an untimed one 0, however fast the check itself is
+    ticks = itertools.count()
+    monkeypatch.setattr("triple_lab.report.time.perf_counter", lambda: float(next(ticks)))
+    # the triple derivation space of I_R(1,1) is zero, so its flow members are zero maps
+    suite = dict(SMALL_SUITE, factors=["I_C(2,1)", "I_R(1,1)"])
+    assert derivation_space(build_factor("I_R(1,1)"), "triple").dim == 0
+    flows = repro._stmt_flows(repro._RunContext(suite), seed=1)
+    assert [item.statement_id for item in flows.items] == [
+        "flows[I_C(2,1)]",
+        "flows[I_R(1,1)]",
+        "counterexample_flow_breaks_triple_product",
+        "counterexample_flow_preserves_symmetrized_product",
+    ]
+    assert all(item.status == "pass" for item in flows.items)
+    assert flows.items[1].residuals == {"max_residual": 0.0}
+    assert all(item.runtime_ms > 0 for item in flows.items)
+
+
 # -- command-line interface ------------------------------------------------
 
 
@@ -280,6 +301,18 @@ def test_cli_factor_build_and_schema(tmp_path):
     ]
     assert payload["dim"] == 4
     assert len(payload["tensor"]) == 256
+
+
+@pytest.mark.parametrize("dims", ["2,x", "2,", "two", "2.0,1"])
+def test_cli_factor_build_rejects_malformed_dims(tmp_path, dims):
+    result = run_cli(
+        ["factor", "build", "--kind", "I_R", "--dims", dims, "--out", "f.json"],
+        cwd=tmp_path,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert repr(dims) in result.stderr
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_cli_der_compute_and_check_local(tmp_path):
