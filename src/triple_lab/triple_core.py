@@ -19,7 +19,7 @@ from .report import (
     STATUS_ADVISORY,
     STATUS_FAIL,
     STATUS_PASS,
-    read_json,
+    read_json_array,
     timed,
     write_json,
 )
@@ -61,7 +61,7 @@ class TripleSystem:
         factor_kind: str = "custom",
         blocks: tuple | None = None,
     ):
-        tensor = np.array(tensor, dtype=float)
+        tensor = np.asarray(tensor, dtype=float)
         if tensor.ndim != 4 or len(set(tensor.shape)) > 1:
             raise InvalidInput(f"tensor must be n^4, got shape {tensor.shape}")
         n = tensor.shape[0] if tensor.ndim == 4 else 0
@@ -69,10 +69,14 @@ class TripleSystem:
             raise TooLarge(f"dimension {n} exceeds the cap of {MAX_DIM}")
         if tensor.size and not np.all(np.isfinite(tensor)):
             raise InvalidInput("tensor has non-finite entries")
+        # one C-ordered n^4 buffer holds the asymmetry, then the symmetrized
+        # tensor; the caller's array is only read
         swapped = tensor.transpose(2, 1, 0, 3)
-        if tensor.size and np.max(np.abs(tensor - swapped)) > 1e-10:
+        sym = np.subtract(tensor, swapped, out=np.empty(tensor.shape))
+        if tensor.size and np.max(np.abs(sym, out=sym)) > 1e-10:
             raise InvalidInput("tensor is not symmetric in the outer slots")
-        tensor = 0.5 * (tensor + swapped)
+        tensor = np.add(tensor, swapped, out=sym)
+        tensor *= 0.5
         tensor.flags.writeable = False
         if norm_kind not in NORM_KINDS:
             raise InvalidInput(f"unknown norm_kind {norm_kind!r}")
@@ -526,8 +530,11 @@ def _wire_dim(payload) -> int:
 def _wire_floats(payload, key: str, size: int, size_text: str) -> np.ndarray:
     """``payload[key]`` as a flat float array of ``size`` entries, or InvalidInput."""
     try:
-        values = np.asarray(payload[key], dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
+        values = np.asarray(payload[key])
+        if values.dtype.kind in "SU":  # numpy would parse the string "1.5" as a number
+            raise TypeError
+        values = values.astype(float, copy=False).reshape(-1)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"{key} must be a list of numbers") from exc
     if values.size != size:
         raise InvalidInput(f"{key} length {values.size} != {size_text} = {size}")
@@ -543,12 +550,15 @@ def system_from_json(payload: dict) -> TripleSystem:
         j = _wire_floats(payload, "complex_structure", n * n, "dim^2").reshape(n, n)
     from .factors import blocks_from_kind  # late import, see check_norm_axiom
 
+    rank_hint = payload.get("rank_hint")
+    if rank_hint is not None and (type(rank_hint) is not int or rank_hint < 0):
+        raise InvalidInput(f"rank_hint must be null or a non-negative integer, got {rank_hint!r}")
     factor_kind = str(payload.get("factor_kind", "custom"))
     return TripleSystem(
         name=str(payload["name"]),
         tensor=tensor,
         norm_kind=str(payload["norm_kind"]),
-        rank_hint=payload.get("rank_hint"),
+        rank_hint=rank_hint,
         complex_structure=j,
         factor_kind=factor_kind,
         blocks=blocks_from_kind(factor_kind),
@@ -561,7 +571,8 @@ def save_system(system: TripleSystem, path) -> None:
 
 
 def load_system(path) -> TripleSystem:
-    return system_from_json(read_json(path, "factor"))
+    """Read the wire format; ``read_json_array`` parses only the tensor's nonzero entries."""
+    return system_from_json(read_json_array(path, "factor", "tensor"))
 
 
 def linear_map_to_json(t: LinearMap) -> dict:

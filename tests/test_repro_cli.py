@@ -504,3 +504,22 @@ def test_cli_rejects_malformed_factor_and_map_files(tmp_path, role, case):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: ")
     assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize(
+    "rank_hint",
+    ['"two"', "[1]", "1.5", "-1", "true"],
+    ids=["string", "list", "float", "negative", "bool"],
+)
+def test_cli_rejects_malformed_rank_hint(tmp_path, rank_hint):
+    path = tmp_path / "bad.json"
+    triple_core.save_system(build_factor("I_C(2,1)"), path)
+    text = path.read_text()
+    assert '"rank_hint":1,' in text
+    path.write_text(text.replace('"rank_hint":1,', f'"rank_hint":{rank_hint},'))
+    result = run_cli(WIRE_COMMANDS["factor"], cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (
+        f"error: rank_hint must be null or a non-negative integer, got {json.loads(rank_hint)!r}\n"
+    )
+    assert not (tmp_path / "d.json").exists()

@@ -23,7 +23,7 @@ from triple_lab import (
 from triple_lab.errors import InvalidInput, SystemMismatch, TooLarge, Unsupported
 from triple_lab.factors import direct_sum
 from triple_lab import factors, triple_core
-from triple_lab.report import canonical_json
+from triple_lab.report import canonical_json, read_json_array, write_json
 from triple_lab.triple_core import (
     check_complex_structure,
     check_hermitian_surrogate,
@@ -151,6 +151,33 @@ def test_outer_symmetry_is_bit_exact():
     for label in SUITE:
         tensor = build_factor(label).tensor
         assert np.array_equal(tensor, tensor.transpose(2, 1, 0, 3))
+
+
+def test_symmetrization_reads_the_callers_array_only():
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((3,) * 4)
+    raw = raw + raw.transpose(2, 1, 0, 3)
+    raw[0, 1, 2, 0] += 1e-12  # within the symmetry tolerance
+    before = raw.copy()
+    system = TripleSystem("x", raw)
+    assert np.array_equal(raw, before) and not np.shares_memory(system.tensor, raw)
+    expected = 0.5 * (raw + raw.transpose(2, 1, 0, 3))
+    assert system.tensor.tobytes() == expected.tobytes()
+    assert system.tensor.flags.c_contiguous and not system.tensor.flags.writeable
+
+
+@pytest.mark.parametrize("label", ["I_R(2,2)", "III_R(3)", "II_R(4)", "I_H(2,1)"])
+def test_built_and_loaded_factors_apply_L_to_the_bit(tmp_path, label):
+    # both tensors are C-ordered, so the einsum of L(a,b) sums in one order
+    built = build_factor(label)
+    triple_core.save_system(built, tmp_path / "f.json")
+    loaded = triple_core.load_system(tmp_path / "f.json")
+    assert built.tensor.flags.c_contiguous and loaded.tensor.flags.c_contiguous
+    rng = np.random.default_rng(11)
+    for a, b, x in rng.standard_normal((64, 3, built.dim)):
+        one = L_operator(built.element(a), built.element(b)).entries @ x
+        two = L_operator(loaded.element(a), loaded.element(b)).entries @ x
+        assert one.tobytes() == two.tobytes()
 
 
 @pytest.mark.parametrize("label", SUITE)
@@ -375,6 +402,161 @@ def test_float_array_encoder_matches_json_dumps(parts):
     arr = np.array([v for p in parts for v in (p if isinstance(p, list) else [p])], dtype=float)
     expected = json.dumps({"v": arr.tolist()}, sort_keys=True, separators=(",", ":"))
     assert canonical_json({"v": arr}) == expected
+
+
+def _json_tensor(path) -> np.ndarray:
+    """The oracle of the tensor reader: ``json.load`` and ``np.asarray``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return np.asarray(json.load(fh)["tensor"], dtype=float).reshape(-1)
+
+
+FINITE_SPECIALS = [-0.0, 5e-324, 1e16, 1.0 / 3.0, 1.0, -2.5e-308]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 3),
+    entries=st.lists(
+        st.tuples(
+            st.integers(0, 80),
+            st.one_of(st.sampled_from(FINITE_SPECIALS), st.floats(-1e300, 1e300)),
+        ),
+        max_size=12,
+    ),
+)
+@example(n=0, entries=[])
+@example(n=2, entries=[])
+@example(n=2, entries=[(0, 1.0 / 3.0), (15, -0.0)])  # no run at either end
+@example(n=3, entries=[(40, 5e-324), (41, 1e16)])  # runs at both ends, adjacent entries
+def test_saved_tensors_load_as_json_parses_them(tmp_path_factory, n, entries):
+    # entries set symmetrically in the outer slots survive the symmetrization bit for bit
+    tensor = np.zeros((n,) * 4)
+    for index, value in entries:
+        if n:
+            i, j, k, l = np.unravel_index(index % n**4, tensor.shape)
+            tensor[i, j, k, l] = tensor[k, j, i, l] = value
+    path = tmp_path_factory.mktemp("wire") / "system.json"
+    triple_core.save_system(TripleSystem("t", tensor), path)
+    loaded = triple_core.load_system(path)
+    assert loaded.tensor.tobytes() == _json_tensor(path).tobytes() == tensor.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(SPECIAL_FLOATS),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(1, 40).map(lambda k: [0.0] * k),
+        ),
+        max_size=40,
+    )
+)
+@example([[0.0] * 2, 1.0, [0.0] * 3, -0.0, [0.0]])
+def test_array_reader_inverts_the_array_writer(tmp_path_factory, parts):
+    # NaN and infinities are not JSON numbers: those files take the json path
+    arr = np.array([v for p in parts for v in (p if isinstance(p, list) else [p])], dtype=float)
+    path = tmp_path_factory.mktemp("wire") / "array.json"
+    write_json({"name": "a", "tensor": arr}, path)
+    payload = read_json_array(path, "array", "tensor")
+    assert payload["name"] == "a"
+    assert np.asarray(payload["tensor"], dtype=float).tobytes() == _json_tensor(path).tobytes()
+
+
+def _no_fallback(*args):
+    raise AssertionError("the tensor reader fell back to read_json")
+
+
+@pytest.mark.parametrize("case", sorted(WIRE_CASES))
+def test_saved_files_take_the_zero_run_reader(tmp_path, monkeypatch, case):
+    system = WIRE_CASES[case]()
+    path = tmp_path / "system.json"
+    triple_core.save_system(system, path)
+    oracle = _json_tensor(path)
+    monkeypatch.setattr("triple_lab.report.read_json", _no_fallback)
+    loaded = triple_core.load_system(path)
+    assert loaded == system
+    assert loaded.tensor.tobytes() == oracle.tobytes()
+
+
+def _compact(payload) -> str:
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def _nested(values, n):
+    return np.asarray(values).reshape((n,) * 4).tolist()
+
+
+def _ints(values):
+    return [int(v) if v == int(v) else v for v in values]
+
+
+HAND_WRITTEN_FACTORS = {
+    "indent": lambda p: json.dumps(p, indent=1, sort_keys=True),
+    "int_tokens": lambda p: _compact(dict(p, tensor=_ints(p["tensor"]))),
+    "zero_tokens_0.00": lambda p: canonical_json(p).replace("0.0,", "0.00,"),
+    "reordered_keys": lambda p: _compact(dict(sorted(p.items(), reverse=True))),
+    "look_alike_key": lambda p: canonical_json(dict(p, **{'ab"tensor': [1.0, 0.0]})),
+    "nested_lists": lambda p: canonical_json(dict(p, tensor=_nested(p["tensor"], p["dim"]))),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(HAND_WRITTEN_FACTORS))
+def test_hand_written_factor_files_load_as_json_parses_them(tmp_path, variant):
+    system = build_factor("I_C(2,1)")
+    path = tmp_path / "system.json"
+    path.write_text(HAND_WRITTEN_FACTORS[variant](system_to_json(system)))
+    if variant == "look_alike_key":
+        assert b'"ab\\"tensor":[1.0,0.0]' in path.read_bytes()
+    loaded = triple_core.load_system(path)
+    assert loaded == system
+    assert loaded.tensor.tobytes() == _json_tensor(path).tobytes()
+
+
+def _in_tensor(text: bytes, old: bytes, new: bytes) -> bytes:
+    """``text`` with the first ``old`` inside the tensor list replaced by ``new``."""
+    at = text.index(old, text.index(b'"tensor":['))
+    return text[:at] + new + text[at + len(old) :]
+
+
+MALFORMED_FACTOR_BYTES = {
+    "truncated": lambda b: b[: len(b) // 2],
+    "non_utf8_name": lambda b: b.replace(b'"name":"', b'"name":"\xff', 1),
+    "non_utf8_entry": lambda b: _in_tensor(b, b"0.0,", b"0.0\xff,"),
+    "string_tokens": lambda b: _compact(
+        dict(json.loads(b), tensor=[repr(v) for v in json.loads(b)["tensor"]])
+    ).encode(),
+    "underscore_token": lambda b: _in_tensor(b, b"0.0,", b"1_0,"),
+    # the run keeps its length and its bytes but not its tokens
+    "misplaced_comma": lambda b: _in_tensor(b, b"0.0,0.0,", b"0.00,.0,"),
+    "trailing_comma": lambda b: b.replace(b"]}", b",]}"),  # the tensor is the last key
+    "bad_last_entry": lambda b: _in_tensor(b, b"1.0]", b".00]"),
+    "nan_entry": lambda b: _in_tensor(b, b"0.0,", b"NaN,"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FACTOR_BYTES))
+def test_malformed_factor_files_raise_invalid_input(tmp_path, case):
+    path = tmp_path / "system.json"
+    triple_core.save_system(build_factor("I_C(2,1)"), path)
+    path.write_bytes(MALFORMED_FACTOR_BYTES[case](path.read_bytes()))
+    with pytest.raises(InvalidInput):
+        triple_core.load_system(path)
+
+
+def test_loading_a_factor_holds_no_boxed_floats(tmp_path):
+    # II_R(8), n = 28: json.load and np.asarray peaked at 37.9 MiB, the
+    # zero-run reader and in-place symmetrization at 9.4 MiB
+    path = tmp_path / "system.json"
+    triple_core.save_system(build_factor("II_R(8)"), path)
+    tracemalloc.start()
+    try:
+        loaded = triple_core.load_system(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.dim == 28
+    assert peak < 16 * 2**20
 
 
 def test_wire_lists_hold_builtin_floats():
