@@ -3,7 +3,7 @@ predicates separating local triple derivations from triple derivations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,17 @@ DEFAULT_SAMPLES = 256
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Orthonormal basis (Frobenius inner product) of a derivation space."""
+    """Orthonormal basis (Frobenius inner product) of a derivation space.
+
+    ``_frames`` is the memo of ``_local_residuals``: the SVD frames of the last
+    chunk of points checked against this space.  It is not part of the value.
+    """
 
     system: TripleSystem
     kind: str
     basis: tuple
     tol: float
+    _frames: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -137,6 +142,8 @@ def derivation_space(
         # too loose, _validate_space would raise.
         gram = _leibniz_gram(system.product_tensor(kind))
         basis_matrix = null_space(gram, tol=max(tol, 1e-6) ** 2)
+    # the basis maps are views of basis_matrix; frozen, they cannot outdate the frames memo
+    basis_matrix.flags.writeable = False
     maps = tuple(
         LinearMap(system, basis_matrix[:, r].reshape(n, n))
         for r in range(basis_matrix.shape[1])
@@ -256,11 +263,10 @@ def local_derivation_residual(
             raise InvalidInput("sample point from a different system")
     n = t.system.dim
     coords = np.array([el.coords for el in points]).reshape(len(points), n)
-    stack = space.basis_stack()
     rows = batch_rows(n * space.dim)
     residuals = np.concatenate(
         [
-            _local_residuals(stack, t.entries, coords[first : first + rows])
+            _local_residuals(space, t.entries, coords[first : first + rows])
             for first in range(0, len(points), rows)
         ]
     )
@@ -277,20 +283,31 @@ def local_derivation_residual(
     )
 
 
-def _local_residuals(stack: np.ndarray, t: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Distance of T(a) from {D(a) : D in span(stack)} for each row a of coords.
+def _local_residuals(space: DerivationSpace, t: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Distance of T(a) from {D(a) : D in space} for each row a of coords.
 
     The evaluation matrices E_a[:, r] = D_r(a) get one stacked thin SVD, and
     the residual is ||T(a) - U_k U_k^T T(a)||.  The rank k of each E_a uses the
     cutoff of ``lstsq(rcond=None)``: eps * max(n, r) * s_max.
+
+    The frames (U, kept) depend on the space and the points, not on T, so the
+    space keeps those of the last chunk, keyed by the exact bytes of coords:
+    later maps checked at the same points skip the SVD.  The memo holds one
+    chunk, at most ``BATCH_ENTRIES`` entries of U.
     """
     targets = coords @ t.T
-    if stack.shape[0] == 0:
+    if space.dim == 0:
         return np.linalg.norm(targets, axis=1)
-    evaluations = np.einsum("rnm,bm->bnr", stack, coords, optimize=True)
-    u, s, _ = np.linalg.svd(evaluations, full_matrices=False)
-    n, r = evaluations.shape[1:]
-    kept = s > np.finfo(float).eps * max(n, r) * s[:, :1]
+    key = coords.tobytes()
+    frames = space._frames.get(key)
+    if frames is None:
+        space._frames.clear()  # before the SVD, so two chunks are never held at once
+        evaluations = np.einsum("rnm,bm->bnr", space.basis_stack(), coords, optimize=True)
+        u, s, _ = np.linalg.svd(evaluations, full_matrices=False)
+        n, r = evaluations.shape[1:]
+        kept = s > np.finfo(float).eps * max(n, r) * s[:, :1]
+        frames = space._frames[key] = (u, kept)
+    u, kept = frames
     coefficients = np.einsum("bnk,bn->bk", u, targets) * kept
     return np.linalg.norm(targets - np.einsum("bnk,bk->bn", u, coefficients), axis=1)
 
@@ -473,5 +490,6 @@ def space_from_json(payload: dict, system: TripleSystem) -> DerivationSpace:
         tol = float(payload["tol"])
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"tol must be a number, got {payload['tol']!r}") from exc
+    flat.flags.writeable = False  # see derivation_space
     maps = tuple(LinearMap(system, m) for m in flat.reshape(count, n, n))
     return DerivationSpace(system, str(payload["kind"]), maps, tol)

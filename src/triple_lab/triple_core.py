@@ -80,6 +80,9 @@ class TripleSystem:
         tensor.flags.writeable = False
         if norm_kind not in NORM_KINDS:
             raise InvalidInput(f"unknown norm_kind {norm_kind!r}")
+        # bool is an int subclass but no rank
+        if rank_hint is not None and (type(rank_hint) is not int or rank_hint < 0):
+            raise InvalidInput(f"rank_hint must be null or a non-negative integer, got {rank_hint!r}")
 
         if complex_structure is not None:
             complex_structure = np.array(complex_structure, dtype=float)
@@ -93,7 +96,7 @@ class TripleSystem:
         self.dim = n
         self.tensor = tensor
         self.norm_kind = norm_kind
-        self.rank_hint = None if rank_hint is None else int(rank_hint)
+        self.rank_hint = rank_hint
         self.complex_structure = complex_structure
         self.factor_kind = str(factor_kind)
         # (offset, length, factor_kind) per summand; direct sums and their real forms only.
@@ -550,15 +553,12 @@ def system_from_json(payload: dict) -> TripleSystem:
         j = _wire_floats(payload, "complex_structure", n * n, "dim^2").reshape(n, n)
     from .factors import blocks_from_kind  # late import, see check_norm_axiom
 
-    rank_hint = payload.get("rank_hint")
-    if rank_hint is not None and (type(rank_hint) is not int or rank_hint < 0):
-        raise InvalidInput(f"rank_hint must be null or a non-negative integer, got {rank_hint!r}")
     factor_kind = str(payload.get("factor_kind", "custom"))
     return TripleSystem(
         name=str(payload["name"]),
         tensor=tensor,
         norm_kind=str(payload["norm_kind"]),
-        rank_hint=rank_hint,
+        rank_hint=payload.get("rank_hint"),
         complex_structure=j,
         factor_kind=factor_kind,
         blocks=blocks_from_kind(factor_kind),

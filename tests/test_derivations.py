@@ -32,6 +32,7 @@ from triple_lab.derivations import (
 from triple_lab.errors import InvalidInput, Unsupported
 from triple_lab.factors import as_real_form
 from triple_lab.numerics import least_squares_residual, orthonormal_columns, span_distance
+from triple_lab.report import canonical_json
 from triple_lab.repro import counterexample_map
 from triple_lab.triple_core import Q_operator
 
@@ -291,9 +292,10 @@ def _dimension_zero_space():
     return t, points, DerivationSpace(system, "triple", (), 1e-9)
 
 
-@pytest.mark.parametrize(
-    "case", [_counterexample_at_basis_points, _identity_on_hilbert_factor, _dimension_zero_space]
-)
+ORACLE_CASES = [_counterexample_at_basis_points, _identity_on_hilbert_factor, _dimension_zero_space]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
 def test_local_residual_matches_per_point_lstsq(case):
     t, points, space = case()
     report = local_derivation_residual(t, points, space=space)
@@ -318,6 +320,136 @@ def test_local_residual_memory_is_bounded_for_many_points():
         tracemalloc.stop()
     assert report.status == "pass"
     assert peak < 16 * 2**20
+
+
+def _random_points(system, count, seed):
+    rows = np.random.default_rng(seed).standard_normal((count, system.dim))
+    return [Element(system, c) for c in rows]
+
+
+def _random_c22_points():
+    system = build_factor("I_C(2,2)")
+    return system, _random_points(system, 64, 21)
+
+
+def _random_ii5_points():
+    # E_a has rank below dim Der at generic points of II_R(5)
+    system = build_factor("II_R(5)")
+    return system, _random_points(system, 64, 22)
+
+
+def _default_basis_points():
+    system = build_factor("I_C(2,1)")
+    return system, default_point_set(system, samples=0)
+
+
+MEMO_CASES = [_random_c22_points, _random_ii5_points, _default_basis_points]
+
+
+def _maps_to_check(system, space, count, seed):
+    """Derivations and maps that are not, so residuals and witnesses vary."""
+    rng = np.random.default_rng(seed)
+    maps = [space.member(rng.standard_normal(space.dim)) for _ in range(count // 2)]
+    maps += [system.linear_map(rng.standard_normal((system.dim,) * 2)) for _ in range(count - len(maps))]
+    return maps
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_memo_hit_matches_fresh_space(case):
+    system, points = case()
+    space = derivation_space(system, "triple")
+    local_derivation_residual(system.identity_map(), points, space=space)
+    for t in _maps_to_check(system, space, 6, 23):
+        hit = local_derivation_residual(t, points, space=space)
+        fresh_space = DerivationSpace(system, "triple", space.basis, space.tol)
+        fresh = local_derivation_residual(t, points, space=fresh_space)
+        assert hit.residuals == fresh.residuals
+        assert np.array_equal(hit.witnesses["worst_point"], fresh.witnesses["worst_point"])
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_memo_hit_matches_per_point_lstsq(case):
+    t, points, space = case()
+    local_derivation_residual(t.system.linear_map(np.eye(t.system.dim)[::-1]), points, space=space)
+    report = local_derivation_residual(t, points, space=space)
+    worst, index = oracle_local_residual(t, points, space)
+    assert abs(report.residuals["max_residual"] - worst) <= 1e-12
+    assert np.array_equal(report.witnesses["worst_point"], points[index].coords)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_memo_factors_a_point_set_once(svd_calls):
+    system, points = _random_c22_points()
+    space = derivation_space(system, "triple")
+    svd_calls.clear()
+    for t in _maps_to_check(system, space, 8, 24):
+        local_derivation_residual(t, points, space=space)
+    assert len(svd_calls) == 1
+
+
+def test_memo_keeps_only_the_last_point_set(svd_calls):
+    system, first = _random_c22_points()
+    second = _random_points(system, 64, 25)
+    space = derivation_space(system, "triple")
+    t = system.identity_map()
+    svd_calls.clear()
+    for points in (first, second, second, first):
+        local_derivation_residual(t, points, space=space)
+    assert len(svd_calls) == 3
+    assert len(space._frames) == 1
+
+
+def test_memo_misses_on_a_one_ulp_change(svd_calls):
+    system, points = _random_ii5_points()
+    space = derivation_space(system, "triple")
+    moved = list(points)
+    coords = points[7].coords.copy()
+    coords[3] = np.nextafter(coords[3], np.inf)
+    moved[7] = Element(system, coords)
+    t = system.identity_map()
+    svd_calls.clear()
+    local_derivation_residual(t, points, space=space)
+    report = local_derivation_residual(t, moved, space=space)
+    assert len(svd_calls) == 2
+    fresh = local_derivation_residual(t, moved, space=DerivationSpace(system, "triple", space.basis, space.tol))
+    assert report.residuals == fresh.residuals
+
+
+def test_memo_is_not_part_of_the_space_value():
+    system, points = _random_c22_points()
+    space = derivation_space(system, "triple")
+    twin = DerivationSpace(system, "triple", space.basis, space.tol)
+    before = (repr(space), canonical_json(space_to_json(space)))
+    for t in _maps_to_check(system, space, 4, 26):
+        local_derivation_residual(t, points, space=space)
+    assert space._frames
+    assert space == twin
+    assert (repr(space), canonical_json(space_to_json(space))) == before
+
+
+@pytest.mark.parametrize("source", ["computed", "json"])
+def test_derivation_basis_is_read_only(source):
+    system = build_factor("I_C(2,1)")
+    space = derivation_space(system, "triple")
+    if source == "json":
+        space = space_from_json(space_to_json(space), system)
+    for t in space.basis:
+        with pytest.raises(ValueError):
+            t.entries[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        space.basis[-1].entries *= 2.0
 
 
 def test_local_residual_needs_points():

@@ -713,6 +713,12 @@ def test_dimension_cap():
     assert issubclass(TooLarge, InvalidInput)
 
 
+@pytest.mark.parametrize("rank_hint", [1.5, "two", -1, True])
+def test_rank_hint_must_be_a_non_negative_int(rank_hint):
+    with pytest.raises(InvalidInput, match="rank_hint"):
+        TripleSystem("x", build_factor("I_R(2,2)").tensor, rank_hint=rank_hint)
+
+
 def oracle_products(c, x, y, z):
     """Independent path: one unoptimized einsum per row."""
     n = c.shape[0]
