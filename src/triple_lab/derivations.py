@@ -479,6 +479,8 @@ def space_to_json(space: DerivationSpace) -> dict:
 
 def space_from_json(payload: dict, system: TripleSystem) -> DerivationSpace:
     _require_keys(payload, ("kind", "dim", "tol", "basis"), "derivation space")
+    if payload["kind"] not in KINDS:
+        raise InvalidInput(f"unknown derivation kind {payload['kind']!r}")
     n = _wire_dim(payload)
     if n != system.dim:
         raise InvalidInput("dimension mismatch between space and system")
@@ -492,4 +494,4 @@ def space_from_json(payload: dict, system: TripleSystem) -> DerivationSpace:
         raise InvalidInput(f"tol must be a number, got {payload['tol']!r}") from exc
     flat.flags.writeable = False  # see derivation_space
     maps = tuple(LinearMap(system, m) for m in flat.reshape(count, n, n))
-    return DerivationSpace(system, str(payload["kind"]), maps, tol)
+    return DerivationSpace(system, payload["kind"], maps, tol)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptySpec, InvalidInput, InvalidSpec, Unsupported
-from .triple_core import Element, LinearMap, TripleSystem
+from .triple_core import Element, LinearMap, TripleSystem, check_dim
 
 # -- quaternion arithmetic ----------------------------------------------------
 
@@ -322,6 +322,7 @@ def build_factor(spec) -> TripleSystem:
     """Construct the triple system for a factor specification."""
     if isinstance(spec, str):
         spec = FactorSpec.parse(spec)
+    check_dim(spec.dim())
     kind = spec.kind
     if kind == "SPIN_R" and sum(spec.dims) == 2:
         warnings.warn(
@@ -362,6 +363,7 @@ def complexify(system: TripleSystem) -> TripleSystem:
     if system.complex_structure is not None:
         raise InvalidInput(f"{system.name} already carries a complex structure")
     n = system.dim
+    check_dim(2 * n)
     tensor = np.zeros((2 * n,) * 4)
     for e1 in (0, 1):
         for e2 in (0, 1):
@@ -401,6 +403,7 @@ def direct_sum(systems) -> TripleSystem:
         return systems[0]
     dims = [s.dim for s in systems]
     total = sum(dims)
+    check_dim(total)
     tensor = np.zeros((total,) * 4)
     offset = 0
     blocks = []
@@ -615,28 +618,6 @@ def element_norms(system: TripleSystem, coords) -> np.ndarray:
 def element_norm(system: TripleSystem, coords) -> float:
     """The factor's own norm of one coordinate vector."""
     return float(element_norms(system, np.reshape(coords, (1, -1)))[0])
-
-
-# -- odd cube roots via the matrix representation -------------------------------
-
-
-def odd_cube_root_coords(label: str, coords) -> np.ndarray:
-    """Closed-form odd cube root U s^(1/3) V* through the factor's representation."""
-    field, rep = coords_to_representation(label, coords)
-    if field == "H":
-        rep = quaternion_matrix_to_complex(rep)
-    u, s, vt = np.linalg.svd(rep, full_matrices=False)
-    root = (u * np.cbrt(s)) @ vt
-    if field == "H":
-        root = complex_matrix_to_quaternion(root)
-    return representation_to_coords(label, root)
-
-
-def is_matrix_kind(label: str) -> bool:
-    try:
-        return FactorSpec.parse(label).kind in _MATRIX_FIELD
-    except InvalidSpec:
-        return False
 
 
 # -- canonical tripotents and rank witnesses ------------------------------------

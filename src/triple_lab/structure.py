@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import factors
 from .errors import InvalidInput, NoConvergence, NotTripotent, TripleLabError
 from .numerics import null_space, orthonormal_columns, span_distance
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
@@ -212,13 +211,22 @@ def verify_rank_witness(system: TripleSystem, family, tol: float = 1e-10) -> Rep
 
 
 def _odd_power_span(a: Element) -> np.ndarray:
-    """Orthonormal basis of span{a, {aaa}, {a,{aaa},a}, ...} up to stabilization."""
+    """Orthonormal basis of span{a, {aaa}, {a,{aaa},a}, ...} up to stabilization.
+
+    Each power is normalized before stacking: the powers scale like
+    ||a||^(2k+1), and unnormalized the low ones fall under the relative
+    rank cutoff.
+    """
     system = a.system
     q = Q_operator(a).entries
-    vectors = [a.coords]
-    current = a.coords
+    current = a.coords / np.linalg.norm(a.coords)
+    vectors = [current]
     for _ in range(system.dim):
         current = q @ current
+        size = np.linalg.norm(current)
+        if size == 0.0:
+            break
+        current = current / size
         vectors.append(current)
         basis = orthonormal_columns(np.column_stack(vectors))
         if basis.shape[1] < len(vectors):
@@ -226,75 +234,24 @@ def _odd_power_span(a: Element) -> np.ndarray:
     return orthonormal_columns(np.column_stack(vectors))
 
 
-def _newton_cube_root(a: Element, tol: float, max_iters: int) -> np.ndarray:
-    system = a.system
-    target = a.coords
-    scale = float(np.linalg.norm(target))
-    b = target / scale ** (2.0 / 3.0)
-    residual = None
-    for _ in range(max_iters):
-        f = system.product_arrays(b, b, b) - target
-        residual = float(np.linalg.norm(f))
-        if residual <= tol * scale:
-            return b
-        point = Element(system, b)
-        jac = 2.0 * L_operator(point, point).entries
-        jac += Q_operator(point).entries
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, f, rcond=None)[0]
-        damping = 1.0
-        base = residual
-        for _ in range(40):
-            candidate = b - damping * step
-            new_res = float(
-                np.linalg.norm(system.product_arrays(candidate, candidate, candidate) - target)
-            )
-            if new_res < base:
-                b = candidate
-                break
-            damping *= 0.5
-        else:
-            raise NoConvergence(
-                f"cube-root Newton stalled at residual {residual:.3e}", residual=residual
-            )
-    f = system.product_arrays(b, b, b) - target
-    residual = float(np.linalg.norm(f))
-    if residual <= tol * scale:
-        return b
-    raise NoConvergence(
-        f"cube-root Newton did not converge in {max_iters} iterations "
-        f"(residual {residual:.3e})",
-        residual=residual,
-    )
-
-
-def cube_root(a: Element, tol: float = 1e-8, max_iters: int = 200) -> Element:
+def cube_root(a: Element, tol: float = 1e-8) -> Element:
     """The odd cube root b with {b,b,b} = a, inside the subtriple generated by a.
 
-    Matrix-kind factors (and direct sums of them) use the closed-form
-    U s^(1/3) V* root through their representation; everything else runs a
-    damped Newton iteration on F(b) = {b,b,b} - a with Jacobian 2L(b,b) + Q(b).
+    The triple functional calculus t -> t^(1/3): if a = sum s_k e_k over
+    orthogonal tripotents, then L(a,a) e_k = s_k^2 e_k, so
+    b = L(a,a)^(-1/3) a on the support of a.  One eigendecomposition of the
+    self-adjoint L(a,a) serves every factor, direct sum and real form; a
+    system whose L(a,a) is not self-adjoint fails the residual check.
     """
     system = a.system
     scale = float(np.linalg.norm(a.coords))
     if scale == 0.0:
         raise InvalidInput("cube_root needs a nonzero element")
-    label = system.factor_kind
-    coords = None
-    if factors.is_matrix_kind(label):
-        coords = factors.odd_cube_root_coords(label, a.coords)
-    elif system.blocks is not None and all(
-        factors.is_matrix_kind(part) for _, _, part in system.blocks
-    ):
-        coords = np.zeros(system.dim)
-        for offset, length, part in system.blocks:
-            piece = a.coords[offset : offset + length]
-            if np.any(piece):
-                coords[offset : offset + length] = factors.odd_cube_root_coords(part, piece)
-    if coords is None:
-        coords = _newton_cube_root(a, tol, max_iters)
+    w, v = np.linalg.eigh(L_operator(a, a).entries)
+    weights = np.zeros_like(w)
+    positive = w > 0
+    weights[positive] = w[positive] ** (-1.0 / 3.0)
+    coords = v @ (weights * (v.T @ a.coords))
     residual = float(
         np.linalg.norm(system.product_arrays(coords, coords, coords) - a.coords)
     )

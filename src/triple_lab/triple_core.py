@@ -38,6 +38,12 @@ BATCH_ROWS = 1024
 BATCH_ENTRIES = 2**18
 
 
+def check_dim(n: int) -> None:
+    """Raise TooLarge for a dimension over MAX_DIM; constructors call it before allocating."""
+    if n > MAX_DIM:
+        raise TooLarge(f"dimension {n} exceeds the cap of {MAX_DIM}")
+
+
 def batch_rows(per_row: int) -> int:
     """Rows per chunk of a batched check whose rows hold ``per_row`` entries each."""
     return max(1, BATCH_ENTRIES // max(per_row, 1))
@@ -65,8 +71,7 @@ class TripleSystem:
         if tensor.ndim != 4 or len(set(tensor.shape)) > 1:
             raise InvalidInput(f"tensor must be n^4, got shape {tensor.shape}")
         n = tensor.shape[0] if tensor.ndim == 4 else 0
-        if n > MAX_DIM:
-            raise TooLarge(f"dimension {n} exceeds the cap of {MAX_DIM}")
+        check_dim(n)
         if tensor.size and not np.all(np.isfinite(tensor)):
             raise InvalidInput("tensor has non-finite entries")
         # one C-ordered n^4 buffer holds the asymmetry, then the symmetrized

@@ -624,9 +624,10 @@ def test_space_json_requires_every_key(missing):
         {"basis": [["x"] * 16]},
         {"basis": 4},
         {"tol": "tight"},
+        {"kind": "bogus"},
     ],
     ids=["dim_not_int", "dim_mismatch", "short_row", "row_not_numbers", "basis_not_list",
-         "tol_not_number"],
+         "tol_not_number", "unknown_kind"],
 )
 def test_space_json_rejects_malformed_payload(changes):
     system = build_factor("I_C(2,1)")

@@ -315,6 +315,16 @@ def test_cli_factor_build_rejects_malformed_dims(tmp_path, dims):
     assert not (tmp_path / "f.json").exists()
 
 
+def test_cli_factor_build_rejects_oversized_dims(tmp_path):
+    result = run_cli(
+        ["factor", "build", "--kind", "I_R", "--dims", "20,20", "--out", "f.json"],
+        cwd=tmp_path,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: dimension 400 exceeds the cap")
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_cli_der_compute_and_check_local(tmp_path):
     result = run_cli(
         ["factor", "build", "--kind", "I_C", "--dims", "2,1", "--out", "f.json"],

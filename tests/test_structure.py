@@ -30,6 +30,7 @@ from triple_lab.structure import (
     _odd_power_span,
 )
 from triple_lab.numerics import span_distance
+from triple_lab.repro import load_suite
 
 
 def test_is_tripotent_examples():
@@ -208,7 +209,7 @@ def test_cube_root_matches_svd_oracle_on_symmetric_factor():
         assert np.linalg.norm(cube - coords) <= 1e-8 * np.linalg.norm(coords)
 
 
-def test_newton_cube_root_on_spin_and_quaternion_factors():
+def test_cube_root_on_spin_and_quaternion_factors():
     rng = np.random.default_rng(23)
     for label in ("SPIN_R(3,1)", "SPIN_C(3)", "I_H(2,1)", "II_R(4)"):
         system = build_factor(label)
@@ -218,8 +219,8 @@ def test_newton_cube_root_on_spin_and_quaternion_factors():
         assert np.linalg.norm(cube - coords) <= 1e-8 * np.linalg.norm(coords)
 
 
-def test_newton_and_svd_routes_agree():
-    # force the Newton path on a matrix factor by hiding the factor kind
+def test_cube_root_ignores_the_factor_label():
+    # a copy of a matrix factor whose label names no factor gets the same root
     from triple_lab.triple_core import TripleSystem
 
     base = build_factor("III_R(3)")
@@ -228,9 +229,9 @@ def test_newton_and_svd_routes_agree():
     )
     rng = np.random.default_rng(29)
     coords = rng.standard_normal(6)
-    via_svd = cube_root(Element(base, coords))
-    via_newton = cube_root(Element(disguised, coords))
-    assert np.max(np.abs(via_svd.coords - via_newton.coords)) < 1e-7
+    labelled = cube_root(Element(base, coords))
+    unlabelled = cube_root(Element(disguised, coords))
+    assert np.max(np.abs(labelled.coords - unlabelled.coords)) < 1e-7
 
 
 def test_cube_root_consistency_identity():
@@ -257,14 +258,53 @@ def test_cube_root_stays_in_generated_subtriple():
 
 
 def test_cube_root_rejects_zero_and_reports_nonconvergence():
+    from triple_lab.triple_core import TripleSystem
+
     system = build_factor("SPIN_R(3,1)")
     with pytest.raises(InvalidInput):
         cube_root(system.element(np.zeros(system.dim)))
+    # raising an outer-slot pair keeps the tensor symmetric in the outer slots
+    # but makes L(a,a) not self-adjoint: the spectral root misses, and the
+    # residual check fires
+    tensor = np.array(build_factor("I_R(2,2)").tensor)
+    tensor[0, 0, 1, 2] += 0.3
+    tensor[1, 0, 0, 2] += 0.3
+    skewed = TripleSystem("skewed", tensor)
     rng = np.random.default_rng(41)
-    a = Element(system, rng.standard_normal(system.dim))
+    a = Element(skewed, rng.standard_normal(skewed.dim))
     with pytest.raises(NoConvergence) as excinfo:
-        cube_root(a, max_iters=1)
-    assert excinfo.value.residual is not None
+        cube_root(a)
+    assert excinfo.value.residual > 1e-2
+
+
+@pytest.mark.parametrize(
+    "label, coords",
+    [
+        ("III_R(6)", np.random.default_rng(3).standard_normal(21)),
+        ("III_R(6)", np.random.default_rng(5).standard_normal(21)),
+        ("III_R(6)", np.random.default_rng(9).standard_normal(21)),
+        ("I_R(2,2)", np.array([1000.0, 2000.0, 3000.0, 4000.0])),
+    ],
+    ids=["III_R(6)-seed3", "III_R(6)-seed5", "III_R(6)-seed9", "I_R(2,2)-scale1000"],
+)
+def test_cube_root_subtriple_check_accepts_correct_roots(label, coords):
+    # the odd powers of these inputs span several decades; stacked unnormalized,
+    # the low powers fell under the rank cutoff and correct roots were rejected
+    system = build_factor(label)
+    b = cube_root(system.element(coords)).coords
+    cube = system.product_arrays(b, b, b)
+    assert np.linalg.norm(cube - coords) <= 1e-8 * np.linalg.norm(coords)
+    assert span_distance(b, _odd_power_span(system.element(coords))) < 1e-8 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("label", [*load_suite()["factors"], "SPIN_C(6)"])
+def test_cube_root_commutes_with_scaling(label):
+    system = build_factor(label)
+    a = np.random.default_rng(43).standard_normal(system.dim)
+    root = cube_root(system.element(a)).coords
+    for t in (1e-2, 1.0, 1e2):
+        scaled = cube_root(system.element(t**3 * a)).coords
+        assert np.max(np.abs(scaled - t * root)) <= 1e-10 * t * np.linalg.norm(root)
 
 
 def test_minimal_tripotents():
