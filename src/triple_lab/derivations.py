@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, Unsupported
+from .errors import InvalidInput, NoSpectralGap, Unsupported
 from .factors import complexify, extend_map_complex
-from .numerics import expm, null_space, orthonormal_columns, span_distance
+from .numerics import expm, span_distance
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
 from .structure import peirce
 from .triple_core import (
@@ -23,15 +23,28 @@ from .triple_core import (
     _wire_floats,
     batch_rows,
     in_slots,
+    sign_grading,
 )
 
 KINDS = ("triple", "symmetrized", "inner_span")
 DEFAULT_SEED = 0xA11CE
 DEFAULT_SAMPLES = 256
+# Dense entries of the Leibniz blocks that ``_leibniz_blocks`` builds at once
+# (a block larger than this comes alone): 64 MB
+BLOCK_ENTRIES = 2**23
 
 @dataclass(frozen=True)
 class DerivationSpace:
     """Orthonormal basis (Frobenius inner product) of a derivation space.
+
+    ``derivation_space`` also records the health of its rank decision: the
+    ``rank`` above the relative ``cutoff``, the smallest value kept above it
+    (``min_kept``, None if none) and the largest value at or below it
+    (``max_kernel``), both over the largest value.  The values are the block
+    Gram eigenvalues of the Leibniz operator, or for ``inner_span`` the
+    singular values of the spanning vectors.  ``leibniz_residuals`` holds each
+    basis map's Leibniz residual.  None of these is part of the value or of
+    the JSON form; a space read from JSON has none of them.
 
     ``_frames`` is the memo of ``_local_residuals``: the SVD frames of the last
     chunk of points checked against this space.  It is not part of the value.
@@ -41,6 +54,11 @@ class DerivationSpace:
     kind: str
     basis: tuple
     tol: float
+    rank: int | None = field(default=None, compare=False)
+    cutoff: float | None = field(default=None, compare=False)
+    min_kept: float | None = field(default=None, compare=False)
+    max_kernel: float | None = field(default=None, compare=False)
+    leibniz_residuals: tuple | None = field(default=None, compare=False, repr=False)
     _frames: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -65,46 +83,6 @@ class DerivationSpace:
         return LinearMap(self.system, entries)
 
 
-def _leibniz_gram(p: np.ndarray) -> np.ndarray:
-    """Gram matrix G = L^T L of the Leibniz operator of ``leibniz_residual``.
-
-    L[(ijkl),(ab)] = d_la p[ijkb] - d_bi p[ajkl] - d_bj p[iakl] - d_bk p[ijal]
-    (d the Kronecker delta) is the sum of four terms, so G is the sum of their
-    16 pairwise products, each a contraction of p with itself:
-
-      * d_ac sum p[ijkb] p[ijkd]                      (out-slot squared)
-      * d_bd sum (p[ajkl] p[cjkl] + p[iakl] p[ickl] + p[ijal] p[ijcl])
-      * S + S^T with S[ab,cd] = sum p[adkl] p[bckl] + p[ajdl] p[bjcl]
-        + p[iadl] p[ibcl] - p[djkb] p[cjka] - p[idkb] p[icka] - p[ijdb] p[ijca].
-
-    Each group is a sum of X X^T over (n^2, n^2) unfoldings of p, O(n^6).
-    """
-    n = p.shape[0]
-    n2 = n * n
-
-    def unfolded_gram(rows: int, orders) -> np.ndarray:
-        out = np.zeros((rows, rows))
-        for order in orders:
-            x = p.transpose(order).reshape(rows, -1)
-            out += x @ x.T
-        return out
-
-    # the "+" terms come out indexed [(ad),(bc)] and the "-" terms [(db),(ca)]
-    plus = unfolded_gram(n2, [(0, 1, 2, 3), (0, 2, 1, 3), (1, 2, 0, 3)])
-    s = plus.reshape(n, n, n, n).transpose(0, 2, 3, 1).reshape(n2, n2)
-    del plus
-    minus = unfolded_gram(n2, [(0, 3, 1, 2), (1, 3, 0, 2), (2, 3, 0, 1)])
-    s -= minus.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n2, n2)
-    del minus
-    out_slot = unfolded_gram(n, [(3, 0, 1, 2)])
-    in_slots = unfolded_gram(n, [(0, 1, 2, 3), (1, 0, 2, 3), (2, 0, 1, 3)])
-    gram = np.kron(np.eye(n), out_slot)
-    gram += np.kron(in_slots, np.eye(n))
-    gram += s
-    gram += s.T
-    return gram
-
-
 def derivation_space(
     system: TripleSystem,
     kind: str,
@@ -117,57 +95,188 @@ def derivation_space(
       * ``symmetrized``  -- Leibniz rule for the fully symmetric product,
         obtained by polarizing the cubic identity;
       * ``inner_span``   -- span of the maps L(e_i, e_j) - L(e_j, e_i).
+
+    The space is computed one block of ``sign_grading`` at a time: a map
+    entry of character chi only meets rows of the Leibniz operator of
+    character chi, so its Gram matrix is block diagonal.
     """
     if kind not in KINDS:
         raise InvalidInput(f"unknown derivation kind {kind!r}")
     n = system.dim
     if n == 0:
         return DerivationSpace(system, kind, (), tol)
+    p = system.product_tensor("triple" if kind == "inner_span" else kind)
+    chars = sign_grading(p)
     if kind == "inner_span":
-        # column (i, j), i < j, is L(e_i, e_j) - L(e_j, e_i), whose entry [l, k] is
-        # c[i, j, k, l] - c[j, i, k, l]
-        c = system.tensor
-        rows, cols = np.triu_indices(n, 1)
-        vectors = (c[rows, cols] - c[cols, rows]).transpose(0, 2, 1).reshape(rows.size, n * n)
-        basis_matrix = orthonormal_columns(vectors.T, tol=tol)
+        # vector (i, j), i < j, is L(e_i, e_j) - L(e_j, e_i), whose entry [l, k]
+        # is c[i, j, k, l] - c[j, i, k, l]; it lies in block chars[i, j]
+        i, j = np.triu_indices(n, 1)
+        vectors = (p[i, j] - p[j, i]).transpose(0, 2, 1).reshape(i.size, n * n)
+        labels = chars[i, j]
+        cutoff = tol
+        checked_up_to = np.inf
     else:
-        # G is symmetric positive semi-definite, so its singular values are
-        # its eigenvalues, the squares of those of L: for tol <= 1e-6 the
-        # cutoff below is 1e-12 * lambda_max.  Measured over the suite factors and sums, the
-        # Hilbert and benchmark ladders and n = 28..64 (II_R(8), I_C(4,4),
-        # III_R(8), I_H(3,3), I_H(4,3), I_H(4,4)), kernel singular values are
-        # at most 2.9e-15 * lambda_max (I_H(4,4), symmetrized) and kept ones
-        # at least 0.133 * lambda_max (I_R(2,2)+SPIN_R(3,1), symmetrized):
-        # 345x headroom below the cutoff, 1e11x above.  If the cutoff were
-        # too loose, _validate_space would raise.
-        gram = _leibniz_gram(system.product_tensor(kind))
-        basis_matrix = null_space(gram, tol=max(tol, 1e-6) ** 2)
-    # the basis maps are views of basis_matrix; frozen, they cannot outdate the frames memo
-    basis_matrix.flags.writeable = False
-    maps = tuple(
-        LinearMap(system, basis_matrix[:, r].reshape(n, n))
-        for r in range(basis_matrix.shape[1])
-    )
-    space = DerivationSpace(system, kind, maps, tol)
-    _validate_space(space)
-    return space
-
-
-def _validate_space(space: DerivationSpace) -> None:
-    if space.dim == 0:
-        return
-    stack = space.basis_stack().reshape(space.dim, -1)
-    gram = stack @ stack.T
-    if float(np.max(np.abs(gram - np.eye(space.dim)))) > 1e-10:
-        raise InvalidInput("derivation basis lost orthonormality")
-    leibniz_kind = "triple" if space.kind == "inner_span" else space.kind
-    worst = max(
-        leibniz_residual(t, leibniz_kind)["max_residual"] for t in space.basis
-    )
-    if worst > 10 * max(space.tol, 1e-9):
+        # the eigenvalues of the block Grams M^T M are the squares of the
+        # Leibniz operator's singular values: for tol <= 1e-6 the kernel is
+        # the eigenvalues at most 1e-12 * lambda_max, lambda_max taken over
+        # all blocks.  Measured over the suite factors and sums, the Hilbert
+        # and benchmark ladders and n = 28..64 (II_R(8), I_C(4,4), III_R(8),
+        # I_H(3,3), I_H(4,3), I_H(4,4)), kernel eigenvalues are at most
+        # 3.2e-15 * lambda_max (I_H(4,4), symmetrized) and kept ones at least
+        # 0.133 * lambda_max (I_R(2,2)+SPIN_R(3,1), symmetrized): 314x
+        # headroom below the cutoff, 1e11x above.  _check_spectrum raises
+        # before either margin falls under 10x.
+        cutoff = max(tol, 1e-6) ** 2
+        # each of the four terms of the operator is an unfolding of p, so
+        # lambda_max <= (4 ||p||_F)^2: only eigenvalues up to cutoff times
+        # that bound can be in the kernel, and only their vectors are checked
+        checked_up_to = cutoff * 16.0 * float(np.vdot(p, p))
+    spectra = []  # per block: (columns, values, vectors, Leibniz residual of each vector)
+    for label, block, rows, m in _leibniz_blocks(p, chars):
+        if kind == "inner_span":
+            spanning = vectors[labels == label][:, block].T
+            if not spanning.shape[1]:
+                continue
+            vecs, values, _ = np.linalg.svd(spanning, full_matrices=False)
+        else:
+            values, vecs = np.linalg.eigh(m.T @ m)
+            values = np.abs(values)  # the Gram is PSD: a negative eigenvalue is rounding
+        checked = values <= checked_up_to
+        norms = np.full(values.size, np.inf)
+        if checked.any():
+            norms[checked] = _grouped_norms(m @ vecs[:, checked], rows // n)
+        spectra.append((block, values, vecs, norms))
+    top = max((float(values.max()) for _, values, _, _ in spectra), default=0.0)
+    kept = [values > cutoff * top for _, values, _, _ in spectra]
+    in_basis = kept if kind == "inner_span" else [~k for k in kept]
+    health = _check_spectrum(system, kind, cutoff, top, spectra, kept)
+    basis_matrix = np.zeros((sum(int(b.sum()) for b in in_basis), n * n))
+    residuals, row = [], 0
+    for (block, _, vecs, norms), chosen in zip(spectra, in_basis):
+        picked = vecs[:, chosen]
+        if picked.size and np.max(np.abs(picked.T @ picked - np.eye(picked.shape[1]))) > 1e-10:
+            raise InvalidInput("derivation basis lost orthonormality")
+        basis_matrix[row : row + picked.shape[1], block] = picked.T
+        residuals.extend(norms[chosen].tolist())
+        row += picked.shape[1]
+    worst = max(residuals, default=0.0)
+    if worst > 10 * max(tol, 1e-9):
         raise InvalidInput(
             f"derivation basis violates its Leibniz identity (residual {worst:.3e})"
         )
+    # the basis maps are views of basis_matrix; frozen, they cannot outdate the frames memo
+    basis_matrix.flags.writeable = False
+    maps = tuple(LinearMap(system, r.reshape(n, n)) for r in basis_matrix)
+    return DerivationSpace(system, kind, maps, tol, leibniz_residuals=tuple(residuals), **health)
+
+
+def _check_spectrum(system, kind, cutoff, top, spectra, kept) -> dict:
+    """The rank, cutoff and margins of a derivation space's rank decision, in
+    units of the largest value ``top``; NoSpectralGap when a margin is within
+    10x of the cutoff."""
+    above = [values[k] for (_, values, _, _), k in zip(spectra, kept)]
+    below = [values[~k] for (_, values, _, _), k in zip(spectra, kept)]
+    scale = top if top > 0 else 1.0
+    min_kept = min((float(v.min()) / scale for v in above if v.size), default=None)
+    max_kernel = max((float(v.max()) / scale for v in below if v.size), default=0.0)
+    where = f"{kind} derivation space of {system.name}"
+    if max_kernel > 0.1 * cutoff:
+        raise NoSpectralGap(
+            f"{where}: largest kernel value {max_kernel:.2e} x max is above 0.1 x cutoff {cutoff:.1e}"
+        )
+    if min_kept is not None and min_kept < 10 * cutoff:
+        raise NoSpectralGap(
+            f"{where}: smallest kept value {min_kept:.2e} x max is below 10 x cutoff {cutoff:.1e}"
+        )
+    rank = sum(int(k.sum()) for k in kept)
+    return {"rank": rank, "cutoff": cutoff, "min_kept": min_kept, "max_kernel": max_kernel}
+
+
+def _leibniz_blocks(p: np.ndarray, chars: np.ndarray):
+    """Yield (character, columns, rows, M) for each block of the Leibniz
+    operator of ``leibniz_residual``, generated from the nonzeros of ``p``.
+
+    Row (i, j, k, l) and column (a, b), flat a * n + b, of the operator hold
+      d_la p[ijkb] - d_bi p[ajkl] - d_bj p[iakl] - d_bk p[ijal]
+    (d the Kronecker delta).  So a nonzero p[ijkl] gives, for each slot s
+    holding x and each index y, one term in the row that has y in slot s: in
+    column (y, x) with sign + for the out slot s = 3, in column (x, y) with
+    sign - for an input slot.  Either column has the character chars[x, y].
+    M is dense over the block's touched rows, whose keys ((i n + j) n + k) n + l
+    ``rows`` lists in ascending order.  The blocks are generated in runs
+    whose dense size, bounded by terms x columns, is about ``BLOCK_ENTRIES``.
+    """
+    n = p.shape[0]
+    nonzero = np.stack(np.nonzero(p))  # (4, nnz): the index in each slot
+    values = p[tuple(nonzero)]
+    places = n ** np.arange(3, -1, -1)  # row key ((i n + j) n + k) n + l
+    keys = places @ nonzero
+    order = np.argsort(chars.reshape(-1), kind="stable")
+    ordered = chars.reshape(-1)[order]
+    new_label = _run_starts(ordered)
+    labels = ordered[new_label]
+    # block of map entry (a, b), numbered in ascending character
+    block = np.empty(n * n, dtype=np.intp)
+    block[order] = np.cumsum(new_label) - 1
+    width = np.bincount(block)
+    first = np.cumsum(width) - width
+    position = np.empty(n * n, dtype=np.intp)
+    position[order] = np.arange(n * n) - first.repeat(width)
+    # the terms (slot, nonzero, y) in flat order, grouped by block: int16 holds
+    # the n^2 <= 4096 blocks and sorts by radix.  Index x has one term per
+    # slot it fills and per y.
+    term_block = block.astype(np.int16)[(nonzero[:, :, None] * n + np.arange(n)).reshape(-1)]
+    terms = np.argsort(term_block, kind="stable")
+    del term_block
+    filled = sum(np.bincount(x, minlength=n) for x in nonzero)
+    term_count = np.bincount(block, weights=filled.repeat(n), minlength=labels.size)
+    term_first = np.concatenate(([0], np.cumsum(term_count.astype(np.intp))))
+    bound = term_count.astype(np.intp) * width  # terms x columns bounds the rows x columns
+    run = (np.cumsum(bound) - bound) // BLOCK_ENTRIES
+    edges = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), labels.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        chosen = terms[term_first[lo] : term_first[hi]]
+        slot, term, y = np.unravel_index(chosen, (4, values.size, n))
+        x = nonzero[slot, term]
+        out = slot == 3
+        owner = block[x * n + y]
+        # rows keyed by (block, row key): sorted, each block's rows are one run
+        keyed = owner * n**4 + keys[term] + (y - x) * places[slot]
+        sort = np.argsort(keyed, kind="stable")
+        new_row = _run_starts(keyed[sort])
+        rows = keyed[sort][new_row]
+        row = np.empty(sort.size, dtype=np.intp)
+        row[sort] = np.cumsum(new_row) - 1
+        count = np.bincount(rows // n**4 - lo, minlength=hi - lo)
+        row_first = np.cumsum(count) - count
+        size = count * width[lo:hi]
+        offset = np.cumsum(size) - size
+        local = owner - lo
+        dense = np.bincount(
+            offset[local] + (row - row_first[local]) * width[owner]
+            + position[np.where(out, y * n + x, x * n + y)],
+            weights=np.where(out, values[term], -values[term]),
+            minlength=int(size.sum()),
+        )
+        for i, b in enumerate(range(lo, hi)):
+            m = dense[offset[i] : offset[i] + size[i]].reshape(count[i], width[b])
+            row_keys = rows[row_first[i] : row_first[i] + count[i]] - b * n**4
+            yield labels[b], order[first[b] : first[b] + width[b]], row_keys, m
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    new = np.ones(ordered.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return new
+
+
+def _grouped_norms(res: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Per column of ``res``, the largest norm over the runs of rows with equal ``group``."""
+    if not res.shape[0]:
+        return np.zeros(res.shape[1])
+    starts = np.flatnonzero(_run_starts(group))
+    return np.sqrt(np.add.reduceat(res * res, starts, axis=0).max(axis=0))
 
 
 def inner_derivation(a: Element, b: Element) -> LinearMap:

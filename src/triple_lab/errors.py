@@ -29,6 +29,10 @@ class NoConvergence(TripleLabError):
         self.residual = residual
 
 
+class NoSpectralGap(TripleLabError):
+    """A numerical rank decision found a value within 10x of its cutoff."""
+
+
 class Unsupported(TripleLabError):
     """The requested computation is not defined for this system."""
 

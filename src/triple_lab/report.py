@@ -91,8 +91,8 @@ def read_json(path, what: str):
         raise InvalidInput(f"cannot read {what} file {path}: {exc}") from exc
 
 
-# a byte that neither a "0.0" entry nor a separator holds: it marks a nonzero entry
-_NONZERO_BYTE = re.compile(rb"[^0.,]")
+# bytes of the array text masked at once by ``_nonzero_bytes``: 1 MB
+SCAN_CHUNK = 2**20
 # a JSON number with a fraction or an exponent, as float repr writes it; an int
 # token takes the json path, which parses "-0" to +0.0 where float() gives -0.0
 _FLOAT_TOKEN = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
@@ -146,15 +146,18 @@ def _float_array_from_json(data: bytes, lo: int, hi: int):
     the brackets; None unless each run of k zeros is k "0.0" entries and every
     other entry a float token.
 
-    One regex search per nonzero entry finds its first byte outside "0.,";
-    the run of zeros before it is checked by its length and one count.
+    A byte mask over the span finds the first byte outside "0.," of each
+    nonzero entry; the run of zeros before the entry is checked by its length
+    and one count.
     """
     index, values = [], []
     count, pos = 0, lo  # entries read; start of the next entry
-    while (found := _NONZERO_BYTE.search(data, pos, hi)) is not None:
-        comma = data.rfind(b",", pos, found.start())
+    for found in _nonzero_bytes(data, lo, hi).tolist():
+        if found < pos:
+            continue  # the entry just read, cut by a chunk boundary
+        comma = data.rfind(b",", pos, found)
         first = pos if comma < 0 else comma + 1
-        last = data.find(b",", found.start(), hi)
+        last = data.find(b",", found, hi)
         last = hi if last < 0 else last
         zeros = _zero_run(data, pos, first)
         if zeros is None or _FLOAT_TOKEN.fullmatch(data, first, last) is None:
@@ -170,6 +173,25 @@ def _float_array_from_json(data: bytes, lo: int, hi: int):
     array = np.zeros(count)
     array[index] = values
     return array
+
+
+def _nonzero_bytes(data: bytes, lo: int, hi: int) -> np.ndarray:
+    """Ascending offsets in ``data[lo:hi]`` of the first byte outside "0.,"
+    of each entry that has one: the bytes that neither a "0.0" entry nor a
+    separator holds.  The span is masked one ``SCAN_CHUNK`` at a time; an
+    entry cut by a chunk boundary may be listed twice."""
+    span = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+    found = [np.zeros(0, dtype=np.intp)]
+    for start in range(0, span.size, SCAN_CHUNK):
+        chunk = span[start : start + SCAN_CHUNK]
+        outside = np.flatnonzero((chunk != ord("0")) & (chunk != ord(".")) & (chunk != ord(",")))
+        if outside.size:
+            # an entry holds no comma: a byte starts one iff a comma lies between it and the last
+            first = np.ones(outside.size, dtype=bool)
+            first[1:] = np.logical_or.reduceat(chunk == ord(","), outside)[:-1]
+            outside = outside[first]
+        found.append(outside + (lo + start))
+    return np.concatenate(found)
 
 
 def _zero_run(data: bytes, start: int, stop: int):

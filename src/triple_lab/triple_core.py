@@ -289,6 +289,50 @@ def in_slots(p, *maps) -> np.ndarray:
     return p
 
 
+def sign_grading(p) -> np.ndarray:
+    """Characters of the sign automorphisms of the product with structure tensor ``p``.
+
+    A sign vector sigma is an automorphism iff sigma_i sigma_j sigma_k sigma_l = 1
+    on every nonzero p[i, j, k, l]; written additively, the sigmas are the kernel
+    of a GF(2) system read off the nonzero pattern alone.  With s_a the bits of
+    index a under a basis of that kernel, entry [a, b] of the returned (n, n)
+    uint64 array is the character s_a xor s_b of the map entry (a, b), one bit
+    per generator.  Conjugation by sigma scales that entry by sigma_a sigma_b, so
+    derivation spaces split over the distinct characters; a tensor without sign
+    symmetry gives one character.
+    """
+    n = p.shape[0]
+    one = np.uint64(1)
+    bits = one << np.arange(n, dtype=np.uint64)
+    i, j, k, l = np.nonzero(p)
+    rows = bits[i] ^ bits[j] ^ bits[k] ^ bits[l]
+    # Gaussian elimination over GF(2), one column at a time: pivot c has bit c
+    # and bits of later columns only
+    pivots = {}
+    for c in range(n):
+        rows = rows[rows != 0]
+        hit = (rows & bits[c]) != 0
+        if hit.any():
+            pivot = rows[np.argmax(hit)]
+            rows = np.where(hit, rows ^ pivot, rows)
+            pivots[c] = int(pivot)
+    for c in reversed(list(pivots)):  # back substitution to reduced echelon form
+        for other in pivots:
+            if other < c and pivots[other] >> c & 1:
+                pivots[other] ^= pivots[c]
+    # one kernel generator per free column f: x_f = 1, x_c = bit f of pivot c
+    generators = [
+        (1 << f) | sum(1 << c for c, row in pivots.items() if row >> f & 1)
+        for f in range(n)
+        if f not in pivots
+    ]
+    codes = np.zeros(n, dtype=np.uint64)
+    for g, gen in enumerate(generators):
+        member = (np.uint64(gen) & bits) != 0
+        codes[member] |= one << np.uint64(g)
+    return codes[:, None] ^ codes[None, :]
+
+
 def triple_product(x: Element, y: Element, z: Element) -> Element:
     system = _same_system(x, y, z)
     return Element(system, system.product_arrays(x.coords, y.coords, z.coords))

@@ -23,18 +23,18 @@ from triple_lab import (
 from triple_lab.derivations import (
     DEFAULT_SEED,
     DerivationSpace,
-    _leibniz_gram,
+    _leibniz_blocks,
     default_point_set,
     leibniz_residual,
     space_from_json,
     space_to_json,
 )
-from triple_lab.errors import InvalidInput, Unsupported
+from triple_lab.errors import InvalidInput, NoSpectralGap, Unsupported
 from triple_lab.factors import as_real_form
 from triple_lab.numerics import least_squares_residual, orthonormal_columns, span_distance
 from triple_lab.report import canonical_json
-from triple_lab.repro import counterexample_map
-from triple_lab.triple_core import Q_operator
+from triple_lab.repro import counterexample_map, load_suite
+from triple_lab.triple_core import Q_operator, TripleSystem, sign_grading
 
 
 def oracle_leibniz_matrix(system, kind):
@@ -171,14 +171,17 @@ ORACLE_SYSTEMS = (
 )
 
 
-@pytest.mark.parametrize("kind", ["triple", "symmetrized"])
-@pytest.mark.parametrize("label", ORACLE_SYSTEMS)
-def test_leibniz_gram_matches_stacked_oracle(label, kind):
-    system = direct_sum([build_factor(spec) for spec in label.split("+")])
+def _assert_blocks_match_oracle(system, kind):
+    """Each block of ``_leibniz_blocks`` is its submatrix of the stacked oracle,
+    the oracle is exactly 0.0 outside the blocks, and the space is scipy's kernel."""
     leibniz = oracle_leibniz_matrix(system, kind)
-    expected = leibniz.T @ leibniz
-    gram = _leibniz_gram(system.product_tensor(kind))
-    assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+    p = system.product_tensor(kind)
+    covered = np.zeros(leibniz.shape, dtype=bool)
+    for _, cols, rows, m in _leibniz_blocks(p, sign_grading(p)):
+        block = leibniz[np.ix_(rows, cols)]
+        assert np.max(np.abs(m - block), initial=0.0) <= 1e-15
+        covered[np.ix_(rows, cols)] = True
+    assert np.all(leibniz[~covered] == 0.0)
     kernel = scipy.linalg.null_space(leibniz)
     space = derivation_space(system, kind)
     basis = space.basis_stack().reshape(space.dim, -1).T
@@ -187,10 +190,133 @@ def test_leibniz_gram_matches_stacked_oracle(label, kind):
 
 
 @pytest.mark.parametrize("kind", ["triple", "symmetrized"])
+@pytest.mark.parametrize("label", ORACLE_SYSTEMS)
+def test_leibniz_gram_matches_stacked_oracle(label, kind):
+    # the Gram is block diagonal: its blocks M^T M come from these M
+    _assert_blocks_match_oracle(direct_sum([build_factor(spec) for spec in label.split("+")]), kind)
+
+
+def _rotated(label, seed):
+    """The factor in a random orthonormal basis: the same product, no coordinate sign symmetry."""
+    base = build_factor(label)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((base.dim, base.dim)))
+    tensor = np.einsum("ijkl,ia,jb,kc,ld->abcd", base.tensor, q, q, q, q)
+    return TripleSystem(f"rotated {label}", tensor)
+
+
+@pytest.mark.parametrize("kind", ["triple", "symmetrized"])
+def test_tensor_without_sign_symmetry_is_one_block(kind):
+    system = _rotated("I_C(2,1)", 7)
+    # only the global sign -1 is left, and it fixes every map entry
+    assert np.unique(sign_grading(system.product_tensor(kind))).size == 1
+    _assert_blocks_match_oracle(system, kind)
+    assert derivation_space(system, kind).dim == (TRIPLE_DIMS if kind == "triple" else SYM_DIMS)["I_C(2,1)"]
+
+
+GRADING_SYSTEMS = ("I_C(2,1)", "I_R(2,2)+SPIN_R(3,1)", "II_R(4)", "III_R(3)", "SPIN_C(3)", "I_H(2,1)")
+
+
+def _sign_automorphisms(p):
+    """Every sign vector sigma with sigma_i sigma_j sigma_k sigma_l = 1 on the nonzeros of p, by brute force."""
+    n = p.shape[0]
+    signs = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    i, j, k, l = np.nonzero(p)
+    return signs[np.all(signs[:, i] * signs[:, j] * signs[:, k] * signs[:, l] == 1, axis=1)]
+
+
+@pytest.mark.parametrize("kind", ["triple", "symmetrized"])
+@pytest.mark.parametrize("label", GRADING_SYSTEMS)
+def test_sign_grading_is_the_joint_eigenspaces_of_every_sign_automorphism(label, kind):
+    system = direct_sum([build_factor(spec) for spec in label.split("+")])
+    p = system.product_tensor(kind)
+    chars = sign_grading(p).reshape(-1)
+    autos = _sign_automorphisms(p)
+    # entry (a, b) is scaled by sigma_a sigma_b; entries share a block iff every sigma scales them alike
+    scaling = (autos[:, :, None] * autos[:, None, :]).reshape(len(autos), -1).T
+    _, by_char = np.unique(chars, return_inverse=True)
+    _, by_scaling = np.unique(scaling, axis=0, return_inverse=True)
+    pairs = np.unique(np.stack([by_char, by_scaling.reshape(-1)]), axis=1)
+    assert pairs.shape[1] == by_char.max() + 1 == by_scaling.max() + 1
+    # generators read off the characters: bit g of s_a xor s_0
+    codes = chars.reshape(system.dim, system.dim)[:, 0]
+    i, j, k, l = np.nonzero(p)
+    space = derivation_space(system, kind)
+    cols = space.basis_stack().reshape(space.dim, -1).T
+    for g in range(int(codes.max()).bit_length()):
+        sigma = 1 - 2 * ((codes >> np.uint64(g)) & np.uint64(1)).astype(int)
+        assert np.all(sigma[i] * sigma[j] * sigma[k] * sigma[l] == 1)
+        for t in space.basis:
+            assert span_distance(sigma[:, None] * t.entries * sigma[None, :], cols) <= 1e-12
+
+
+LADDER_AND_SUMS = (
+    "I_C(2,1)", "I_C(2,2)", "I_R(3,3)", "II_R(5)", "III_R(4)", "SPIN_R(16,0)",
+    *("+".join(pair) for key in ("sums_equal", "sums_gap") for pair in load_suite()[key]),
+)
+
+
+@pytest.mark.parametrize("label", LADDER_AND_SUMS)
+def test_block_residuals_equal_the_dense_leibniz_residual(label):
+    system = direct_sum([build_factor(spec) for spec in label.split("+")])
+    for kind in ("triple", "symmetrized", "inner_span"):
+        space = derivation_space(system, kind)
+        leibniz_kind = "triple" if kind == "inner_span" else kind
+        dense = [leibniz_residual(t, leibniz_kind)["max_residual"] for t in space.basis]
+        assert len(space.leibniz_residuals) == space.dim
+        assert np.max(np.abs(np.subtract(space.leibniz_residuals, dense)), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["triple", "symmetrized", "inner_span"])
+def test_space_records_the_health_of_its_rank_decision(kind):
+    system = build_factor("I_H(2,1)")
+    space = derivation_space(system, kind)
+    if kind == "inner_span":
+        assert space.rank == space.dim and space.cutoff == space.tol
+    else:
+        assert space.rank + space.dim == system.dim**2 and space.cutoff == 1e-12
+    assert 10 * space.cutoff <= space.min_kept <= 1.0
+    assert 0.0 <= space.max_kernel <= 0.1 * space.cutoff
+    # not part of the value, nor of the JSON form
+    assert DerivationSpace(system, kind, space.basis, space.tol) == space
+    assert set(space_to_json(space)) == {"kind", "dim", "tol", "basis"}
+    loaded = space_from_json(space_to_json(space), system)
+    assert loaded.rank is None and loaded.leibniz_residuals is None
+
+
+def test_zero_product_has_every_map_as_derivation():
+    # every sign vector is an automorphism, so the blocks are as small as they get
+    system = TripleSystem("zero", np.zeros((3, 3, 3, 3)))
+    for kind in ("triple", "symmetrized"):
+        space = derivation_space(system, kind)
+        assert space.dim == 9 and space.rank == 0 and space.min_kept is None
+        assert space.max_kernel == 0.0 and max(space.leibniz_residuals) == 0.0
+    assert derivation_space(system, "inner_span").dim == 0
+
+
+def test_rank_decision_near_its_cutoff_is_a_typed_error():
+    base = build_factor("I_R(2,2)")
+    tensor = base.tensor.copy()
+    # a perturbation of 1e-6 moves kernel eigenvalues to about 1e-12 * lambda_max
+    for delta, raises in ((1e-9, False), (1e-6, True)):
+        tensor[0, 0, 1, 2] = tensor[1, 0, 0, 2] = base.tensor[0, 0, 1, 2] + delta
+        system = TripleSystem("perturbed I_R(2,2)", tensor)
+        if raises:
+            with pytest.raises(NoSpectralGap):
+                derivation_space(system, "triple")
+        else:
+            assert derivation_space(system, "triple").dim == TRIPLE_DIMS["I_R(2,2)"]
+
+
+@pytest.mark.parametrize("kind", ["triple", "symmetrized"])
 def test_derivation_space_at_dimension_28(kind):
     # II_R(8) has n = 28 (well under the cap of 64); its derivation algebra is
     # so(8), of dimension 28
     assert derivation_space(build_factor("II_R(8)"), kind).dim == 28
+
+
+def test_derivation_space_at_dimension_48():
+    # I_H(4,3) has n = 48; its derivation algebra is sp(4) + sp(3), of dimension 36 + 21
+    assert derivation_space(build_factor("I_H(4,3)"), "triple").dim == 57
 
 
 def test_inner_derivation_identities():
