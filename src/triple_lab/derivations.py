@@ -33,6 +33,7 @@ DEFAULT_SAMPLES = 256
 # (a block larger than this comes alone): 64 MB
 BLOCK_ENTRIES = 2**23
 
+
 @dataclass(frozen=True)
 class DerivationSpace:
     """Orthonormal basis (Frobenius inner product) of a derivation space.
@@ -42,9 +43,8 @@ class DerivationSpace:
     (``min_kept``, None if none) and the largest value at or below it
     (``max_kernel``), both over the largest value.  The values are the block
     Gram eigenvalues of the Leibniz operator, or for ``inner_span`` the
-    singular values of the spanning vectors.  ``leibniz_residuals`` holds each
-    basis map's Leibniz residual.  None of these is part of the value or of
-    the JSON form; a space read from JSON has none of them.
+    singular values of the spanning vectors.  None of these is part of the
+    value or of the JSON form; a space read from JSON has none of them.
 
     ``_frames`` is the memo of ``_local_residuals``: the SVD frames of the last
     chunk of points checked against this space.  It is not part of the value.
@@ -58,7 +58,6 @@ class DerivationSpace:
     cutoff: float | None = field(default=None, compare=False)
     min_kept: float | None = field(default=None, compare=False)
     max_kernel: float | None = field(default=None, compare=False)
-    leibniz_residuals: tuple | None = field(default=None, compare=False, repr=False)
     _frames: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -151,15 +150,14 @@ def derivation_space(
     in_basis = kept if kind == "inner_span" else [~k for k in kept]
     health = _check_spectrum(system, kind, cutoff, top, spectra, kept)
     basis_matrix = np.zeros((sum(int(b.sum()) for b in in_basis), n * n))
-    residuals, row = [], 0
+    worst, row = 0.0, 0
     for (block, _, vecs, norms), chosen in zip(spectra, in_basis):
         picked = vecs[:, chosen]
         if picked.size and np.max(np.abs(picked.T @ picked - np.eye(picked.shape[1]))) > 1e-10:
             raise InvalidInput("derivation basis lost orthonormality")
         basis_matrix[row : row + picked.shape[1], block] = picked.T
-        residuals.extend(norms[chosen].tolist())
+        worst = max(worst, float(norms[chosen].max(initial=0.0)))
         row += picked.shape[1]
-    worst = max(residuals, default=0.0)
     if worst > 10 * max(tol, 1e-9):
         raise InvalidInput(
             f"derivation basis violates its Leibniz identity (residual {worst:.3e})"
@@ -167,7 +165,7 @@ def derivation_space(
     # the basis maps are views of basis_matrix; frozen, they cannot outdate the frames memo
     basis_matrix.flags.writeable = False
     maps = tuple(LinearMap(system, r.reshape(n, n)) for r in basis_matrix)
-    return DerivationSpace(system, kind, maps, tol, leibniz_residuals=tuple(residuals), **health)
+    return DerivationSpace(system, kind, maps, tol, **health)
 
 
 def _check_spectrum(system, kind, cutoff, top, spectra, kept) -> dict:

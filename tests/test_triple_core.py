@@ -22,7 +22,7 @@ from triple_lab import (
 )
 from triple_lab.errors import InvalidInput, SystemMismatch, TooLarge, Unsupported
 from triple_lab.factors import direct_sum
-from triple_lab import factors, triple_core
+from triple_lab import factors, report, triple_core
 from triple_lab.report import canonical_json, read_json_array, write_json
 from triple_lab.triple_core import (
     check_complex_structure,
@@ -410,6 +410,12 @@ def _json_tensor(path) -> np.ndarray:
         return np.asarray(json.load(fh)["tensor"], dtype=float).reshape(-1)
 
 
+def _no_fallback(*args):
+    raise AssertionError("the tensor reader fell back to read_json")
+
+
+# masking chunks of the tensor reader: entries longer than 3 or 7 bytes are cut
+CHUNKS = (3, 7, report.SCAN_CHUNK)
 FINITE_SPECIALS = [-0.0, 5e-324, 1e16, 1.0 / 3.0, 1.0, -2.5e-308]
 
 
@@ -423,12 +429,13 @@ FINITE_SPECIALS = [-0.0, 5e-324, 1e16, 1.0 / 3.0, 1.0, -2.5e-308]
         ),
         max_size=12,
     ),
+    chunk=st.sampled_from(CHUNKS),
 )
-@example(n=0, entries=[])
-@example(n=2, entries=[])
-@example(n=2, entries=[(0, 1.0 / 3.0), (15, -0.0)])  # no run at either end
-@example(n=3, entries=[(40, 5e-324), (41, 1e16)])  # runs at both ends, adjacent entries
-def test_saved_tensors_load_as_json_parses_them(tmp_path_factory, n, entries):
+@example(n=0, entries=[], chunk=report.SCAN_CHUNK)
+@example(n=2, entries=[], chunk=report.SCAN_CHUNK)
+@example(n=2, entries=[(0, 1.0 / 3.0), (15, -0.0)], chunk=3)  # no run at either end
+@example(n=3, entries=[(40, 5e-324), (41, 1e16)], chunk=7)  # runs at both ends, adjacent entries
+def test_saved_tensors_load_as_json_parses_them(tmp_path_factory, n, entries, chunk):
     # entries set symmetrically in the outer slots survive the symmetrization bit for bit
     tensor = np.zeros((n,) * 4)
     for index, value in entries:
@@ -437,7 +444,11 @@ def test_saved_tensors_load_as_json_parses_them(tmp_path_factory, n, entries):
             tensor[i, j, k, l] = tensor[k, j, i, l] = value
     path = tmp_path_factory.mktemp("wire") / "system.json"
     triple_core.save_system(TripleSystem("t", tensor), path)
-    loaded = triple_core.load_system(path)
+    with pytest.MonkeyPatch.context() as patch:
+        # a small chunk cuts entries at chunk boundaries
+        patch.setattr(report, "SCAN_CHUNK", chunk)
+        patch.setattr(report, "read_json", _no_fallback)
+        loaded = triple_core.load_system(path)
     assert loaded.tensor.tobytes() == _json_tensor(path).tobytes() == tensor.tobytes()
 
 
@@ -450,21 +461,21 @@ def test_saved_tensors_load_as_json_parses_them(tmp_path_factory, n, entries):
             st.integers(1, 40).map(lambda k: [0.0] * k),
         ),
         max_size=40,
-    )
+    ),
+    st.sampled_from(CHUNKS),
 )
-@example([[0.0] * 2, 1.0, [0.0] * 3, -0.0, [0.0]])
-def test_array_reader_inverts_the_array_writer(tmp_path_factory, parts):
+@example([[0.0] * 2, 1.0, [0.0] * 3, -0.0, [0.0]], 3)
+@example([1e16, -2.5e-308, [0.0] * 5, 1.0 / 3.0], 7)
+def test_array_reader_inverts_the_array_writer(tmp_path_factory, parts, chunk):
     # NaN and infinities are not JSON numbers: those files take the json path
     arr = np.array([v for p in parts for v in (p if isinstance(p, list) else [p])], dtype=float)
     path = tmp_path_factory.mktemp("wire") / "array.json"
     write_json({"name": "a", "tensor": arr}, path)
-    payload = read_json_array(path, "array", "tensor")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "SCAN_CHUNK", chunk)
+        payload = read_json_array(path, "array", "tensor")
     assert payload["name"] == "a"
     assert np.asarray(payload["tensor"], dtype=float).tobytes() == _json_tensor(path).tobytes()
-
-
-def _no_fallback(*args):
-    raise AssertionError("the tensor reader fell back to read_json")
 
 
 @pytest.mark.parametrize("case", sorted(WIRE_CASES))
@@ -474,9 +485,11 @@ def test_saved_files_take_the_zero_run_reader(tmp_path, monkeypatch, case):
     triple_core.save_system(system, path)
     oracle = _json_tensor(path)
     monkeypatch.setattr("triple_lab.report.read_json", _no_fallback)
-    loaded = triple_core.load_system(path)
-    assert loaded == system
-    assert loaded.tensor.tobytes() == oracle.tobytes()
+    for chunk in CHUNKS:
+        monkeypatch.setattr(report, "SCAN_CHUNK", chunk)
+        loaded = triple_core.load_system(path)
+        assert loaded == system
+        assert loaded.tensor.tobytes() == oracle.tobytes()
 
 
 def _compact(payload) -> str:
