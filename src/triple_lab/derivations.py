@@ -18,12 +18,12 @@ from .triple_core import (
     LinearMap,
     TripleSystem,
     _require_keys,
+    _run_starts,
     _same_system,
     _wire_dim,
     _wire_floats,
     batch_rows,
     in_slots,
-    sign_grading,
 )
 
 KINDS = ("triple", "symmetrized", "inner_span")
@@ -104,8 +104,9 @@ def derivation_space(
     n = system.dim
     if n == 0:
         return DerivationSpace(system, kind, (), tol)
-    p = system.product_tensor("triple" if kind == "inner_span" else kind)
-    chars = sign_grading(p)
+    product = "triple" if kind == "inner_span" else kind
+    p = system.product_tensor(product)
+    chars = system.unfolding(product).chars
     if kind == "inner_span":
         # vector (i, j), i < j, is L(e_i, e_j) - L(e_j, e_i), whose entry [l, k]
         # is c[i, j, k, l] - c[j, i, k, l]; it lies in block chars[i, j]
@@ -260,13 +261,6 @@ def _leibniz_blocks(p: np.ndarray, chars: np.ndarray):
             m = dense[offset[i] : offset[i] + size[i]].reshape(count[i], width[b])
             row_keys = rows[row_first[i] : row_first[i] + count[i]] - b * n**4
             yield labels[b], order[first[b] : first[b] + width[b]], row_keys, m
-
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from the one before."""
-    new = np.ones(ordered.size, dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    return new
 
 
 def _grouped_norms(res: np.ndarray, group: np.ndarray) -> np.ndarray:

@@ -64,9 +64,11 @@ def _check_suite(config) -> None:
             f"{key!r} must be a non-empty list of lists of factor labels",
         )
     table = config.get("samples")
+    # bool is an int subclass but no count; a count of 0 checks nothing
     require(
-        isinstance(table, dict) and all(isinstance(table.get(n), int) for n in samples),
-        f"'samples' must give {', '.join(samples)} as integers",
+        isinstance(table, dict)
+        and all(type(table.get(n)) is int and table[n] > 0 for n in samples),
+        f"'samples' must give {', '.join(samples)} as positive integers",
     )
     require_known(table, samples, " in 'samples'")
 
@@ -152,9 +154,10 @@ def repro_example_counterexample(seed: int = DEFAULT_SEED) -> Report:
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     txs = xs @ t.entries.T
     skew_worst = float(np.max(np.abs(np.sum(xs * txs, axis=1))))
-    lhs = triple_core.product_batch(system.tensor, xs, xs, xs) @ t.entries.T
-    rhs = 2.0 * triple_core.product_batch(system.tensor, txs, xs, xs)
-    rhs += triple_core.product_batch(system.tensor, xs, txs, xs)
+    u = system.unfolding("triple")
+    lhs = triple_core.product_batch(u, xs, xs, xs) @ t.entries.T
+    rhs = 2.0 * triple_core.product_batch(u, txs, xs, xs)
+    rhs += triple_core.product_batch(u, xs, txs, xs)
     cubic_worst = float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
 
     sym_report = derivations.is_derivation(t, "symmetrized", tol=1e-10)

@@ -107,6 +107,7 @@ class TripleSystem:
         # (offset, length, factor_kind) per summand; direct sums and their real forms only.
         self.blocks = None if blocks is None else tuple(blocks)
         self._sym_tensor = None
+        self._unfoldings = {}
 
     def __repr__(self):
         return f"TripleSystem({self.name!r}, dim={self.dim})"
@@ -148,7 +149,7 @@ class TripleSystem:
 
     def product_arrays(self, x, y, z) -> np.ndarray:
         rows = [np.reshape(v, (1, -1)) for v in (x, y, z)]
-        return product_batch(self.tensor, *rows)[0]
+        return product_batch(self.unfolding("triple"), *rows)[0]
 
     def sym_tensor(self) -> np.ndarray:
         """Structure tensor of the fully symmetric product <a,b,c>."""
@@ -165,6 +166,12 @@ class TripleSystem:
         if kind == "symmetrized":
             return self.sym_tensor()
         raise InvalidInput(f"unknown product kind {kind!r}")
+
+    def unfolding(self, kind: str) -> "GradedUnfolding":
+        """``graded_unfolding`` of ``product_tensor(kind)``, built once per kind."""
+        if kind not in self._unfoldings:
+            self._unfoldings[kind] = graded_unfolding(self.product_tensor(kind))
+        return self._unfoldings[kind]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,23 +259,29 @@ def _same_system_map(a, b) -> TripleSystem:
 # -- products and operators -------------------------------------------------
 
 
-def product_batch(c, x, y, z) -> np.ndarray:
-    """Rows {x_b, y_b, z_b} of a product with structure tensor ``c``.
+def product_batch(u: "GradedUnfolding", x, y, z) -> np.ndarray:
+    """Rows {x_b, y_b, z_b} of the product whose graded unfolding is ``u``.
 
-    ``x``, ``y`` and ``z`` are (b, n) stacks of coordinates.  The outer
-    products x_b (x) y_b form a (b, n^2) matrix, one GEMM against the
-    (n^2, n^2) unfolding of ``c`` gives the maps z -> {x_b, y_b, z}, and a
+    ``x``, ``y`` and ``z`` are (b, n) stacks of coordinates.  The products
+    x_b[i] y_b[j] form an (n^2, b) matrix in the block order of ``u``, one
+    batched GEMM per block width gives the maps z -> {x_b, y_b, z}, and a
     batched matrix-vector product applies them to z_b.
     """
-    return _apply_maps(_product_maps(c, x, y), z)
+    return _apply_maps(_product_maps(u, x, y), z)
 
 
-def _product_maps(c, x, y) -> np.ndarray:
+def _product_maps(u: "GradedUnfolding", x, y) -> np.ndarray:
     """(b, n, n) stack M with {x_b, y_b, z} = z @ M[b]."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    b, n = x.shape
-    xy = (x[:, :, None] * y[:, None, :]).reshape(b, n * n)
-    return (xy @ c.reshape(n * n, n * n)).reshape(b, n, n)
+    b = x.shape[0]
+    # one row per pair and one column per sample, so that each gather copies
+    # whole rows and each group of blocks is a contiguous (m, w, b) stack
+    xy = x.T[u.left] * y.T[u.right]
+    out = np.empty_like(xy)
+    for lo, hi, blocks in u.groups:
+        m, w = blocks.shape[:2]
+        np.matmul(blocks, xy[lo:hi].reshape(m, w, b), out=out[lo:hi].reshape(m, w, b))
+    return np.ascontiguousarray(out[u.inverse].T).reshape(b, u.dim, u.dim)
 
 
 def _apply_maps(maps, z) -> np.ndarray:
@@ -333,6 +346,61 @@ def sign_grading(p) -> np.ndarray:
     return codes[:, None] ^ codes[None, :]
 
 
+@dataclass(frozen=True, eq=False)
+class GradedUnfolding:
+    """The (n^2, n^2) unfolding U of a structure tensor p, row (i, j) and
+    column (k, l) holding p[i, j, k, l], stored as the diagonal blocks of U^T.
+
+    A nonzero p[i, j, k, l] has chars[i, j] == chars[k, l] (``sign_grading``),
+    so U is block diagonal over the characters.  Position q of the block order
+    is the pair (left[q], right[q]); the pairs are sorted by (block width,
+    character), and ``inverse`` maps a flat pair i * n + j to its position.
+    ``groups`` holds (lo, hi, blocks) per distinct width w: the (m, w, w) stack
+    of the m blocks of U^T at positions lo:hi.  A tensor with one character is
+    one block, a view of the tensor.
+    """
+
+    dim: int
+    chars: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    inverse: np.ndarray
+    groups: tuple
+
+
+def graded_unfolding(p) -> GradedUnfolding:
+    """The unfolding of ``p`` split into the blocks of ``sign_grading(p)``."""
+    n = p.shape[0]
+    chars = sign_grading(p)
+    flat = chars.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    block = np.cumsum(_run_starts(flat[order])) - 1
+    width = np.bincount(block)[block]
+    by_width = np.argsort(width, kind="stable")
+    order, width = order[by_width], width[by_width]
+    unfolded = p.reshape(n * n, n * n)
+    edges = [*np.flatnonzero(_run_starts(width)).tolist(), n * n]
+    groups = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        w = int(width[lo])
+        if w == n * n:  # one character: no copy
+            blocks = unfolded.T[None]
+        else:
+            pairs = order[lo:hi].reshape(-1, w)
+            blocks = unfolded[pairs[:, None, :], pairs[:, :, None]]
+        groups.append((lo, hi, blocks))
+    inverse = np.empty(n * n, dtype=np.intp)
+    inverse[order] = np.arange(n * n)
+    return GradedUnfolding(n, chars, order // n, order % n, inverse, tuple(groups))
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    new = np.ones(ordered.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return new
+
+
 def triple_product(x: Element, y: Element, z: Element) -> Element:
     system = _same_system(x, y, z)
     return Element(system, system.product_arrays(x.coords, y.coords, z.coords))
@@ -342,7 +410,7 @@ def symmetrized_product(a: Element, b: Element, c: Element) -> Element:
     """Fully symmetric product <a,b,c>: the average of the three cyclic shifts."""
     system = _same_system(a, b, c)
     rows = [e.coords[None, :] for e in (a, b, c)]
-    return Element(system, product_batch(system.sym_tensor(), *rows)[0])
+    return Element(system, product_batch(system.unfolding("symmetrized"), *rows)[0])
 
 
 def L_operator(a: Element, b: Element) -> LinearMap:
@@ -371,10 +439,12 @@ def check_jordan_identity(
     """Residual of L(a,b){xyz} = {L(a,b)x,y,z} - {x,L(b,a)y,z} + {x,y,L(a,b)z}.
 
     Exhaustive over basis 5-tuples for dim <= 8 (trilinearity makes that
-    sufficient), randomized over seeded unit samples above.
+    sufficient), randomized over seeded unit samples above, at least 1000.
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
+    if samples < 1:  # no samples would pass without checking anything
+        raise InvalidInput(f"samples must be at least 1, got {samples!r}")
     n = system.dim
     c = system.tensor
     witness = {}
@@ -394,6 +464,7 @@ def check_jordan_identity(
             witness = {"basis_tuple": [int(i) for i in idx]}
     else:
         used_seed = seed
+        u = system.unfolding("triple")
         rng = np.random.default_rng(seed)
         count = max(int(samples), 1000)
         rows = batch_rows(n * n)
@@ -402,7 +473,7 @@ def check_jordan_identity(
             vecs = rng.standard_normal((5, min(BATCH_ROWS, count - first), n))
             vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
             norms = np.concatenate(
-                [_jordan_defects(c, vecs[:, i : i + rows]) for i in range(0, vecs.shape[1], rows)]
+                [_jordan_defects(u, vecs[:, i : i + rows]) for i in range(0, vecs.shape[1], rows)]
             )
             if worst is None or norms.max() > max_residual:
                 max_residual = float(norms.max())
@@ -420,14 +491,14 @@ def check_jordan_identity(
     )
 
 
-def _jordan_defects(c, vecs) -> np.ndarray:
+def _jordan_defects(u, vecs) -> np.ndarray:
     """Per-sample norm of the Jordan identity's defect at rows (a, b, x, y, z)."""
     a, b, x, y, z = vecs
-    # L(a,b) and L(x,y) each act twice: five GEMMs, not seven
-    ab, xy = _product_maps(c, a, b), _product_maps(c, x, y)
+    # L(a,b) and L(x,y) each act twice: five kernel calls, not seven
+    ab, xy = _product_maps(u, a, b), _product_maps(u, x, y)
     lhs = _apply_maps(ab, _apply_maps(xy, z))
-    t1 = product_batch(c, _apply_maps(ab, x), y, z)
-    t2 = product_batch(c, x, product_batch(c, b, a, y), z)
+    t1 = product_batch(u, _apply_maps(ab, x), y, z)
+    t2 = product_batch(u, x, product_batch(u, b, a, y), z)
     t3 = _apply_maps(xy, _apply_maps(ab, z))
     return np.linalg.norm(lhs - t1 + t2 - t3, axis=1)
 
@@ -442,16 +513,19 @@ def check_norm_axiom(
     """Relative residual of ||{a,a,a}|| = ||a||^3 on seeded random elements."""
     from .factors import element_norms  # late import: factors builds on this module
 
+    if samples < 1:  # see check_jordan_identity
+        raise InvalidInput(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     samples = int(samples)
     worst = 0.0
     witness = {}
     rows = batch_rows(system.dim**2)
+    u = system.unfolding("triple")
     # row by row, the blocks draw the same stream as one draw per sample
     for first in range(0, samples, rows):
         coords = rng.standard_normal((min(rows, samples - first), system.dim))
         coords = coords[np.any(coords, axis=1)]
-        cubes = product_batch(system.tensor, coords, coords, coords)
+        cubes = product_batch(u, coords, coords, coords)
         lhs = element_norms(system, cubes)
         rhs = element_norms(system, coords) ** 3
         rel = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)

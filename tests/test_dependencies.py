@@ -45,6 +45,37 @@ def test_import_and_help_load_no_scipy(child_env, tmp_path):
     assert json.loads(modules) == []
 
 
+# one interpreter runs a graded product and a derivation space, then prints
+# whether numpy.ma was imported: numpy 2.4 imports it on the first np.unique
+# call, which adds its import time and 1.6 MB of peak RSS (numpy 2.4.6, x86-64)
+GRADED_CHILD = """
+import json, sys
+import numpy as np
+import triple_lab
+from triple_lab.derivations import derivation_space
+from triple_lab.triple_core import product_batch
+system = triple_lab.build_factor("I_C(2,2)")
+graded = system.unfolding("triple")
+rows = np.random.default_rng(0).standard_normal((3, 4, system.dim))
+product_batch(graded, *rows)
+derivation_space(system, "triple")
+print(json.dumps([len(graded.groups[0][2]) > 1, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_graded_kernel_and_derivation_space_leave_numpy_ma_unimported(child_env, tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", GRADED_CHILD],
+        cwd=tmp_path,
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [True, False]
+
+
 def _third_party_imports(path: Path) -> set:
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

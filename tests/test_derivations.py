@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from triple_lab import (
     rank_one_local_witness,
     two_local_lift,
 )
-from triple_lab import derivations
+from triple_lab import cli, derivations
 from triple_lab.derivations import (
     DEFAULT_SEED,
     DerivationSpace,
@@ -36,7 +37,14 @@ from triple_lab.factors import as_real_form
 from triple_lab.numerics import least_squares_residual, orthonormal_columns, span_distance
 from triple_lab.report import canonical_json
 from triple_lab.repro import counterexample_map, load_suite
-from triple_lab.triple_core import LinearMap, Q_operator, TripleSystem, sign_grading
+from triple_lab.triple_core import (
+    LinearMap,
+    Q_operator,
+    TripleSystem,
+    load_system,
+    save_system,
+    sign_grading,
+)
 
 
 def oracle_leibniz_matrix(system, kind):
@@ -219,6 +227,31 @@ def test_tensor_without_sign_symmetry_is_one_block(kind, monkeypatch):
     assert np.unique(sign_grading(system.product_tensor(kind))).size == 1
     _assert_blocks_match_oracle(system, kind, monkeypatch)
     assert derivation_space(system, kind).dim == (TRIPLE_DIMS if kind == "triple" else SYM_DIMS)["I_C(2,1)"]
+
+
+@pytest.mark.parametrize("label", ("I_C(2,1)", "I_C(2,2)", "I_R(3,3)", "II_R(5)", "III_R(4)", "SPIN_R(16,0)"))
+def test_der_compute_takes_its_grading_from_the_unfolding_memo(label, tmp_path, monkeypatch):
+    factor = tmp_path / "factor.json"
+    save_system(build_factor(label), factor)
+
+    def compute(tag):
+        for kind in ("triple", "symmetrized", "inner"):
+            out = tmp_path / f"{tag}-{kind}.json"
+            assert cli.main(["der", "compute", "--factor", str(factor), "--kind", kind, "--out", str(out)]) == 0
+
+    compute("memo")
+    system = load_system(factor)
+    for product in ("triple", "symmetrized"):
+        assert np.array_equal(system.unfolding(product).chars, sign_grading(system.product_tensor(product)))
+    # the route before the memo: a fresh sign_grading of the tensor per space
+    monkeypatch.setattr(
+        TripleSystem,
+        "unfolding",
+        lambda self, kind: SimpleNamespace(chars=sign_grading(self.product_tensor(kind))),
+    )
+    compute("fresh")
+    for kind in ("triple", "symmetrized", "inner"):
+        assert (tmp_path / f"memo-{kind}.json").read_bytes() == (tmp_path / f"fresh-{kind}.json").read_bytes()
 
 
 GRADING_SYSTEMS = ("I_C(2,1)", "I_R(2,2)+SPIN_R(3,1)", "II_R(4)", "III_R(3)", "SPIN_C(3)", "I_H(2,1)")

@@ -449,6 +449,12 @@ MALFORMED_SUITES = {
     "sample_count_not_int": json.dumps(
         dict(SMALL_SUITE, samples=dict(SMALL_SUITE["samples"], flow_maps="4"))
     ),
+    # a count of 0 checks nothing, and bool is an int subclass but no count
+    "sample_count_zero": json.dumps(dict(SMALL_SUITE, samples=dict(SMALL_SUITE["samples"], norm=0))),
+    "sample_count_negative": json.dumps(
+        dict(SMALL_SUITE, samples=dict(SMALL_SUITE["samples"], witness_pairs=-5))
+    ),
+    "sample_count_bool": json.dumps(dict(SMALL_SUITE, samples=dict(SMALL_SUITE["samples"], flow_maps=True))),
     "top_level_list": json.dumps([SMALL_SUITE]),
     "invalid_json": "{not json",
     "missing_file": None,

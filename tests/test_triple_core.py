@@ -24,12 +24,16 @@ from triple_lab.errors import InvalidInput, SystemMismatch, TooLarge, Unsupporte
 from triple_lab.factors import direct_sum
 from triple_lab import factors, report, triple_core
 from triple_lab.report import canonical_json, read_json_array, write_json
+from triple_lab.repro import load_suite
 from triple_lab.triple_core import (
+    Element,
     check_complex_structure,
     check_hermitian_surrogate,
+    graded_unfolding,
     linear_map_from_json,
     linear_map_to_json,
     product_batch,
+    sign_grading,
     system_from_json,
     system_to_json,
 )
@@ -746,10 +750,10 @@ def test_product_batch_matches_per_row_einsum(label):
         system = build_factor(label)
     rng = np.random.default_rng(11)
     x, y, z = rng.standard_normal((3, 7, system.dim))
-    for c in (system.tensor, system.sym_tensor()):
-        expected = oracle_products(c, x, y, z)
-        assert np.max(np.abs(product_batch(c, x, y, z) - expected)) <= 1e-12
-    single = product_batch(system.tensor, x[:1], y[:1], z[:1])[0]
+    for kind in ("triple", "symmetrized"):
+        expected = oracle_products(system.product_tensor(kind), x, y, z)
+        assert np.max(np.abs(product_batch(system.unfolding(kind), x, y, z) - expected)) <= 1e-12
+    single = product_batch(system.unfolding("triple"), x[:1], y[:1], z[:1])[0]
     assert np.array_equal(system.product_arrays(x[0], y[0], z[0]), single)
 
 
@@ -790,15 +794,87 @@ def test_in_slots_edge_cases():
 
 def test_product_batch_edge_shapes():
     empty = np.zeros((0, 0, 0, 0))
-    assert product_batch(empty, *np.zeros((3, 5, 0))).shape == (5, 0)
+    assert product_batch(graded_unfolding(empty), *np.zeros((3, 5, 0))).shape == (5, 0)
     system = build_factor("I_C(2,1)")
     none = np.zeros((0, system.dim))
-    assert product_batch(system.tensor, none, none, none).shape == (0, system.dim)
+    assert product_batch(system.unfolding("triple"), none, none, none).shape == (0, system.dim)
     x, y, z = np.random.default_rng(2).standard_normal((3, 1, system.dim))
-    single = product_batch(system.tensor, x, y, z)
+    single = product_batch(system.unfolding("triple"), x, y, z)
     assert single.shape == (1, system.dim)
     assert np.max(np.abs(single - oracle_products(system.tensor, x, y, z))) <= 1e-14
-    assert TripleSystem("empty", empty).product_arrays(np.zeros(0), np.zeros(0), np.zeros(0)).shape == (0,)
+    empty_system = TripleSystem("empty", empty)
+    assert empty_system.product_arrays(np.zeros(0), np.zeros(0), np.zeros(0)).shape == (0,)
+    assert empty_system.unfolding("symmetrized").groups == ()
+    assert symmetrized_product(*[Element(empty_system, np.zeros(0))] * 3).coords.shape == (0,)
+
+
+_SUITE_CONFIG = load_suite()
+KERNEL_SYSTEMS = (
+    _SUITE_CONFIG["factors"]
+    + ["+".join(specs) for specs in _SUITE_CONFIG["sums_equal"] + _SUITE_CONFIG["sums_gap"]]
+    + ["II_C(4)", "I_C(4,4)", "rotated I_C(2,1)"]
+)
+
+
+def _kernel_system(label):
+    """A suite factor or direct sum; "rotated X" is X in a random orthonormal
+    basis, whose tensor has no zero entry and so a single character."""
+    if label.startswith("rotated "):
+        base = build_factor(label.split()[1])
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((base.dim, base.dim)))
+        return TripleSystem(label, np.einsum("ijkl,ia,jb,kc,ld->abcd", base.tensor, q, q, q, q))
+    return direct_sum([build_factor(spec) for spec in label.split("+")])
+
+
+@pytest.mark.parametrize("kind", ["triple", "symmetrized"])
+@pytest.mark.parametrize("label", KERNEL_SYSTEMS)
+def test_graded_kernel_matches_per_row_einsum(label, kind):
+    system = _kernel_system(label)
+    n = system.dim
+    p = system.product_tensor(kind)
+    rng = np.random.default_rng(13)
+    for b in (0, 1, triple_core.batch_rows(n * n) + 1):
+        x, y, z = rng.standard_normal((3, b, n))
+        got = product_batch(system.unfolding(kind), x, y, z)
+        expected = oracle_products(p, x, y, z)
+        assert got.shape == (b, n)
+        scale = np.max(np.abs(expected), initial=1.0)
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind", ["triple", "symmetrized"])
+@pytest.mark.parametrize("label", KERNEL_SYSTEMS)
+def test_unfolding_blocks_reassemble_the_tensor(label, kind):
+    system = _kernel_system(label)
+    n = system.dim
+    p = system.product_tensor(kind)
+    u = system.unfolding(kind)
+    assert system.unfolding(kind) is u
+    assert np.array_equal(u.chars, sign_grading(p))
+    chars = u.chars.reshape(-1)
+    unfolded = p.reshape(n * n, n * n)
+    # the grading is read off the nonzero pattern: nothing outside the blocks
+    assert np.all(unfolded[chars[:, None] != chars[None, :]] == 0.0)
+    _, widths = np.unique(chars, return_counts=True)
+    pairs = u.left * n + u.right
+    assert np.array_equal(np.sort(pairs), np.arange(n * n))
+    assert np.array_equal(u.inverse[pairs], np.arange(n * n))
+    rebuilt = np.zeros_like(unfolded)
+    copied = 0
+    for lo, hi, blocks in u.groups:
+        m, w = blocks.shape[:2]
+        block_pairs = pairs[lo:hi].reshape(m, w)
+        assert np.all(chars[block_pairs] == chars[block_pairs[:, :1]])
+        rebuilt[block_pairs[:, :, None], block_pairs[:, None, :]] = blocks.transpose(0, 2, 1)
+        if not np.shares_memory(blocks, p):
+            copied += blocks.size
+    assert np.array_equal(rebuilt, unfolded)
+    assert sum(blocks.shape[0] for _, _, blocks in u.groups) == widths.size
+    if widths.size == 1:
+        # one character: the block is the tensor itself, not a copy
+        assert len(u.groups) == 1 and np.shares_memory(u.groups[0][2], p) and copied == 0
+    else:
+        assert copied == int(np.sum(widths**2))
 
 
 class _ScriptedRng:
@@ -816,13 +892,13 @@ class _ScriptedRng:
 
 
 def oracle_norm_axiom(system, samples, rng, tol=1e-8):
-    """The per-sample loop: one draw, one cube and two norms per sample."""
+    """The per-sample loop: one draw, one einsum cube and two norms per sample."""
     worst, witness = 0.0, {}
     for _ in range(samples):
         coords = rng.standard_normal(system.dim)
         if not np.any(coords):
             continue
-        lhs = element_norm(system, system.product_arrays(coords, coords, coords))
+        lhs = element_norm(system, np.einsum("ijkl,i,j,k->l", system.tensor, coords, coords, coords))
         rhs = element_norm(system, coords) ** 3
         rel = abs(lhs - rhs) / max(rhs, 1e-300)
         if rel > worst:
@@ -855,6 +931,30 @@ def test_norm_axiom_matches_per_sample_loop(monkeypatch, corrupt):
         assert report.witnesses == {} and witness == {}
 
 
+def _einsum_jordan_norms(tensor, vecs):
+    """Per-sample norm of the Jordan identity's defect, one optimized einsum per product."""
+
+    def product(x, y, z):
+        return np.einsum("ijkl,bi,bj,bk->bl", tensor, x, y, z, optimize=True)
+
+    a, b, x, y, z = vecs
+    defect = (
+        product(a, b, product(x, y, z))
+        - product(product(a, b, x), y, z)
+        + product(x, product(b, a, y), z)
+        - product(x, y, product(a, b, z))
+    )
+    return np.linalg.norm(defect, axis=1)
+
+
+def _assert_jordan_matches_einsum(report, tensor, vecs):
+    norms = _einsum_jordan_norms(tensor, vecs)
+    assert report.status == "fail"
+    assert abs(report.residuals["max_residual"] - norms.max()) <= 1e-12 * norms.max()
+    assert report.witnesses["sample_index"] == int(norms.argmax())
+    assert np.array_equal(report.witnesses["sample"], vecs[:, int(norms.argmax()), :])
+
+
 def test_randomized_jordan_matches_einsum_across_draws():
     # a corrupted n = 16 system fails everywhere; 1500 samples are two draws,
     # and with this seed the worst sample is in the second
@@ -866,22 +966,50 @@ def test_randomized_jordan_matches_einsum_across_draws():
     rng = np.random.default_rng(3)
     draws = [rng.standard_normal((5, m, 16)) for m in (1024, 476)]
     vecs = np.concatenate([d / np.linalg.norm(d, axis=2, keepdims=True) for d in draws], axis=1)
+    _assert_jordan_matches_einsum(report, broken.tensor, vecs)
+    assert report.witnesses["sample_index"] >= 1024
 
-    def product(x, y, z):
-        return np.einsum("ijkl,bi,bj,bk->bl", broken.tensor, x, y, z, optimize=True)
 
-    a, b, x, y, z = vecs
-    defect = (
-        product(a, b, product(x, y, z))
-        - product(product(a, b, x), y, z)
-        + product(x, product(b, a, y), z)
-        - product(x, y, product(a, b, z))
-    )
-    norms = np.linalg.norm(defect, axis=1)
-    assert report.status == "fail"
-    assert abs(report.residuals["max_residual"] - norms.max()) <= 1e-12 * norms.max()
-    assert report.witnesses["sample_index"] == int(norms.argmax()) >= 1024
-    assert np.array_equal(report.witnesses["sample"], vecs[:, int(norms.argmax()), :])
+@pytest.mark.parametrize("keeps_grading", [True, False], ids=["grading_kept", "grading_coarsened"])
+def test_randomized_jordan_on_corrupted_large_tensor_matches_einsum(keeps_grading):
+    # I_C(4,4), n = 32: one outer-symmetric pair of entries raised by 0.1,
+    # either a nonzero pair (same nonzero pattern, same grading) or a pair
+    # joining two characters (a coarser grading: fewer, wider blocks)
+    system = build_factor("I_C(4,4)")
+    chars = sign_grading(system.tensor)
+    i, j = 0, 1
+    if keeps_grading:
+        k, l = next((k, l) for k, l in zip(*np.nonzero(system.tensor[i, j])) if k != i)
+    else:
+        k, l = next((k, l) for k in range(2, 32) for l in range(32) if chars[i, j] != chars[k, l])
+    tensor = np.array(system.tensor)
+    tensor[i, j, k, l] += 0.1
+    tensor[k, j, i, l] += 0.1
+    broken = TripleSystem("broken", tensor)
+    graded = broken.unfolding("triple")
+    assert np.array_equal(graded.chars, chars) is keeps_grading
+    if not keeps_grading:
+        assert len(set(graded.chars.ravel().tolist())) < len(set(chars.ravel().tolist()))
+    report = check_jordan_identity(broken, samples=1000, seed=3)
+    vecs = np.random.default_rng(3).standard_normal((5, 1000, 32))
+    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+    _assert_jordan_matches_einsum(report, broken.tensor, vecs)
+
+
+def test_randomized_jordan_passes_on_the_largest_factor():
+    assert check_jordan_identity(build_factor("I_H(4,4)")).status == "pass"
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_jordan_identity_rejects_sample_counts_below_one(samples):
+    with pytest.raises(InvalidInput, match="samples"):
+        check_jordan_identity(build_factor("I_R(4,4)"), samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_norm_axiom_rejects_sample_counts_below_one(samples):
+    with pytest.raises(InvalidInput, match="samples"):
+        check_norm_axiom(build_factor("I_R(2,2)"), samples)
 
 
 def test_jordan_and_norm_memory_is_bounded_for_large_sample_counts():
