@@ -97,7 +97,8 @@ def derivation_space(
 
     The space is computed one block of ``sign_grading`` at a time: a map
     entry of character chi only meets rows of the Leibniz operator of
-    character chi, so its Gram matrix is block diagonal.
+    character chi, so its Gram matrix is block diagonal.  The basis comes
+    block by block in the order of ``system.unfolding``.
     """
     if kind not in KINDS:
         raise InvalidInput(f"unknown derivation kind {kind!r}")
@@ -106,13 +107,13 @@ def derivation_space(
         return DerivationSpace(system, kind, (), tol)
     product = "triple" if kind == "inner_span" else kind
     p = system.product_tensor(product)
-    chars = system.unfolding(product).chars
+    u = system.unfolding(product)
     if kind == "inner_span":
         # vector (i, j), i < j, is L(e_i, e_j) - L(e_j, e_i), whose entry [l, k]
-        # is c[i, j, k, l] - c[j, i, k, l]; it lies in block chars[i, j]
+        # is c[i, j, k, l] - c[j, i, k, l]; it lies in the block of pair (i, j)
         i, j = np.triu_indices(n, 1)
         vectors = (p[i, j] - p[j, i]).transpose(0, 2, 1).reshape(i.size, n * n)
-        labels = chars[i, j]
+        owners = u.block[i * n + j]
         cutoff = tol
         checked_up_to = np.inf
     else:
@@ -132,9 +133,9 @@ def derivation_space(
         # that bound can be in the kernel, and only their vectors are checked
         checked_up_to = cutoff * 16.0 * float(np.vdot(p, p))
     spectra = []  # per block: (columns, values, vectors, Leibniz residual of each vector)
-    for label, block, rows, m in _leibniz_blocks(p, chars):
+    for b, block, rows, m in _leibniz_blocks(p, u):
         if kind == "inner_span":
-            spanning = vectors[labels == label][:, block].T
+            spanning = vectors[owners == b][:, block].T
             if not spanning.shape[1]:
                 continue
             vecs, values, _ = np.linalg.svd(spanning, full_matrices=False)
@@ -191,16 +192,17 @@ def _check_spectrum(system, kind, cutoff, top, spectra, kept) -> dict:
     return {"rank": rank, "cutoff": cutoff, "min_kept": min_kept, "max_kernel": max_kernel}
 
 
-def _leibniz_blocks(p: np.ndarray, chars: np.ndarray):
-    """Yield (character, columns, rows, M) for each block of the Leibniz
-    operator of ``leibniz_residual``, generated from the nonzeros of ``p``.
+def _leibniz_blocks(p: np.ndarray, u):
+    """Yield (block, columns, rows, M) for each block of the Leibniz operator
+    of ``leibniz_residual``, generated from the nonzeros of ``p`` in the block
+    order of its graded unfolding ``u``.
 
     Row (i, j, k, l) and column (a, b), flat a * n + b, of the operator hold
       d_la p[ijkb] - d_bi p[ajkl] - d_bj p[iakl] - d_bk p[ijal]
     (d the Kronecker delta).  So a nonzero p[ijkl] gives, for each slot s
     holding x and each index y, one term in the row that has y in slot s: in
     column (y, x) with sign + for the out slot s = 3, in column (x, y) with
-    sign - for an input slot.  Either column has the character chars[x, y].
+    sign - for an input slot.  Either column is in the block u.block[x n + y].
     M is dense over the block's touched rows, whose keys ((i n + j) n + k) n + l
     ``rows`` lists in ascending order.  The blocks are generated in runs
     whose dense size, bounded by terms x columns, is about ``BLOCK_ENTRIES``.
@@ -210,17 +212,9 @@ def _leibniz_blocks(p: np.ndarray, chars: np.ndarray):
     values = p[tuple(nonzero)]
     places = n ** np.arange(3, -1, -1)  # row key ((i n + j) n + k) n + l
     keys = places @ nonzero
-    order = np.argsort(chars.reshape(-1), kind="stable")
-    ordered = chars.reshape(-1)[order]
-    new_label = _run_starts(ordered)
-    labels = ordered[new_label]
-    # block of map entry (a, b), numbered in ascending character
-    block = np.empty(n * n, dtype=np.intp)
-    block[order] = np.cumsum(new_label) - 1
-    width = np.bincount(block)
-    first = np.cumsum(width) - width
-    position = np.empty(n * n, dtype=np.intp)
-    position[order] = np.arange(n * n) - first.repeat(width)
+    block, first, width = u.block, u.starts[:-1], np.diff(u.starts)
+    position = u.inverse - first[block]  # of map entry (a, b) within its block
+    order = u.left * n + u.right
     # the terms (slot, nonzero, y) in flat order, grouped by block: int16 holds
     # the n^2 <= 4096 blocks and sorts by radix.  Index x has one term per
     # slot it fills and per y.
@@ -228,11 +222,11 @@ def _leibniz_blocks(p: np.ndarray, chars: np.ndarray):
     terms = np.argsort(term_block, kind="stable")
     del term_block
     filled = sum(np.bincount(x, minlength=n) for x in nonzero)
-    term_count = np.bincount(block, weights=filled.repeat(n), minlength=labels.size)
+    term_count = np.bincount(block, weights=filled.repeat(n), minlength=width.size)
     term_first = np.concatenate(([0], np.cumsum(term_count.astype(np.intp))))
     bound = term_count.astype(np.intp) * width  # terms x columns bounds the rows x columns
     run = (np.cumsum(bound) - bound) // BLOCK_ENTRIES
-    edges = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), labels.size]
+    edges = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), width.size]
     for lo, hi in zip(edges[:-1], edges[1:]):
         chosen = terms[term_first[lo] : term_first[hi]]
         slot, term, y = np.unravel_index(chosen, (4, values.size, n))
@@ -260,7 +254,7 @@ def _leibniz_blocks(p: np.ndarray, chars: np.ndarray):
         for i, b in enumerate(range(lo, hi)):
             m = dense[offset[i] : offset[i] + size[i]].reshape(count[i], width[b])
             row_keys = rows[row_first[i] : row_first[i] + count[i]] - b * n**4
-            yield labels[b], order[first[b] : first[b] + width[b]], row_keys, m
+            yield b, order[first[b] : first[b] + width[b]], row_keys, m
 
 
 def _grouped_norms(res: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -359,6 +353,8 @@ def local_derivation_residual(
         space = derivation_space(t.system, "triple")
     elif space.kind != "triple":
         raise InvalidInput("local derivation checks compare against kind='triple'")
+    elif space.system is not t.system and space.system != t.system:
+        raise InvalidInput("derivation space of a different system")
     for el in points:
         if el.system is not t.system and el.system != t.system:
             raise InvalidInput("sample point from a different system")
@@ -482,15 +478,14 @@ def exp_flow_check(
     for value in t_grid:
         g = expm(float(value) * t.entries)
         diff = p @ g.T - in_slots(p, g, g, g)
-        if diff.size == 0:
-            worst = 0.0
-        else:
-            worst = float(np.sqrt(np.einsum("...l,...l->...", diff, diff).max()))
+        worst = float(np.sqrt(np.einsum("...l,...l->...", diff, diff).max(initial=0.0)))
         bound = tol * (1.0 + np.linalg.norm(g, 2) ** 3)
         residuals[f"t={value:g}"] = worst
         if worst > bound:
             status = STATUS_FAIL
             witness[f"t={value:g}"] = {"residual": worst, "bound": bound}
+    if not residuals:  # an empty grid would pass without checking anything
+        raise InvalidInput("exp_flow_check needs at least one t")
     return Report(
         statement_id=f"exp_flow_{kind}[{t.system.name}]",
         status=status,

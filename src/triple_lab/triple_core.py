@@ -351,33 +351,36 @@ class GradedUnfolding:
     """The (n^2, n^2) unfolding U of a structure tensor p, row (i, j) and
     column (k, l) holding p[i, j, k, l], stored as the diagonal blocks of U^T.
 
-    A nonzero p[i, j, k, l] has chars[i, j] == chars[k, l] (``sign_grading``),
+    A nonzero p[i, j, k, l] has one character at (i, j) and (k, l) (``sign_grading``),
     so U is block diagonal over the characters.  Position q of the block order
     is the pair (left[q], right[q]); the pairs are sorted by (block width,
-    character), and ``inverse`` maps a flat pair i * n + j to its position.
+    character), and flat pair i * n + j is at position inverse[i * n + j], in
+    block block[i * n + j], whose positions are starts[b]:starts[b + 1].
     ``groups`` holds (lo, hi, blocks) per distinct width w: the (m, w, w) stack
     of the m blocks of U^T at positions lo:hi.  A tensor with one character is
     one block, a view of the tensor.
     """
 
     dim: int
-    chars: np.ndarray
     left: np.ndarray
     right: np.ndarray
     inverse: np.ndarray
+    block: np.ndarray
+    starts: np.ndarray
     groups: tuple
 
 
 def graded_unfolding(p) -> GradedUnfolding:
     """The unfolding of ``p`` split into the blocks of ``sign_grading(p)``."""
     n = p.shape[0]
-    chars = sign_grading(p)
-    flat = chars.reshape(-1)
+    flat = sign_grading(p).reshape(-1)
     order = np.argsort(flat, kind="stable")
-    block = np.cumsum(_run_starts(flat[order])) - 1
-    width = np.bincount(block)[block]
+    by_char = np.cumsum(_run_starts(flat[order])) - 1
+    width = np.bincount(by_char)[by_char]
     by_width = np.argsort(width, kind="stable")
     order, width = order[by_width], width[by_width]
+    # adjacent blocks of one width have distinct characters
+    new_block = _run_starts(flat[order])
     unfolded = p.reshape(n * n, n * n)
     edges = [*np.flatnonzero(_run_starts(width)).tolist(), n * n]
     groups = []
@@ -391,7 +394,9 @@ def graded_unfolding(p) -> GradedUnfolding:
         groups.append((lo, hi, blocks))
     inverse = np.empty(n * n, dtype=np.intp)
     inverse[order] = np.arange(n * n)
-    return GradedUnfolding(n, chars, order // n, order % n, inverse, tuple(groups))
+    block = (np.cumsum(new_block) - 1)[inverse]
+    starts = np.append(np.flatnonzero(new_block), n * n)
+    return GradedUnfolding(n, order // n, order % n, inverse, block, starts, tuple(groups))
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -585,10 +590,8 @@ def check_hermitian_surrogate(system: TripleSystem, tol: float = 1e-8) -> Report
     min_eig = 0.0
     for i in range(system.dim):
         m = system.tensor[i, i].T  # L(e_i, e_i)
-        worst_asym = max(worst_asym, float(np.max(np.abs(m - m.T))) if m.size else 0.0)
-        if m.size:
-            eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-            min_eig = min(min_eig, float(eigs.min()))
+        worst_asym = max(worst_asym, float(np.max(np.abs(m - m.T))))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()))
     return Report(
         statement_id=f"hermitian_surrogate[{system.name}]",
         status=STATUS_ADVISORY,

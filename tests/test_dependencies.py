@@ -45,20 +45,23 @@ def test_import_and_help_load_no_scipy(child_env, tmp_path):
     assert json.loads(modules) == []
 
 
-# one interpreter runs a graded product and a derivation space, then prints
-# whether numpy.ma was imported: numpy 2.4 imports it on the first np.unique
-# call, which adds its import time and 1.6 MB of peak RSS (numpy 2.4.6, x86-64)
+# one interpreter runs a graded product, a derivation space and every repro
+# statement, then prints whether numpy.ma was imported: numpy 2.4 imports it
+# on the first np.unique call, which adds its import time and 1.6 MB of peak
+# RSS (numpy 2.4.6, x86-64)
 GRADED_CHILD = """
 import json, sys
 import numpy as np
 import triple_lab
 from triple_lab.derivations import derivation_space
+from triple_lab.repro import repro_all
 from triple_lab.triple_core import product_batch
 system = triple_lab.build_factor("I_C(2,2)")
 graded = system.unfolding("triple")
 rows = np.random.default_rng(0).standard_normal((3, 4, system.dim))
 product_batch(graded, *rows)
 derivation_space(system, "triple")
+repro_all()
 print(json.dumps([len(graded.groups[0][2]) > 1, "numpy.ma" in sys.modules]))
 """
 

@@ -1,5 +1,4 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from triple_lab import (
     rank_one_local_witness,
     two_local_lift,
 )
-from triple_lab import cli, derivations
+from triple_lab import derivations
 from triple_lab.derivations import (
     DEFAULT_SEED,
     DerivationSpace,
@@ -41,8 +40,6 @@ from triple_lab.triple_core import (
     LinearMap,
     Q_operator,
     TripleSystem,
-    load_system,
-    save_system,
     sign_grading,
 )
 
@@ -193,7 +190,7 @@ def _assert_blocks_match_oracle(system, kind, monkeypatch):
     for entries in (1, 1000, derivations.BLOCK_ENTRIES):
         monkeypatch.setattr(derivations, "BLOCK_ENTRIES", entries)
         covered = np.zeros(leibniz.shape, dtype=bool)
-        for _, cols, rows, m in _leibniz_blocks(p, sign_grading(p)):
+        for _, cols, rows, m in _leibniz_blocks(p, system.unfolding(kind)):
             block = leibniz[np.ix_(rows, cols)]
             assert np.max(np.abs(m - block), initial=0.0) <= 1e-15
             covered[np.ix_(rows, cols)] = True
@@ -227,31 +224,6 @@ def test_tensor_without_sign_symmetry_is_one_block(kind, monkeypatch):
     assert np.unique(sign_grading(system.product_tensor(kind))).size == 1
     _assert_blocks_match_oracle(system, kind, monkeypatch)
     assert derivation_space(system, kind).dim == (TRIPLE_DIMS if kind == "triple" else SYM_DIMS)["I_C(2,1)"]
-
-
-@pytest.mark.parametrize("label", ("I_C(2,1)", "I_C(2,2)", "I_R(3,3)", "II_R(5)", "III_R(4)", "SPIN_R(16,0)"))
-def test_der_compute_takes_its_grading_from_the_unfolding_memo(label, tmp_path, monkeypatch):
-    factor = tmp_path / "factor.json"
-    save_system(build_factor(label), factor)
-
-    def compute(tag):
-        for kind in ("triple", "symmetrized", "inner"):
-            out = tmp_path / f"{tag}-{kind}.json"
-            assert cli.main(["der", "compute", "--factor", str(factor), "--kind", kind, "--out", str(out)]) == 0
-
-    compute("memo")
-    system = load_system(factor)
-    for product in ("triple", "symmetrized"):
-        assert np.array_equal(system.unfolding(product).chars, sign_grading(system.product_tensor(product)))
-    # the route before the memo: a fresh sign_grading of the tensor per space
-    monkeypatch.setattr(
-        TripleSystem,
-        "unfolding",
-        lambda self, kind: SimpleNamespace(chars=sign_grading(self.product_tensor(kind))),
-    )
-    compute("fresh")
-    for kind in ("triple", "symmetrized", "inner"):
-        assert (tmp_path / f"memo-{kind}.json").read_bytes() == (tmp_path / f"fresh-{kind}.json").read_bytes()
 
 
 GRADING_SYSTEMS = ("I_C(2,1)", "I_R(2,2)+SPIN_R(3,1)", "II_R(4)", "III_R(3)", "SPIN_C(3)", "I_H(2,1)")
@@ -311,7 +283,7 @@ def test_block_residuals_equal_the_dense_leibniz_residual(label):
         p = system.product_tensor(leibniz_kind)
         maps = space.basis_stack().reshape(space.dim, -1).T
         blockwise = np.zeros(space.dim)
-        for _, cols, rows, m in _leibniz_blocks(p, sign_grading(p)):
+        for _, cols, rows, m in _leibniz_blocks(p, system.unfolding(leibniz_kind)):
             blockwise = np.maximum(blockwise, _grouped_norms(m @ maps[cols], rows // n))
             if kind != "inner_span":
                 entries = np.zeros(n * n)
@@ -417,6 +389,19 @@ def test_counterexample_is_a_local_derivation():
     report = local_derivation_residual(t, points, space=space)
     assert report.status == "pass"
     assert report.residuals["max_residual"] <= 1e-8
+
+
+def test_local_residual_rejects_a_space_of_another_system():
+    # the counterexample passes against its own space; a space of another
+    # system of the same dimension would refute it, one of another dimension
+    # would break the batched residual
+    system = build_factor("I_C(2,1)")
+    t = counterexample_map(system)
+    points = default_point_set(system, samples=16, seed=DEFAULT_SEED)
+    for other in ("I_R(2,2)", "I_R(2,1)"):
+        foreign = derivation_space(build_factor(other), "triple")
+        with pytest.raises(InvalidInput, match="different system"):
+            local_derivation_residual(t, points, space=foreign)
 
 
 def test_derivations_have_zero_local_residual():
@@ -724,6 +709,14 @@ def test_exp_flow_detects_counterexample():
     assert report.residuals["t=1"] >= 0.1
     sym = exp_flow_check(t, "symmetrized", [-1.0, -0.5, 0.5, 1.0])
     assert sym.status == "pass"
+
+
+def test_exp_flow_rejects_an_empty_grid():
+    # an empty grid would pass without checking a single flow
+    t = counterexample_map(build_factor("I_C(2,1)"))
+    for grid in ([], np.zeros(0), iter(())):
+        with pytest.raises(InvalidInput, match="at least one t"):
+            exp_flow_check(t, "triple", grid)
 
 
 def test_iap_span_equality():

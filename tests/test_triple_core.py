@@ -850,21 +850,29 @@ def test_unfolding_blocks_reassemble_the_tensor(label, kind):
     p = system.product_tensor(kind)
     u = system.unfolding(kind)
     assert system.unfolding(kind) is u
-    assert np.array_equal(u.chars, sign_grading(p))
-    chars = u.chars.reshape(-1)
+    chars = sign_grading(p).reshape(-1)
+    # two pairs share a block iff they share a character
+    same_block = u.block[:, None] == u.block[None, :]
+    assert np.array_equal(same_block, chars[:, None] == chars[None, :])
     unfolded = p.reshape(n * n, n * n)
     # the grading is read off the nonzero pattern: nothing outside the blocks
-    assert np.all(unfolded[chars[:, None] != chars[None, :]] == 0.0)
-    _, widths = np.unique(chars, return_counts=True)
+    assert np.all(unfolded[~same_block] == 0.0)
     pairs = u.left * n + u.right
     assert np.array_equal(np.sort(pairs), np.arange(n * n))
     assert np.array_equal(u.inverse[pairs], np.arange(n * n))
+    # block b is the positions starts[b]:starts[b + 1]: numbers never decrease
+    # along the plan order, and the widths never decrease either
+    widths = np.diff(u.starts)
+    assert u.starts[0] == 0 and np.all(widths > 0)
+    assert np.array_equal(u.block[pairs], np.repeat(np.arange(widths.size), widths))
+    assert np.all(np.diff(widths) >= 0)
     rebuilt = np.zeros_like(unfolded)
     copied = 0
     for lo, hi, blocks in u.groups:
         m, w = blocks.shape[:2]
+        assert np.all(widths[u.block[pairs[lo:hi]]] == w)
         block_pairs = pairs[lo:hi].reshape(m, w)
-        assert np.all(chars[block_pairs] == chars[block_pairs[:, :1]])
+        assert np.all(u.block[block_pairs] == u.block[block_pairs[:, :1]])
         rebuilt[block_pairs[:, :, None], block_pairs[:, None, :]] = blocks.transpose(0, 2, 1)
         if not np.shares_memory(blocks, p):
             copied += blocks.size
@@ -986,10 +994,13 @@ def test_randomized_jordan_on_corrupted_large_tensor_matches_einsum(keeps_gradin
     tensor[i, j, k, l] += 0.1
     tensor[k, j, i, l] += 0.1
     broken = TripleSystem("broken", tensor)
-    graded = broken.unfolding("triple")
-    assert np.array_equal(graded.chars, chars) is keeps_grading
-    if not keeps_grading:
-        assert len(set(graded.chars.ravel().tolist())) < len(set(chars.ravel().tolist()))
+    graded, intact = broken.unfolding("triple"), system.unfolding("triple")
+    # the same partition into blocks, or fewer, wider ones
+    same_block = graded.block[:, None] == graded.block[None, :]
+    same_char = chars.reshape(-1, 1) == chars.reshape(1, -1)
+    assert np.array_equal(same_block, same_char) is keeps_grading
+    assert np.all(same_block[same_char])
+    assert (graded.starts.size == intact.starts.size) is keeps_grading
     report = check_jordan_identity(broken, samples=1000, seed=3)
     vecs = np.random.default_rng(3).standard_normal((5, 1000, 32))
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
