@@ -11,8 +11,14 @@ from .errors import InvalidInput, InvalidSpec, TripleLabError
 from .report import STATUS_FAIL, canonical_json, read_json, write_json
 
 
+def _parse_count(text: str, base: int = 10) -> int:
+    if (value := int(text, base)) < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _parse_seed(text: str) -> int:
-    return int(text, 0)
+    return _parse_count(text, 0)
 
 
 def _parse_dims(text: str) -> tuple:
@@ -134,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = der_sub.add_parser("check-local", help="pointwise local-derivation check")
     check.add_argument("--factor", required=True)
     check.add_argument("--map", required=True)
-    check.add_argument("--samples", type=int, default=derivations.DEFAULT_SAMPLES)
+    check.add_argument("--samples", type=_parse_count, default=derivations.DEFAULT_SAMPLES)
     check.add_argument("--seed", type=_parse_seed, default=derivations.DEFAULT_SEED)
     check.add_argument("--report", default=None)
     check.set_defaults(func=_cmd_der_check_local)

@@ -172,7 +172,7 @@ class FactorSpec:
 
     @staticmethod
     def parse(label: str) -> "FactorSpec":
-        match = _LABEL_RE.match(label.strip())
+        match = _LABEL_RE.match(label.strip()) if isinstance(label, str) else None
         if not match:
             raise InvalidSpec(f"cannot parse factor label {label!r}")
         kind = match.group(1)

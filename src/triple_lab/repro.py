@@ -16,9 +16,9 @@ from importlib import resources
 import numpy as np
 
 from . import derivations, factors, structure, triple_core
-from .errors import EmptySpec, InvalidInput, TripleLabError
+from .errors import EmptySpec, InvalidInput, InvalidSpec, TripleLabError
 from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS, read_json, timed
-from .triple_core import Element, LinearMap, TripleSystem
+from .triple_core import MAX_DIM, Element, LinearMap, TripleSystem
 
 DEFAULT_SEED = 0xA11CE
 
@@ -54,15 +54,25 @@ def _check_suite(config) -> None:
     require_known(config, [key for key, _ in lists] + ["samples"], "")
     for key, entry in lists:
         value = config.get(key)
+        # an empty list checks nothing; bool is an int subclass but no size
         require(
-            isinstance(value, list) and all(isinstance(v, entry) for v in value),
-            f"{key!r} must be a list of {entry.__name__}",
+            isinstance(value, list) and value and all(type(v) is entry for v in value),
+            f"{key!r} must be a non-empty list of {entry.__name__}",
         )
+    # every system the statements build must parse and fit the cap; a Hilbert
+    # size n builds I_R(n,1) and SPIN_R(n,0), of dimension n, and SPIN_R needs n >= 2
+    sums = [[f"SPIN_R({n},0)"] for n in config["hilbert_sizes"]]
+    for key in ("factors", "complex_factors", "rank_one_factors"):
+        sums += [[label] for label in config[key]]
     for key in ("sums_equal", "sums_gap"):
-        require(
-            config[key] and all(isinstance(s, str) for specs in config[key] for s in specs),
-            f"{key!r} must be a non-empty list of lists of factor labels",
-        )
+        require(all(config[key]), f"{key!r} must hold no empty sum")
+        sums += config[key]
+    for specs in sums:
+        try:
+            total = sum(factors.FactorSpec.parse(label).dim() for label in specs)
+        except InvalidSpec as exc:
+            raise InvalidInput(f"suite: {exc}") from exc
+        require(total <= MAX_DIM, f"{'+'.join(specs)} has dimension {total}, over {MAX_DIM}")
     table = config.get("samples")
     # bool is an int subclass but no count; a count of 0 checks nothing
     require(
@@ -689,6 +699,8 @@ def repro_all(
     Statement i runs with seed ``seed ^ i``, so the report bytes depend only
     on (seed, suite).  Each statement's report carries its own runtime.
     """
+    if seed < 0:  # the statement seeds seed ^ i feed numpy generators
+        raise InvalidInput(f"the seed must be non-negative, got {seed}")
     config = suite if suite is not None else load_suite()
     ctx = _RunContext(config, fault=fault)
 

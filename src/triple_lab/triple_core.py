@@ -306,43 +306,28 @@ def sign_grading(p) -> np.ndarray:
     """Characters of the sign automorphisms of the product with structure tensor ``p``.
 
     A sign vector sigma is an automorphism iff sigma_i sigma_j sigma_k sigma_l = 1
-    on every nonzero p[i, j, k, l]; written additively, the sigmas are the kernel
-    of a GF(2) system read off the nonzero pattern alone.  With s_a the bits of
-    index a under a basis of that kernel, entry [a, b] of the returned (n, n)
-    uint64 array is the character s_a xor s_b of the map entry (a, b), one bit
-    per generator.  Conjugation by sigma scales that entry by sigma_a sigma_b, so
-    derivation spaces split over the distinct characters; a tensor without sign
-    symmetry gives one character.
+    on every nonzero p[i, j, k, l]; written additively, the sigmas annihilate a
+    GF(2) row space read off the nonzero pattern alone.  With s_a the unit vector
+    e_a reduced modulo those rows, entry [a, b] of the returned (n, n) uint64
+    array is the character s_a xor s_b of the map entry (a, b).  Conjugation by
+    sigma scales that entry by sigma_a sigma_b; two entries share a character iff
+    every sigma scales them alike, so derivation spaces split over the distinct
+    characters, and a tensor without sign symmetry gives one character.
     """
-    n = p.shape[0]
-    one = np.uint64(1)
-    bits = one << np.arange(n, dtype=np.uint64)
+    bits = np.uint64(1) << np.arange(p.shape[0], dtype=np.uint64)
     i, j, k, l = np.nonzero(p)
     rows = bits[i] ^ bits[j] ^ bits[k] ^ bits[l]
-    # Gaussian elimination over GF(2), one column at a time: pivot c has bit c
-    # and bits of later columns only
-    pivots = {}
-    for c in range(n):
+    codes = bits
+    # Gaussian elimination over GF(2), one column at a time: a column's pivot has
+    # its bit and bits of later columns only, so it clears that bit from rows and
+    # codes alike and leaves each code e_a reduced, with bits on free columns only
+    for bit in bits:
         rows = rows[rows != 0]
-        hit = (rows & bits[c]) != 0
+        hit = (rows & bit) != 0
         if hit.any():
             pivot = rows[np.argmax(hit)]
             rows = np.where(hit, rows ^ pivot, rows)
-            pivots[c] = int(pivot)
-    for c in reversed(list(pivots)):  # back substitution to reduced echelon form
-        for other in pivots:
-            if other < c and pivots[other] >> c & 1:
-                pivots[other] ^= pivots[c]
-    # one kernel generator per free column f: x_f = 1, x_c = bit f of pivot c
-    generators = [
-        (1 << f) | sum(1 << c for c, row in pivots.items() if row >> f & 1)
-        for f in range(n)
-        if f not in pivots
-    ]
-    codes = np.zeros(n, dtype=np.uint64)
-    for g, gen in enumerate(generators):
-        member = (np.uint64(gen) & bits) != 0
-        codes[member] |= one << np.uint64(g)
+            codes = np.where((codes & bit) != 0, codes ^ pivot, codes)
     return codes[:, None] ^ codes[None, :]
 
 
@@ -579,7 +564,7 @@ def check_complex_structure(system: TripleSystem, tol: float = 1e-12) -> Report:
 
 
 @timed
-def check_hermitian_surrogate(system: TripleSystem, tol: float = 1e-8) -> Report:
+def check_hermitian_surrogate(system: TripleSystem) -> Report:
     """Advisory check: L(a,a) symmetric with nonnegative spectrum in coordinates.
 
     The constructed bases are orthonormal for the natural positive form of
@@ -595,11 +580,7 @@ def check_hermitian_surrogate(system: TripleSystem, tol: float = 1e-8) -> Report
     return Report(
         statement_id=f"hermitian_surrogate[{system.name}]",
         status=STATUS_ADVISORY,
-        residuals={
-            "max_asymmetry": worst_asym,
-            "min_eigenvalue": min_eig,
-            "tolerance": tol,
-        },
+        residuals={"max_asymmetry": worst_asym, "min_eigenvalue": min_eig},
     )
 
 

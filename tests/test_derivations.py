@@ -250,7 +250,7 @@ def test_sign_grading_is_the_joint_eigenspaces_of_every_sign_automorphism(label,
     _, by_scaling = np.unique(scaling, axis=0, return_inverse=True)
     pairs = np.unique(np.stack([by_char, by_scaling.reshape(-1)]), axis=1)
     assert pairs.shape[1] == by_char.max() + 1 == by_scaling.max() + 1
-    # generators read off the characters: bit g of s_a xor s_0
+    # sign automorphisms read off the characters: free-column bit g of s_a xor s_0
     codes = chars.reshape(system.dim, system.dim)[:, 0]
     i, j, k, l = np.nonzero(p)
     space = derivation_space(system, kind)
@@ -709,6 +709,17 @@ def test_exp_flow_detects_counterexample():
     assert report.residuals["t=1"] >= 0.1
     sym = exp_flow_check(t, "symmetrized", [-1.0, -0.5, 0.5, 1.0])
     assert sym.status == "pass"
+
+
+def test_exp_flow_keeps_one_residual_per_distinct_t():
+    # t = 1 and t = 1.0000001 print alike under :g but are distinct flows
+    t = counterexample_map(build_factor("I_C(2,1)"))
+    report = exp_flow_check(t, "triple", [1.0, 1.0000001])
+    assert list(report.residuals) == list(report.witnesses) == ["t=1", "t=1.0000001"]
+    assert report.residuals["t=1"] != report.residuals["t=1.0000001"]
+    # the grids in use keep their short labels
+    sym = exp_flow_check(t, "symmetrized", [1.0, -1.0, 0.5, -0.5])
+    assert list(sym.residuals) == ["t=1", "t=-1", "t=0.5", "t=-0.5"]
 
 
 def test_exp_flow_rejects_an_empty_grid():

@@ -205,6 +205,15 @@ def test_repro_all_passes(full_report):
     assert all(status in ("pass", "advisory") for status in statuses.values())
 
 
+def test_advisory_statement_reports_its_worst_real_residual():
+    # the advisory row of the Markdown table shows a residual, not a tolerance
+    report = repro._stmt_hermitian(repro._RunContext(SMALL_SUITE), seed=1)
+    keys = ("max_asymmetry", "min_eigenvalue")
+    assert all(tuple(item.residuals) == keys for item in report.items)
+    real = [r.residuals[k] for r in (report, *report.items) for k in keys]
+    assert report.worst_residual() == max(real)
+
+
 def test_repro_all_is_deterministic():
     first = repro_all(seed=0xA11CE, suite=SMALL_SUITE)
     second = repro_all(seed=0xA11CE, suite=SMALL_SUITE)
@@ -471,6 +480,22 @@ MALFORMED_SUITES = {
     "unknown_sample_tripotent_maps": json.dumps(
         dict(SMALL_SUITE, samples=dict(SMALL_SUITE["samples"], tripotent_maps=64))
     ),
+    # the Hilbert sizes build I_R(n,1) and SPIN_R(n,0): bool is no size, 1 is
+    # below SPIN_R's range and 100 over the cap
+    "hilbert_size_bool": json.dumps(dict(SMALL_SUITE, hilbert_sizes=[True])),
+    "hilbert_size_one": json.dumps(dict(SMALL_SUITE, hilbert_sizes=[1])),
+    "hilbert_size_over_cap": json.dumps(dict(SMALL_SUITE, hilbert_sizes=[100])),
+    "empty_sum": json.dumps(dict(SMALL_SUITE, sums_gap=[[]])),
+    # an empty list checks nothing; without factors the advisory statement raised ValueError
+    "empty_factors": json.dumps(dict(SMALL_SUITE, factors=[])),
+    "empty_hilbert_sizes": json.dumps(dict(SMALL_SUITE, hilbert_sizes=[])),
+    # every label parses before any statement runs, and each built system fits the cap
+    "bad_factor_label": json.dumps(dict(SMALL_SUITE, factors=["I_R(0,2)"])),
+    "bad_complex_label": json.dumps(dict(SMALL_SUITE, complex_factors=["I_X(2,1)"])),
+    "bad_rank_one_label": json.dumps(dict(SMALL_SUITE, rank_one_factors=["I_C(2)"])),
+    "bad_sum_label": json.dumps(dict(SMALL_SUITE, sums_equal=[["I_R(2,2)", "nonsense"]])),
+    "complex_factor_over_cap": json.dumps(dict(SMALL_SUITE, complex_factors=["I_C(6,6)"])),
+    "sum_over_cap": json.dumps(dict(SMALL_SUITE, sums_equal=[["I_R(6,6)", "I_R(6,6)"]])),
 }
 
 
@@ -486,6 +511,37 @@ def test_cli_rejects_malformed_suite(tmp_path, case):
         # a suite passed in directly is checked the same way
         with pytest.raises(InvalidInput):
             repro_all(suite=json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["repro", "all", "--seed", "-1"],
+        ["der", "check-local", "--factor", "f.json", "--map", "t.json", "--seed", "-1"],
+        ["der", "check-local", "--factor", "f.json", "--map", "t.json", "--samples", "-3"],
+    ],
+    ids=["repro_seed", "check_local_seed", "check_local_samples"],
+)
+def test_cli_rejects_negative_seed_and_sample_count(tmp_path, args):
+    triple_core.save_system(build_factor("I_C(2,1)"), tmp_path / "f.json")
+    (tmp_path / "t.json").write_text(json.dumps({"dim": 4, "entries": [0.0] * 16}))
+    result = run_cli(args, cwd=tmp_path)
+    assert result.returncode == 2
+    assert "is negative" in result.stderr
+
+
+def test_negative_seed_is_refused_and_zero_samples_check_the_basis_points(tmp_path):
+    with pytest.raises(InvalidInput, match="non-negative"):
+        repro_all(seed=-1, suite=SMALL_SUITE)
+    triple_core.save_system(build_factor("I_C(2,1)"), tmp_path / "f.json")
+    (tmp_path / "t.json").write_text(json.dumps({"dim": 4, "entries": [0.0] * 16}))
+    result = run_cli(
+        ["der", "check-local", "--factor", "f.json", "--map", "t.json", "--samples", "0",
+         "--seed", "0", "--report", "local.json"],
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "local.json").read_text())["status"] == "pass"
 
 
 def _factor_text(drop=(), **changes):
