@@ -8,7 +8,7 @@ import sys
 
 from . import derivations, factors, repro, structure, triple_core
 from .errors import InvalidInput, InvalidSpec, TripleLabError
-from .report import STATUS_FAIL, canonical_json, read_json, write_json
+from .report import STATUS_FAIL, canonical_json, read_json, write_json, write_text
 
 
 def _parse_count(text: str, base: int = 10) -> int:
@@ -91,8 +91,7 @@ def _cmd_repro_all(args) -> int:
     report = repro.repro_all(seed=args.seed, suite=suite, fault=args.fault)
     _write_json(report.to_dict(include_timings=args.timings), args.out)
     if args.markdown is not None:
-        with open(args.markdown, "w", encoding="utf-8") as fh:
-            fh.write(report.to_markdown())
+        write_text(report.to_markdown(), args.markdown, "Markdown")
     failures = report.flat_failures()
     summary = "all statements pass" if not failures else (
         f"{len(failures)} failing report(s), e.g. {failures[0].statement_id}"

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidInput, NoSpectralGap, Unsupported
 from .factors import complexify, extend_map_complex
-from .numerics import expm, span_distance
+from .numerics import check_tol, expm, span_distance
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
 from .structure import peirce
 from .triple_core import (
@@ -102,17 +102,17 @@ def derivation_space(
     """
     if kind not in KINDS:
         raise InvalidInput(f"unknown derivation kind {kind!r}")
+    check_tol(tol)
     n = system.dim
     if n == 0:
         return DerivationSpace(system, kind, (), tol)
-    product = "triple" if kind == "inner_span" else kind
-    p = system.product_tensor(product)
-    u = system.unfolding(product)
+    u = system.unfolding("triple" if kind == "inner_span" else kind)
     if kind == "inner_span":
         # vector (i, j), i < j, is L(e_i, e_j) - L(e_j, e_i), whose entry [l, k]
         # is c[i, j, k, l] - c[j, i, k, l]; it lies in the block of pair (i, j)
+        c = system.tensor
         i, j = np.triu_indices(n, 1)
-        vectors = (p[i, j] - p[j, i]).transpose(0, 2, 1).reshape(i.size, n * n)
+        vectors = (c[i, j] - c[j, i]).transpose(0, 2, 1).reshape(i.size, n * n)
         owners = u.block[i * n + j]
         cutoff = tol
         checked_up_to = np.inf
@@ -131,9 +131,9 @@ def derivation_space(
         # each of the four terms of the operator is an unfolding of p, so
         # lambda_max <= (4 ||p||_F)^2: only eigenvalues up to cutoff times
         # that bound can be in the kernel, and only their vectors are checked
-        checked_up_to = cutoff * 16.0 * float(np.vdot(p, p))
+        checked_up_to = cutoff * 16.0 * float(u.values @ u.values)
     spectra = []  # per block: (columns, values, vectors, Leibniz residual of each vector)
-    for b, block, rows, m in _leibniz_blocks(p, u):
+    for b, block, rows, m in _leibniz_blocks(u):
         if kind == "inner_span":
             spanning = vectors[owners == b][:, block].T
             if not spanning.shape[1]:
@@ -192,10 +192,10 @@ def _check_spectrum(system, kind, cutoff, top, spectra, kept) -> dict:
     return {"rank": rank, "cutoff": cutoff, "min_kept": min_kept, "max_kernel": max_kernel}
 
 
-def _leibniz_blocks(p: np.ndarray, u):
+def _leibniz_blocks(u):
     """Yield (block, columns, rows, M) for each block of the Leibniz operator
-    of ``leibniz_residual``, generated from the nonzeros of ``p`` in the block
-    order of its graded unfolding ``u``.
+    of ``leibniz_residual``, generated from the nonzeros of the structure
+    tensor p in the block order of its graded unfolding ``u``.
 
     Row (i, j, k, l) and column (a, b), flat a * n + b, of the operator hold
       d_la p[ijkb] - d_bi p[ajkl] - d_bj p[iakl] - d_bk p[ijal]
@@ -207,9 +207,7 @@ def _leibniz_blocks(p: np.ndarray, u):
     ``rows`` lists in ascending order.  The blocks are generated in runs
     whose dense size, bounded by terms x columns, is about ``BLOCK_ENTRIES``.
     """
-    n = p.shape[0]
-    nonzero = np.stack(np.nonzero(p))  # (4, nnz): the index in each slot
-    values = p[tuple(nonzero)]
+    n, nonzero, values = u.dim, u.nonzero, u.values
     places = n ** np.arange(3, -1, -1)  # row key ((i n + j) n + k) n + l
     keys = places @ nonzero
     block, first, width = u.block, u.starts[:-1], np.diff(u.starts)
@@ -584,10 +582,7 @@ def space_from_json(payload: dict, system: TripleSystem) -> DerivationSpace:
         raise InvalidInput("basis must be a list of flat maps")
     count = len(payload["basis"])
     flat = _wire_floats(payload, "basis", count * n * n, f"{count} maps x dim^2")
-    try:
-        tol = float(payload["tol"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"tol must be a number, got {payload['tol']!r}") from exc
+    tol = check_tol(payload["tol"])
     flat.flags.writeable = False  # see derivation_space
     maps = tuple(LinearMap(system, m) for m in flat.reshape(count, n, n))
     return DerivationSpace(system, payload["kind"], maps, tol)

@@ -7,6 +7,8 @@ randomized algorithms.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -26,6 +28,18 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def check_tol(tol) -> float:
+    """``tol`` as a float; InvalidInput unless it is a finite number above 0.
+
+    A NaN fails every comparison and an infinity passes every bound, so either
+    would turn a rank or residual decision into a silent wrong answer.
+    """
+    number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+    if not (number and 0 < tol <= sys.float_info.max):
+        raise InvalidInput(f"tol must be a finite number above 0, got {tol!r}")
+    return float(tol)
+
+
 def null_space(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of ``a``.
 
@@ -33,8 +47,7 @@ def null_space(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     the decision is made on the singular values of ``a`` relative to the
     largest one, so the result is deterministic for a fixed input.
     """
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
+    check_tol(tol)
     m = as_matrix(a)
     rows, cols = m.shape
     if cols == 0:
@@ -112,6 +125,7 @@ def expm(a) -> np.ndarray:
 
 def orthonormal_columns(vectors, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of ``vectors``."""
+    check_tol(tol)
     m = as_matrix(vectors)
     if m.shape[1] == 0 or not np.any(m):
         return np.zeros((m.shape[0], 0))

@@ -73,9 +73,17 @@ def _float_array_json(values: np.ndarray) -> str:
     return "[" + ",".join(pieces) + "]"
 
 
+def write_text(text: str, path, what: str) -> None:
+    """Write ``text`` to ``path``; InvalidInput if the file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {what} file {path}: {exc}") from exc
+
+
 def write_json(payload, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload))
+    write_text(canonical_json(payload), path, "JSON")
 
 
 def read_json(path, what: str):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NoConvergence, NotTripotent, TripleLabError
-from .numerics import null_space, orthonormal_columns, span_distance
+from .numerics import check_tol, null_space, orthonormal_columns, span_distance
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
 from .triple_core import (
     Element,
@@ -22,8 +22,7 @@ from .triple_core import (
 
 def is_tripotent(e: Element, tol: float = 1e-10) -> bool:
     """Whether {e,e,e} = e within tol (the zero element counts)."""
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
+    check_tol(tol)
     cube = e.system.product_arrays(e.coords, e.coords, e.coords)
     return float(np.linalg.norm(cube - e.coords)) <= tol
 

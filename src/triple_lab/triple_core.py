@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidSpec, SystemMismatch, TooLarge, Unsupported
+from .numerics import check_tol
 from .report import (
     Report,
     STATUS_ADVISORY,
@@ -302,8 +303,9 @@ def in_slots(p, *maps) -> np.ndarray:
     return p
 
 
-def sign_grading(p) -> np.ndarray:
-    """Characters of the sign automorphisms of the product with structure tensor ``p``.
+def sign_grading(n: int, nonzero) -> np.ndarray:
+    """Characters of the sign automorphisms of an n-dimensional product whose
+    structure tensor p is nonzero at the (4, nnz) index rows ``nonzero``.
 
     A sign vector sigma is an automorphism iff sigma_i sigma_j sigma_k sigma_l = 1
     on every nonzero p[i, j, k, l]; written additively, the sigmas annihilate a
@@ -314,8 +316,8 @@ def sign_grading(p) -> np.ndarray:
     every sigma scales them alike, so derivation spaces split over the distinct
     characters, and a tensor without sign symmetry gives one character.
     """
-    bits = np.uint64(1) << np.arange(p.shape[0], dtype=np.uint64)
-    i, j, k, l = np.nonzero(p)
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    i, j, k, l = nonzero
     rows = bits[i] ^ bits[j] ^ bits[k] ^ bits[l]
     codes = bits
     # Gaussian elimination over GF(2), one column at a time: a column's pivot has
@@ -343,10 +345,13 @@ class GradedUnfolding:
     block block[i * n + j], whose positions are starts[b]:starts[b + 1].
     ``groups`` holds (lo, hi, blocks) per distinct width w: the (m, w, w) stack
     of the m blocks of U^T at positions lo:hi.  A tensor with one character is
-    one block, a view of the tensor.
+    one block, a view of the tensor.  ``nonzero`` holds the (4, nnz) indices of
+    the nonzero entries of p in C order, and ``values`` the entries there.
     """
 
     dim: int
+    nonzero: np.ndarray
+    values: np.ndarray
     left: np.ndarray
     right: np.ndarray
     inverse: np.ndarray
@@ -356,9 +361,12 @@ class GradedUnfolding:
 
 
 def graded_unfolding(p) -> GradedUnfolding:
-    """The unfolding of ``p`` split into the blocks of ``sign_grading(p)``."""
+    """The unfolding of ``p`` split into the blocks of its ``sign_grading``."""
     n = p.shape[0]
-    flat = sign_grading(p).reshape(-1)
+    nonzero = np.stack(np.nonzero(p))
+    values = p[tuple(nonzero)]
+    nonzero.flags.writeable = values.flags.writeable = False
+    flat = sign_grading(n, nonzero).reshape(-1)
     order = np.argsort(flat, kind="stable")
     by_char = np.cumsum(_run_starts(flat[order])) - 1
     width = np.bincount(by_char)[by_char]
@@ -381,7 +389,9 @@ def graded_unfolding(p) -> GradedUnfolding:
     inverse[order] = np.arange(n * n)
     block = (np.cumsum(new_block) - 1)[inverse]
     starts = np.append(np.flatnonzero(new_block), n * n)
-    return GradedUnfolding(n, order // n, order % n, inverse, block, starts, tuple(groups))
+    return GradedUnfolding(
+        n, nonzero, values, order // n, order % n, inverse, block, starts, tuple(groups)
+    )
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -431,8 +441,7 @@ def check_jordan_identity(
     Exhaustive over basis 5-tuples for dim <= 8 (trilinearity makes that
     sufficient), randomized over seeded unit samples above, at least 1000.
     """
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
+    check_tol(tol)
     if samples < 1:  # no samples would pass without checking anything
         raise InvalidInput(f"samples must be at least 1, got {samples!r}")
     n = system.dim
@@ -628,12 +637,11 @@ def _require_keys(payload, keys, what: str) -> None:
 
 
 def _wire_dim(payload) -> int:
-    try:
-        n = int(payload["dim"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"dim must be an integer, got {payload['dim']!r}") from exc
-    if n < 0:
-        raise InvalidInput(f"dim must be non-negative, got {n}")
+    """``payload["dim"]``, which must be a JSON integer of at least 0: no float,
+    string or bool, which ``int()`` would silently truncate or convert."""
+    n = payload["dim"]
+    if type(n) is not int or n < 0:
+        raise InvalidInput(f"dim must be a non-negative integer, got {n!r}")
     return n
 
 

@@ -186,11 +186,10 @@ def _assert_blocks_match_oracle(system, kind, monkeypatch):
     one block per run (``BLOCK_ENTRIES`` of 1)."""
     leibniz = oracle_leibniz_matrix(system, kind)
     kernel = scipy.linalg.null_space(leibniz)
-    p = system.product_tensor(kind)
     for entries in (1, 1000, derivations.BLOCK_ENTRIES):
         monkeypatch.setattr(derivations, "BLOCK_ENTRIES", entries)
         covered = np.zeros(leibniz.shape, dtype=bool)
-        for _, cols, rows, m in _leibniz_blocks(p, system.unfolding(kind)):
+        for _, cols, rows, m in _leibniz_blocks(system.unfolding(kind)):
             block = leibniz[np.ix_(rows, cols)]
             assert np.max(np.abs(m - block), initial=0.0) <= 1e-15
             covered[np.ix_(rows, cols)] = True
@@ -221,9 +220,27 @@ def _rotated(label, seed):
 def test_tensor_without_sign_symmetry_is_one_block(kind, monkeypatch):
     system = _rotated("I_C(2,1)", 7)
     # only the global sign -1 is left, and it fixes every map entry
-    assert np.unique(sign_grading(system.product_tensor(kind))).size == 1
+    p = system.product_tensor(kind)
+    assert np.unique(sign_grading(system.dim, np.stack(np.nonzero(p)))).size == 1
     _assert_blocks_match_oracle(system, kind, monkeypatch)
     assert derivation_space(system, kind).dim == (TRIPLE_DIMS if kind == "triple" else SYM_DIMS)["I_C(2,1)"]
+
+
+@pytest.mark.parametrize("kind", ["triple", "symmetrized"])
+def test_unfolding_is_the_one_scan_of_the_product_tensor(kind, monkeypatch):
+    # a fresh system: neither unfolding is memoized yet
+    system = direct_sum([build_factor("I_C(2,1)"), build_factor("SPIN_R(3,1)")])
+    ndims = []
+    nonzero = np.nonzero
+
+    def counting(a):
+        ndims.append(np.ndim(a))
+        return nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", counting)
+    system.unfolding(kind)
+    derivation_space(system, kind)
+    assert ndims.count(4) == 1
 
 
 GRADING_SYSTEMS = ("I_C(2,1)", "I_R(2,2)+SPIN_R(3,1)", "II_R(4)", "III_R(3)", "SPIN_C(3)", "I_H(2,1)")
@@ -242,7 +259,7 @@ def _sign_automorphisms(p):
 def test_sign_grading_is_the_joint_eigenspaces_of_every_sign_automorphism(label, kind):
     system = direct_sum([build_factor(spec) for spec in label.split("+")])
     p = system.product_tensor(kind)
-    chars = sign_grading(p).reshape(-1)
+    chars = sign_grading(system.dim, np.stack(np.nonzero(p))).reshape(-1)
     autos = _sign_automorphisms(p)
     # entry (a, b) is scaled by sigma_a sigma_b; entries share a block iff every sigma scales them alike
     scaling = (autos[:, :, None] * autos[:, None, :]).reshape(len(autos), -1).T
@@ -280,10 +297,9 @@ def test_block_residuals_equal_the_dense_leibniz_residual(label):
     for kind in ("triple", "symmetrized", "inner_span"):
         space = derivation_space(system, kind)
         leibniz_kind = "triple" if kind == "inner_span" else kind
-        p = system.product_tensor(leibniz_kind)
         maps = space.basis_stack().reshape(space.dim, -1).T
         blockwise = np.zeros(space.dim)
-        for _, cols, rows, m in _leibniz_blocks(p, system.unfolding(leibniz_kind)):
+        for _, cols, rows, m in _leibniz_blocks(system.unfolding(leibniz_kind)):
             blockwise = np.maximum(blockwise, _grouped_norms(m @ maps[cols], rows // n))
             if kind != "inner_span":
                 entries = np.zeros(n * n)
@@ -812,9 +828,18 @@ def test_space_json_requires_every_key(missing):
         {"basis": 4},
         {"tol": "tight"},
         {"kind": "bogus"},
+        {"dim": 4.2},
+        {"dim": "4"},
+        {"tol": "1e-9"},
+        {"tol": True},
+        {"tol": 0},
+        {"tol": -1.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
     ],
     ids=["dim_not_int", "dim_mismatch", "short_row", "row_not_numbers", "basis_not_list",
-         "tol_not_number", "unknown_kind"],
+         "tol_not_number", "unknown_kind", "dim_float", "dim_string", "tol_string", "tol_bool",
+         "tol_zero", "tol_negative", "tol_nan", "tol_inf"],
 )
 def test_space_json_rejects_malformed_payload(changes):
     system = build_factor("I_C(2,1)")

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triple_lab import build_factor
+from triple_lab import build_factor, check_jordan_identity, derivation_space, is_tripotent
 from triple_lab.errors import InvalidInput
 from triple_lab.numerics import (
     expm,
@@ -68,6 +68,32 @@ def test_null_space_leibniz_system_rank_one_hilbert():
 def test_null_space_rejects_bad_tol():
     with pytest.raises(InvalidInput):
         null_space(np.eye(2), tol=0.0)
+
+
+# every function with a tol; at n = 4, I_C(2,2) has the 7-dimensional Der(E)
+TOL_CALLS = {
+    "null_space": lambda tol: null_space(np.eye(3), tol=tol),
+    "orthonormal_columns": lambda tol: orthonormal_columns(np.eye(3), tol=tol),
+    "is_tripotent": lambda tol: is_tripotent(2.0 * build_factor("I_C(2,2)").basis_element(0), tol=tol),
+    "check_jordan_identity": lambda tol: check_jordan_identity(build_factor("I_R(2,2)"), tol=tol),
+    **{
+        f"derivation_space_{kind}": lambda tol, kind=kind: derivation_space(
+            build_factor("I_C(2,2)"), kind, tol=tol
+        )
+        for kind in ("triple", "symmetrized", "inner_span")
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "tol", [0.0, -1.0, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"]
+)
+@pytest.mark.parametrize("call", sorted(TOL_CALLS))
+def test_tol_must_be_a_finite_number_above_zero(call, tol):
+    # one rule: a NaN or infinite tol used to give silent wrong answers, such as
+    # all 64 maps of I_C(2,2) as triple derivations
+    with pytest.raises(InvalidInput, match="tol must be a finite number above 0"):
+        TOL_CALLS[call](tol)
 
 
 def test_null_space_rejects_nonfinite():

@@ -530,6 +530,23 @@ def test_cli_rejects_negative_seed_and_sample_count(tmp_path, args):
     assert "is negative" in result.stderr
 
 
+UNWRITABLE_OUTPUTS = {
+    "factor_build": ["factor", "build", "--kind", "I_C", "--dims", "2,1", "--out", "missing/f.json"],
+    "der_compute": ["der", "compute", "--factor", "f.json", "--kind", "triple", "--out", "missing/d.json"],
+    "structure_peirce": ["structure", "peirce", "--factor", "f.json", "--tripotent", "0", "--report", "."],
+    "repro_markdown": ["repro", "all", "--suite", "small.json", "--markdown", "missing/m.md"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_cli_reports_an_unwritable_output_path(tmp_path, case):
+    triple_core.save_system(build_factor("I_C(2,1)"), tmp_path / "f.json")
+    (tmp_path / "small.json").write_text(json.dumps(SMALL_SUITE))
+    result = run_cli(UNWRITABLE_OUTPUTS[case], cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: cannot write ")
+
+
 def test_negative_seed_is_refused_and_zero_samples_check_the_basis_points(tmp_path):
     with pytest.raises(InvalidInput, match="non-negative"):
         repro_all(seed=-1, suite=SMALL_SUITE)

@@ -690,8 +690,10 @@ def test_norm_axiom_takes_two_norm_calls_per_chunk(monkeypatch):
         {"dim": "four", "entries": [0.0] * 16},
         {"dim": 4, "entries": ["a"] * 16},
         {"dim": 4, "entries": [0.0] * 15},
+        {"dim": 4.9, "entries": [0.0] * 16},
+        {"dim": "4", "entries": [0.0] * 16},
     ],
-    ids=["no_dim", "dim_not_int", "entries_not_numbers", "short"],
+    ids=["no_dim", "dim_not_int", "entries_not_numbers", "short", "dim_float", "dim_string"],
 )
 def test_linear_map_json_rejects_malformed_payload(payload):
     with pytest.raises(InvalidInput):
@@ -704,8 +706,10 @@ def test_linear_map_json_rejects_malformed_payload(payload):
         {"dim": -1, "tensor": [0.0]},
         {"tensor": ["x"] * 256},
         {"complex_structure": [0.0] * 15},
+        {"dim": 4.5},
+        {"dim": "4"},
     ],
-    ids=["dim_negative", "tensor_not_numbers", "short_complex_structure"],
+    ids=["dim_negative", "tensor_not_numbers", "short_complex_structure", "dim_float", "dim_string"],
 )
 def test_system_json_rejects_malformed_payload(changes):
     payload = dict(system_to_json(build_factor("I_C(2,1)")), **changes)
@@ -850,7 +854,11 @@ def test_unfolding_blocks_reassemble_the_tensor(label, kind):
     p = system.product_tensor(kind)
     u = system.unfolding(kind)
     assert system.unfolding(kind) is u
-    chars = sign_grading(p).reshape(-1)
+    # the unfolding keeps the one scan of p: its nonzero indices and values
+    assert np.array_equal(u.nonzero, np.stack(np.nonzero(p)))
+    assert np.array_equal(u.values, p[np.nonzero(p)])
+    assert not u.nonzero.flags.writeable and not u.values.flags.writeable
+    chars = sign_grading(n, u.nonzero).reshape(-1)
     # two pairs share a block iff they share a character
     same_block = u.block[:, None] == u.block[None, :]
     assert np.array_equal(same_block, chars[:, None] == chars[None, :])
@@ -984,7 +992,7 @@ def test_randomized_jordan_on_corrupted_large_tensor_matches_einsum(keeps_gradin
     # either a nonzero pair (same nonzero pattern, same grading) or a pair
     # joining two characters (a coarser grading: fewer, wider blocks)
     system = build_factor("I_C(4,4)")
-    chars = sign_grading(system.tensor)
+    chars = sign_grading(system.dim, np.stack(np.nonzero(system.tensor)))
     i, j = 0, 1
     if keeps_grading:
         k, l = next((k, l) for k, l in zip(*np.nonzero(system.tensor[i, j])) if k != i)
