@@ -297,6 +297,7 @@ def leibniz_residual(t: LinearMap, kind: str) -> dict:
 @timed
 def is_derivation(t: LinearMap, kind: str = "triple", tol: float = 1e-10) -> Report:
     """Pass iff the Leibniz rule of the given product holds within tol."""
+    check_tol(tol)
     data = leibniz_residual(t, kind)
     worst = data["max_residual"]
     status = STATUS_PASS if worst <= tol else STATUS_FAIL
@@ -344,6 +345,7 @@ def local_derivation_residual(
     A pass on the sampled set is evidence; a fail is a certified refutation,
     because D(a) ranges over the full derivation space at each point.
     """
+    check_tol(tol)
     points = list(points)
     if not points:
         raise InvalidInput("local_derivation_residual needs at least one point")
@@ -433,6 +435,7 @@ def rank_one_local_witness(t: LinearMap, x: Element) -> LinearMap:
 @timed
 def check_complex_linearity(space: DerivationSpace, tol: float = 1e-8) -> Report:
     """Commutation of every basis member with the complex structure J."""
+    check_tol(tol)
     j = space.system.complex_structure
     if j is None:
         raise Unsupported(f"{space.system.name} carries no complex structure")
@@ -469,6 +472,7 @@ def exp_flow_check(
     For each t the residual is the worst basis-triple defect
     ||g{x,y,z} - {gx,gy,gz}||, compared against tol * (1 + ||g||^3).
     """
+    check_tol(tol)
     p = t.system.product_tensor(kind)
     residuals = {}
     witness = {}
@@ -501,6 +505,7 @@ def check_IAP_finite(system: TripleSystem, tol: float = 1e-8) -> Report:
     rendering.  Checked through projections of each orthonormal basis onto
     the other.
     """
+    check_tol(tol)
     der = derivation_space(system, "triple")
     inner = derivation_space(system, "inner_span")
     n2 = system.dim**2

@@ -264,24 +264,54 @@ def _basis_for(label: str):
     return _matrix_basis(FactorSpec.parse(label))
 
 
-def _matrix_tensor(field: str, basis: np.ndarray) -> np.ndarray:
-    """Structure constants of {x,y,z} = (x y* z + z y* x) / 2 in the given basis."""
+def _real_embedding(field: str, basis: np.ndarray):
+    """Real matrices rho_i of the basis elements and the factor d of the trace form.
+
+    R is embedded as itself, each complex entry a + bi as the 2 x 2 block
+    [[a, -b], [b, a]], and H first into C by
+    :func:`quaternion_matrix_to_complex`.  rho is a *-homomorphism, so
+    rho(x*) = rho(x)^T, and tr(rho(x) rho(y)^T) = d Re tr(x y*) with
+    d = 1, 2, 4 for R, C, H.
+    """
     if field == "R":
-        pair = np.einsum("iuw,jvw->ijuv", basis, basis, optimize=True)
-        prod = np.einsum("ijuv,kvw->ijkuw", pair, basis, optimize=True)
-        prod = 0.5 * (prod + prod.transpose(2, 1, 0, 3, 4))
-        return np.einsum("ijkuw,luw->ijkl", prod, basis, optimize=True)
-    if field == "C":
-        pair = np.einsum("iuw,jvw->ijuv", basis, np.conj(basis), optimize=True)
-        prod = np.einsum("ijuv,kvw->ijkuw", pair, basis, optimize=True)
-        prod = 0.5 * (prod + prod.transpose(2, 1, 0, 3, 4))
-        coeff = np.einsum("ijkuw,luw->ijkl", prod, np.conj(basis), optimize=True)
-        return np.ascontiguousarray(coeff.real)
-    adjoint = np.stack([_qmat_adjoint(b) for b in basis])
-    pair = np.einsum("iuva,jvwb,abg->ijuwg", basis, adjoint, QMUL, optimize=True)
-    prod = np.einsum("ijuvg,kvwh,ghf->ijkuwf", pair, basis, QMUL, optimize=True)
-    prod = 0.5 * (prod + prod.transpose(2, 1, 0, 3, 4, 5))
-    return np.einsum("ijkuwf,luwf->ijkl", prod, basis, optimize=True)
+        return basis, 1
+    z = quaternion_matrix_to_complex(basis) if field == "H" else basis
+    rho = np.empty(z.shape[:-2] + (2 * z.shape[-2], 2 * z.shape[-1]))
+    rho[..., 0::2, 0::2] = z.real
+    rho[..., 0::2, 1::2] = -z.imag
+    rho[..., 1::2, 0::2] = z.imag
+    rho[..., 1::2, 1::2] = z.real
+    return rho, 2 if field == "C" else 4
+
+
+def _matrix_tensor(field: str, basis: np.ndarray) -> np.ndarray:
+    """Structure constants of {x,y,z} = (x y* z + z y* x) / 2 in the given basis.
+
+    The basis is orthonormal for Re tr(x y*), so with the real matrices
+    rho_i of :func:`_real_embedding` and their factor d
+
+        c[i,j,k,l] = (tr(rho_i rho_j^T rho_k rho_l^T)
+                      + tr(rho_k rho_j^T rho_i rho_l^T)) / (2d).
+
+    With the rows Z[(i,j)] = [vec(rho_i rho_j^T), vec(rho_j^T rho_i)], the dot
+    product Z[(i,j)] . Z[(l,k)] is the sum of the two traces.  So the
+    (n^2, n^2) unfolding of c is one GEMM of Z with Z_swap, its rows
+    reindexed (i,j) -> (j,i), and the tensor comes out in C order without
+    any n^3 m^2 product stack.
+    """
+    rho, d = _real_embedding(field, basis)
+    n, rows, cols = rho.shape
+    z = np.empty((n, n, rows * rows + cols * cols))
+    left = rho.reshape(n * rows, cols)
+    outer = z[..., : rows * rows].reshape(n, n, rows, rows)
+    outer[...] = (left @ left.T).reshape(n, rows, n, rows).transpose(0, 2, 1, 3)
+    right = rho.transpose(1, 0, 2).reshape(rows, n * cols)
+    inner = z[..., rows * rows :].reshape(n, n, cols, cols)
+    inner[...] = (right.T @ right).reshape(n, cols, n, cols).transpose(2, 0, 1, 3)
+    swapped = z.transpose(1, 0, 2).reshape(n * n, -1)
+    c = z.reshape(n * n, -1) @ swapped.T
+    c *= 1.0 / (2 * d)
+    return c.reshape((n,) * 4)
 
 
 def _interleaved_j(pairs: int) -> np.ndarray:

@@ -63,6 +63,7 @@ def peirce(e: Element, tol: float = 1e-9) -> PeirceSystem:
     The eigenvalues of L(e,e) are 0, 1/2, 1, so the projections are the
     Lagrange polynomials P2 = A(2A-1), P1 = 4A(1-A), P0 = (1-A)(1-2A).
     """
+    check_tol(tol)
     if not is_tripotent(e, tol=max(tol, 1e-9)):
         raise NotTripotent("peirce decomposition needs a tripotent")
     n = e.system.dim
@@ -110,6 +111,7 @@ def check_peirce_arithmetic(e: Element, tol: float = 1e-9) -> Report:
     {E0,E2,E} = {E2,E0,E} = 0 entirely, and {E_i,E_j,E_k} lands in
     E_{i-j+k} (the zero space when i-j+k is outside 0..2).
     """
+    check_tol(tol)
     ps = peirce(e)
     bases = [ps.subspace_basis(k) for k in range(3)]
     projections = [ps.p0.entries, ps.p1.entries, ps.p2.entries]
@@ -143,6 +145,7 @@ def check_peirce_arithmetic(e: Element, tol: float = 1e-9) -> Report:
 
 def are_orthogonal(a: Element, b: Element, tol: float = 1e-10) -> bool:
     """L(a,b) = 0, cross-validated against {a,a,b} = 0 and {b,b,a} = 0."""
+    check_tol(tol)
     system = _same_system(a, b)
     scale = max(a.norm() * b.norm(), 1e-300)
     l_norm = float(np.linalg.norm(L_operator(a, b).entries, 2))
@@ -168,6 +171,7 @@ def verify_rank_witness(system: TripleSystem, family, tol: float = 1e-10) -> Rep
     Witnesses only ever certify a lower bound; the exact rank is metadata
     from the factor classification.
     """
+    check_tol(tol)
     if isinstance(family, OrthogonalSystem):
         elements = list(family.elements)
     else:
@@ -242,6 +246,7 @@ def cube_root(a: Element, tol: float = 1e-8) -> Element:
     self-adjoint L(a,a) serves every factor, direct sum and real form; a
     system whose L(a,a) is not self-adjoint fails the residual check.
     """
+    check_tol(tol)
     system = a.system
     scale = float(np.linalg.norm(a.coords))
     if scale == 0.0:
@@ -270,6 +275,7 @@ def cube_root(a: Element, tol: float = 1e-8) -> Element:
 
 def is_minimal_tripotent(e: Element, tol: float = 1e-8) -> bool:
     """Minimality: the fixed space of Q(e) is the line through e."""
+    check_tol(tol)
     if e.norm() == 0.0 or not is_tripotent(e, tol=max(tol, 1e-10)):
         return False
     n = e.system.dim
@@ -297,6 +303,7 @@ def offblock_leakage(t: LinearMap) -> float:
 @timed
 def check_ideal_invariance(system: TripleSystem, maps, tol: float = 1e-8) -> Report:
     """Block invariance of maps on a direct sum: T(block) stays in the block."""
+    check_tol(tol)
     worst = 0.0
     witness = {}
     for idx, t in enumerate(maps):

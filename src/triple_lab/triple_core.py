@@ -73,16 +73,22 @@ class TripleSystem:
             raise InvalidInput(f"tensor must be n^4, got shape {tensor.shape}")
         n = tensor.shape[0] if tensor.ndim == 4 else 0
         check_dim(n)
-        if tensor.size and not np.all(np.isfinite(tensor)):
-            raise InvalidInput("tensor has non-finite entries")
         # one C-ordered n^4 buffer holds the asymmetry, then the symmetrized
         # tensor; the caller's array is only read
         swapped = tensor.transpose(2, 1, 0, 3)
-        sym = np.subtract(tensor, swapped, out=np.empty(tensor.shape))
-        if tensor.size and np.max(np.abs(sym, out=sym)) > 1e-10:
-            raise InvalidInput("tensor is not symmetric in the outer slots")
-        tensor = np.add(tensor, swapped, out=sym)
-        tensor *= 0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = np.subtract(tensor, swapped, out=np.empty(tensor.shape))
+            # a NaN asymmetry compares false; non-finite input is refused below
+            asymmetric = tensor.size and np.max(np.abs(sym, out=sym)) > 1e-10
+            if asymmetric and np.all(np.isfinite(tensor)):
+                raise InvalidInput("tensor is not symmetric in the outer slots")
+            symmetrized = np.add(tensor, swapped, out=sym)
+        symmetrized *= 0.5
+        if tensor.size and not np.all(np.isfinite(symmetrized)):
+            if np.all(np.isfinite(tensor)):  # a finite pair above about 9e307
+                raise InvalidInput("tensor entries overflow when symmetrized")
+            raise InvalidInput("tensor has non-finite entries")
+        tensor = symmetrized
         tensor.flags.writeable = False
         if norm_kind not in NORM_KINDS:
             raise InvalidInput(f"unknown norm_kind {norm_kind!r}")
@@ -512,6 +518,7 @@ def check_norm_axiom(
     """Relative residual of ||{a,a,a}|| = ||a||^3 on seeded random elements."""
     from .factors import element_norms  # late import: factors builds on this module
 
+    check_tol(tol)
     if samples < 1:  # see check_jordan_identity
         raise InvalidInput(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
@@ -550,6 +557,7 @@ def check_norm_axiom(
 @timed
 def check_complex_structure(system: TripleSystem, tol: float = 1e-12) -> Report:
     """J-compatibility: {Jx,y,z} = J{x,y,z} and {x,Jy,z} = -J{x,y,z} on basis triples."""
+    check_tol(tol)
     j = system.complex_structure
     if j is None:
         raise Unsupported(f"{system.name} carries no complex structure")

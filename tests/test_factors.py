@@ -157,8 +157,12 @@ def test_quaternion_embedding_takes_a_stack():
     assert np.array_equal(complex_matrix_to_quaternion(stacked), x)
 
 
-MATRIX_KINDS = ["I_R(2,2)", "I_C(2,1)", "I_C(2,2)", "I_H(2,1)", "II_R(4)",
-                "II_C(2)", "II_H(2)", "III_R(3)", "III_H(2)"]
+# label: samples; one factor per field at n = 28..36 with fewer samples
+MATRIX_KINDS = {
+    **dict.fromkeys(["I_R(2,2)", "I_C(2,1)", "I_C(3,1)", "I_C(2,2)", "I_H(2,1)", "II_R(4)",
+                     "II_C(2)", "II_H(2)", "III_R(3)", "III_H(2)"], 100),
+    **dict.fromkeys(["II_R(8)", "I_C(4,4)", "III_R(8)", "I_H(3,3)"], 20),
+}
 
 
 @pytest.mark.parametrize("label", MATRIX_KINDS)
@@ -167,7 +171,7 @@ def test_tensor_product_matches_direct_matrix_evaluation(label):
     # directly, bypassing the structure tensor
     system = build_factor(label)
     rng = np.random.default_rng(42)
-    for _ in range(100):
+    for _ in range(MATRIX_KINDS[label]):
         coords = rng.standard_normal((3, system.dim))
         via_tensor = system.product_arrays(*coords)
         field, x = coords_to_representation(label, coords[0])
@@ -294,6 +298,21 @@ def test_constructors_refuse_oversized_dimensions_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_matrix_factor_builds_without_product_stacks():
+    # III_R(8), n = 36: the built tensor and the constructor's symmetrization
+    # buffer are 2 n^4 doubles; the n^3 m^2 product stacks of an einsum
+    # contraction (24 MB each) would not fit beside them
+    factors._basis_for.cache_clear()
+    tracemalloc.start()
+    try:
+        system = build_factor("III_R(8)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.dim == 36
+    assert peak < 2.5 * 36**4 * 8
 
 
 def test_direct_sum_json_roundtrip_recovers_blocks(tmp_path):

@@ -6,8 +6,30 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triple_lab import build_factor, check_jordan_identity, derivation_space, is_tripotent
+from triple_lab import (
+    are_orthogonal,
+    build_factor,
+    canonical_rank_witness,
+    canonical_tripotents,
+    check_complex_linearity,
+    check_IAP_finite,
+    check_jordan_identity,
+    check_norm_axiom,
+    check_peirce_arithmetic,
+    cube_root,
+    derivation_space,
+    direct_sum,
+    exp_flow_check,
+    is_derivation,
+    is_minimal_tripotent,
+    is_tripotent,
+    local_derivation_residual,
+    peirce,
+    verify_rank_witness,
+)
 from triple_lab.errors import InvalidInput
+from triple_lab.structure import check_ideal_invariance
+from triple_lab.triple_core import check_complex_structure
 from triple_lab.numerics import (
     expm,
     least_squares_residual,
@@ -70,6 +92,14 @@ def test_null_space_rejects_bad_tol():
         null_space(np.eye(2), tol=0.0)
 
 
+def _ic22():
+    return build_factor("I_C(2,2)")
+
+
+def _tripotent():
+    return canonical_tripotents(_ic22())[0]
+
+
 # every function with a tol; at n = 4, I_C(2,2) has the 7-dimensional Der(E)
 TOL_CALLS = {
     "null_space": lambda tol: null_space(np.eye(3), tol=tol),
@@ -82,6 +112,32 @@ TOL_CALLS = {
         )
         for kind in ("triple", "symmetrized", "inner_span")
     },
+    # the identity is no triple derivation, yet tol=inf passed it
+    "is_derivation": lambda tol: is_derivation(_ic22().identity_map(), "triple", tol=tol),
+    "local_derivation_residual": lambda tol: local_derivation_residual(
+        _ic22().identity_map(), [_ic22().basis_element(0)], tol=tol
+    ),
+    "check_complex_linearity": lambda tol: check_complex_linearity(
+        derivation_space(_ic22(), "triple"), tol=tol
+    ),
+    "exp_flow_check": lambda tol: exp_flow_check(_ic22().identity_map(), "triple", [1.0], tol=tol),
+    "check_IAP_finite": lambda tol: check_IAP_finite(_ic22(), tol=tol),
+    "peirce": lambda tol: peirce(_tripotent(), tol=tol),
+    # tol=-1 used to report fail, not refuse the tolerance
+    "check_peirce_arithmetic": lambda tol: check_peirce_arithmetic(_tripotent(), tol=tol),
+    "are_orthogonal": lambda tol: are_orthogonal(
+        _ic22().basis_element(0), _ic22().basis_element(1), tol=tol
+    ),
+    "verify_rank_witness": lambda tol: verify_rank_witness(
+        _ic22(), canonical_rank_witness(_ic22()), tol=tol
+    ),
+    "cube_root": lambda tol: cube_root(_ic22().basis_element(0), tol=tol),
+    "is_minimal_tripotent": lambda tol: is_minimal_tripotent(_tripotent(), tol=tol),
+    "check_ideal_invariance": lambda tol: check_ideal_invariance(
+        direct_sum([_ic22(), _ic22()]), [], tol=tol
+    ),
+    "check_norm_axiom": lambda tol: check_norm_axiom(_ic22(), 1, tol=tol),
+    "check_complex_structure": lambda tol: check_complex_structure(_ic22(), tol=tol),
 }
 
 

@@ -170,6 +170,26 @@ def test_symmetrization_reads_the_callers_array_only():
     assert system.tensor.flags.c_contiguous and not system.tensor.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((1.5e308, 1.5e308), "overflow"),  # stored as inf before
+        ((np.nan, np.nan), "non-finite"),
+        ((np.inf, np.inf), "non-finite"),
+        ((np.inf, 1.0), "non-finite"),
+        ((1e308, -1e308), "not symmetric"),
+    ],
+    ids=["overflow", "nan", "inf_pair", "inf_finite", "asymmetry_overflows"],
+)
+def test_constructor_refuses_entries_without_a_finite_symmetrization(pair, message):
+    tensor = np.zeros((2,) * 4)
+    tensor[0, 1, 1, 0], tensor[1, 1, 0, 0] = pair
+    with pytest.raises(InvalidInput, match=message):
+        TripleSystem("x", tensor)
+    tensor[0, 1, 1, 0] = tensor[1, 1, 0, 0] = 8e307  # the largest pair that sums finitely
+    assert TripleSystem("x", tensor).tensor[0, 1, 1, 0] == 8e307
+
+
 @pytest.mark.parametrize("label", ["I_R(2,2)", "III_R(3)", "II_R(4)", "I_H(2,1)"])
 def test_built_and_loaded_factors_apply_L_to_the_bit(tmp_path, label):
     # both tensors are C-ordered, so the einsum of L(a,b) sums in one order
