@@ -470,7 +470,8 @@ def exp_flow_check(
     """Automorphism defect of exp(tT) for the product of the given kind.
 
     For each t the residual is the worst basis-triple defect
-    ||g{x,y,z} - {gx,gy,gz}||, compared against tol * (1 + ||g||^3).
+    ||g{x,y,z} - {gx,gy,gz}||, compared against tol * (1 + ||g||^3).  A NaN or
+    infinite defect (a flow that overflows) fails, with no bound.
     """
     check_tol(tol)
     p = t.system.product_tensor(kind)
@@ -480,12 +481,15 @@ def exp_flow_check(
         g = expm(value * t.entries)
         diff = p @ g.T - in_slots(p, g, g, g)
         worst = float(np.sqrt(np.einsum("...l,...l->...", diff, diff).max(initial=0.0)))
-        bound = tol * (1.0 + np.linalg.norm(g, 2) ** 3)
         # the short label where it reads back as the same t, so distinct t never share a key
         key = f"t={value:g}" if float(f"{value:g}") == value else f"t={value!r}"
         residuals[key] = worst
-        if worst > bound:
-            witness[key] = {"residual": worst, "bound": bound}
+        if not np.isfinite(worst):
+            witness[key] = {"residual": worst, "bound": None}
+        elif worst > tol:  # the bound is at least tol: its SVD only when it can fail
+            bound = tol * (1.0 + np.linalg.norm(g, 2) ** 3)
+            if worst > bound:
+                witness[key] = {"residual": worst, "bound": bound}
     if not residuals:  # an empty grid would pass without checking anything
         raise InvalidInput("exp_flow_check needs at least one t")
     return Report(

@@ -35,7 +35,8 @@ MAX_DIM = 64
 BATCH_ROWS = 1024
 # Entries of one stack of per-row intermediates (outer products, maps,
 # evaluation matrices) that a batched check holds: 2 MB.  The Jordan check
-# holds four such stacks at once.
+# holds four such stacks at once.  The constructor scans its tensor this many
+# entries at a time.
 BATCH_ENTRIES = 2**18
 
 
@@ -48,6 +49,48 @@ def check_dim(n: int) -> None:
 def batch_rows(per_row: int) -> int:
     """Rows per chunk of a batched check whose rows hold ``per_row`` entries each."""
     return max(1, BATCH_ENTRIES // max(per_row, 1))
+
+
+def _symmetrize_outer(flat: np.ndarray, n: int) -> None:
+    """Overwrite the flat C-ordered n^4 tensor ``flat`` with (c + c_swap) * 0.5,
+    c_swap[i, j, k, l] = c[k, j, i, l]; InvalidInput if an entry is not
+    finite, lies more than 1e-10 from its swap, or sums to an overflow with it.
+
+    Only entries whose bits are not +0.0 (so -0.0, NaN and inf too) and their
+    swaps are read and written, one ``BATCH_ENTRIES`` scan at a time: the sum
+    of two +0.0 is +0.0.  Each pair is visited once, at the first entry of it
+    that a scan finds, while both entries still hold their input: an entry
+    whose swap comes earlier is skipped unless the swap holds +0.0, since a
+    swap with other bits was found first (and, in an earlier scan, written
+    with the pair's value, which this entry holds too).  Non-finite input is
+    named before asymmetry, and asymmetry before overflow, whichever entries
+    show them.
+    """
+    bits = flat.view(np.uint64)
+    step = n**3 - n  # swapping i and k moves a flat index by (k - i) * step
+    asymmetric = overflow = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, flat.size, BATCH_ENTRIES):
+            at = np.flatnonzero(bits[start : start + BATCH_ENTRIES] != 0) + start
+            swap = at + (at // n % n - at // n**3) * step
+            b = flat[swap]
+            first = (swap >= at) | (b.view(np.uint64) == 0)
+            at, swap, b = at[first], swap[first], b[first]
+            a = flat[at]
+            # an inf difference of finite entries is asymmetry; NaN compares false
+            asymmetric = asymmetric or bool(np.any(np.abs(a - b) > 1e-10))
+            sym = np.add(a, b, out=a)
+            sym *= 0.5
+            if not np.all(np.isfinite(sym)):  # a finite sum has finite terms
+                if not (np.all(np.isfinite(flat[at])) and np.all(np.isfinite(b))):
+                    raise InvalidInput("tensor has non-finite entries")
+                overflow = True  # a finite pair above about 9e307
+            flat[at] = sym
+            flat[swap] = sym
+    if asymmetric:
+        raise InvalidInput("tensor is not symmetric in the outer slots")
+    if overflow:
+        raise InvalidInput("tensor entries overflow when symmetrized")
 
 
 class TripleSystem:
@@ -73,22 +116,10 @@ class TripleSystem:
             raise InvalidInput(f"tensor must be n^4, got shape {tensor.shape}")
         n = tensor.shape[0] if tensor.ndim == 4 else 0
         check_dim(n)
-        # one C-ordered n^4 buffer holds the asymmetry, then the symmetrized
-        # tensor; the caller's array is only read
-        swapped = tensor.transpose(2, 1, 0, 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sym = np.subtract(tensor, swapped, out=np.empty(tensor.shape))
-            # a NaN asymmetry compares false; non-finite input is refused below
-            asymmetric = tensor.size and np.max(np.abs(sym, out=sym)) > 1e-10
-            if asymmetric and np.all(np.isfinite(tensor)):
-                raise InvalidInput("tensor is not symmetric in the outer slots")
-            symmetrized = np.add(tensor, swapped, out=sym)
-        symmetrized *= 0.5
-        if tensor.size and not np.all(np.isfinite(symmetrized)):
-            if np.all(np.isfinite(tensor)):  # a finite pair above about 9e307
-                raise InvalidInput("tensor entries overflow when symmetrized")
-            raise InvalidInput("tensor has non-finite entries")
-        tensor = symmetrized
+        # one C-ordered copy, the only n^4 buffer for a float array of any
+        # layout, becomes the tensor; the caller's array is only read
+        tensor = np.array(tensor, order="C")
+        _symmetrize_outer(tensor.reshape(-1), n)
         tensor.flags.writeable = False
         if norm_kind not in NORM_KINDS:
             raise InvalidInput(f"unknown norm_kind {norm_kind!r}")
@@ -689,7 +720,7 @@ def system_from_json(payload: dict) -> TripleSystem:
 
 
 def save_system(system: TripleSystem, path) -> None:
-    """Write the wire format; ``canonical_json`` encodes the tensor without boxing its zeros."""
+    """Write the wire format; ``canonical_bytes`` encodes the tensor without boxing its zeros."""
     write_json(_wire_payload(system), path)
 
 

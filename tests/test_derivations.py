@@ -738,6 +738,50 @@ def test_exp_flow_keeps_one_residual_per_distinct_t():
     assert list(sym.residuals) == ["t=1", "t=-1", "t=0.5", "t=-0.5"]
 
 
+def _counted_norms(monkeypatch) -> list:
+    """Patch ``np.linalg.norm`` to record its calls; the list of their arguments."""
+    calls, norm = [], np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rate, defect", [(800.0, "nan"), (300.0, "inf")], ids=["nan", "inf"])
+def test_exp_flow_fails_on_a_flow_that_overflows(monkeypatch, rate, defect):
+    # exp(800) overflows, so the defect is NaN; exp(300) does not, but its cube
+    # does, so the defect is inf: neither compares above the bound
+    system = build_factor("I_C(2,1)")
+    entries = np.zeros((system.dim, system.dim))
+    entries[0, 0] = rate
+    norms = _counted_norms(monkeypatch)
+    report = exp_flow_check(system.linear_map(entries), "triple", [1.0])
+    assert report.status == "fail"
+    assert str(report.residuals["t=1"]) == defect
+    assert report.witnesses == {"t=1": {"residual": report.residuals["t=1"], "bound": None}}
+    assert norms == []  # no SVD of a non-finite flow
+
+
+def test_exp_flow_takes_the_bound_only_above_tol(monkeypatch):
+    # the bound tol * (1 + ||g||^3) is at least tol: a defect within tol passes
+    # without the spectral norm of g
+    system = build_factor("SPIN_R(3,1)")
+    space = derivation_space(system, "triple")
+    member = space.member(np.arange(1.0, space.dim + 1.0))
+    t = counterexample_map(build_factor("I_C(2,1)"))
+    norms = _counted_norms(monkeypatch)
+    assert exp_flow_check(member, "triple", [-1.0, 0.5, 1.0]).status == "pass"
+    assert norms == []
+    report = exp_flow_check(t, "triple", [1.0, 0.5])
+    assert len(norms) == 2 and report.status == "fail"
+    g = scipy.linalg.expm(t.entries)
+    assert report.witnesses["t=1"]["bound"] == pytest.approx(1e-7 * (1 + np.linalg.norm(g, 2) ** 3))
+
+
 def test_exp_flow_rejects_an_empty_grid():
     # an empty grid would pass without checking a single flow
     t = counterexample_map(build_factor("I_C(2,1)"))

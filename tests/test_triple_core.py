@@ -190,6 +190,109 @@ def test_constructor_refuses_entries_without_a_finite_symmetrization(pair, messa
     assert TripleSystem("x", tensor).tensor[0, 1, 1, 0] == 8e307
 
 
+def _symmetrized(tensor):
+    """The oracle of the constructor, in whole n^4 passes: 0.5 * (T + T_swap)
+    or the message it refuses T with."""
+    tensor = np.asarray(tensor, dtype=float)
+    swapped = tensor.transpose(2, 1, 0, 3)
+    if not np.all(np.isfinite(tensor)):
+        return "tensor has non-finite entries"
+    with np.errstate(over="ignore"):
+        if tensor.size and np.max(np.abs(tensor - swapped)) > 1e-10:
+            return "tensor is not symmetric in the outer slots"
+        symmetrized = 0.5 * (tensor + swapped)
+    if not np.all(np.isfinite(symmetrized)):
+        return "tensor entries overflow when symmetrized"
+    return symmetrized
+
+
+def _constructed(tensor):
+    """``TripleSystem(tensor).tensor``, or the message of its InvalidInput."""
+    try:
+        return TripleSystem("x", tensor).tensor
+    except InvalidInput as exc:
+        return str(exc)
+
+
+def _layouts(tensor):
+    """The tensor C-ordered, F-ordered and as a strided view of a larger array."""
+    wide = np.zeros(tensor.shape[:3] + (2 * tensor.shape[3],))
+    wide[..., ::2] = tensor
+    return {"C": tensor, "F": np.asfortranarray(tensor), "strided": wide[..., ::2]}
+
+
+SYMMETRIZED_SPECIALS = [0.0, -0.0, 5e-324, 1e-11, 1.0, 8e307, 1.5e308, -1e308, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 3),
+    entries=st.lists(
+        st.tuples(
+            st.integers(0, 80),
+            st.one_of(st.sampled_from(SYMMETRIZED_SPECIALS), st.floats()),
+            st.one_of(st.none(), st.sampled_from(SYMMETRIZED_SPECIALS), st.floats()),
+        ),
+        max_size=10,
+    ),
+    chunk=st.sampled_from([1, 3, 7, triple_core.BATCH_ENTRIES]),
+)
+@example(n=0, entries=[], chunk=1)
+@example(n=2, entries=[(1, -0.0, 0.0), (3, 0.0, -0.0), (6, -0.0, -0.0)], chunk=1)  # -0.0 swapped with +0.0
+@example(n=2, entries=[(2, 1.5e308, 1.5e308)], chunk=3)  # a finite pair that overflows
+@example(n=2, entries=[(2, 1.0, 2.0), (7, np.nan, np.nan)], chunk=7)  # NaN is named before asymmetry
+@example(n=2, entries=[(2, 1.0, 2.0), (7, 1.5e308, 1.5e308)], chunk=1)  # asymmetry before overflow
+@example(n=3, entries=[(5, np.inf, 1.0), (60, 1.0, 1.0 + 1e-12)], chunk=3)
+def test_constructor_matches_the_whole_tensor_oracle(n, entries, chunk):
+    # an entry and, unless None, its outer swap: pairs that are equal, within
+    # the tolerance, asymmetric, overflowing or not finite, cut by scan chunks
+    tensor = np.zeros((n,) * 4)
+    for index, value, swapped in entries if n else []:
+        i, j, k, l = np.unravel_index(index % n**4, tensor.shape)
+        tensor[i, j, k, l] = value
+        if swapped is not None:
+            tensor[k, j, i, l] = swapped
+    expected = _symmetrized(tensor)
+    before = tensor.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triple_core, "BATCH_ENTRIES", chunk)
+        for layout, given_tensor in _layouts(tensor).items():
+            got = _constructed(given_tensor)
+            if isinstance(expected, str):
+                assert got == expected, layout
+            else:
+                assert got.tobytes() == expected.tobytes(), layout
+    assert tensor.tobytes() == before.tobytes()
+
+
+def test_constructor_matches_the_oracle_on_a_dense_tensor_above_one_chunk():
+    # n^4 = 331776 > BATCH_ENTRIES: every entry nonzero, each pair within the tolerance
+    n = 24
+    assert n**4 > triple_core.BATCH_ENTRIES
+    rng = np.random.default_rng(5)
+    tensor = rng.standard_normal((n,) * 4)
+    tensor = tensor + tensor.transpose(2, 1, 0, 3) + 1e-12 * rng.standard_normal((n,) * 4)
+    expected = _symmetrized(tensor)
+    for layout, given_tensor in _layouts(tensor).items():
+        assert _constructed(given_tensor).tobytes() == expected.tobytes(), layout
+    tensor[3, 1, 20, 2] += 1e-6
+    assert _constructed(np.asfortranarray(tensor)) == _symmetrized(tensor)
+
+
+def test_constructor_holds_one_buffer_of_its_own():
+    # III_R(8), n = 36: the C-ordered copy is the only n^4 allocation, for a
+    # non-contiguous input too
+    tensor = np.asfortranarray(build_factor("III_R(8)").tensor)
+    tracemalloc.start()
+    try:
+        system = TripleSystem("x", tensor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.tensor.flags.c_contiguous
+    assert peak < 1.2 * tensor.nbytes
+
+
 @pytest.mark.parametrize("label", ["I_R(2,2)", "III_R(3)", "II_R(4)", "I_H(2,1)"])
 def test_built_and_loaded_factors_apply_L_to_the_bit(tmp_path, label):
     # both tensors are C-ordered, so the einsum of L(a,b) sums in one order
@@ -440,7 +543,11 @@ def _no_fallback(*args):
 
 # masking chunks of the tensor reader: entries longer than 3 or 7 bytes are cut
 CHUNKS = (3, 7, report.SCAN_CHUNK)
-FINITE_SPECIALS = [-0.0, 5e-324, 1e16, 1.0 / 3.0, 1.0, -2.5e-308]
+# the longest float repr (24 bytes) and the longest run of zeros ahead of a
+# token's first digit outside "0." ("0.000"), which bound the reader's windows
+LONGEST_TOKEN = -2.2250738585072014e-308
+ZERO_PREFIXED = 0.00012345678901234567
+FINITE_SPECIALS = [-0.0, 5e-324, 1e16, 1.0 / 3.0, 1.0, -2.5e-308, LONGEST_TOKEN, ZERO_PREFIXED]
 
 
 @settings(max_examples=150, deadline=None)
@@ -459,6 +566,8 @@ FINITE_SPECIALS = [-0.0, 5e-324, 1e16, 1.0 / 3.0, 1.0, -2.5e-308]
 @example(n=2, entries=[], chunk=report.SCAN_CHUNK)
 @example(n=2, entries=[(0, 1.0 / 3.0), (15, -0.0)], chunk=3)  # no run at either end
 @example(n=3, entries=[(40, 5e-324), (41, 1e16)], chunk=7)  # runs at both ends, adjacent entries
+@example(n=2, entries=[(0, LONGEST_TOKEN), (1, -ZERO_PREFIXED), (15, ZERO_PREFIXED)], chunk=3)
+@example(n=2, entries=[(0, ZERO_PREFIXED), (15, LONGEST_TOKEN)], chunk=report.SCAN_CHUNK)
 def test_saved_tensors_load_as_json_parses_them(tmp_path_factory, n, entries, chunk):
     # entries set symmetrically in the outer slots survive the symmetrization bit for bit
     tensor = np.zeros((n,) * 4)
@@ -490,6 +599,7 @@ def test_saved_tensors_load_as_json_parses_them(tmp_path_factory, n, entries, ch
 )
 @example([[0.0] * 2, 1.0, [0.0] * 3, -0.0, [0.0]], 3)
 @example([1e16, -2.5e-308, [0.0] * 5, 1.0 / 3.0], 7)
+@example([LONGEST_TOKEN, [0.0] * 2, ZERO_PREFIXED, -ZERO_PREFIXED], report.SCAN_CHUNK)
 def test_array_reader_inverts_the_array_writer(tmp_path_factory, parts, chunk):
     # NaN and infinities are not JSON numbers: those files take the json path
     arr = np.array([v for p in parts for v in (p if isinstance(p, list) else [p])], dtype=float)
@@ -502,18 +612,56 @@ def test_array_reader_inverts_the_array_writer(tmp_path_factory, parts, chunk):
     assert np.asarray(payload["tensor"], dtype=float).tobytes() == _json_tensor(path).tobytes()
 
 
-@pytest.mark.parametrize("case", sorted(WIRE_CASES))
+# n = 28..36, 99.4-99.8 % zeros: the factor files of the benchmark's wire-format part
+IO_FACTORS = ("II_R(8)", "I_C(4,4)", "III_R(8)", "I_H(3,3)")
+
+
+@pytest.mark.parametrize("case", sorted(WIRE_CASES) + list(IO_FACTORS))
 def test_saved_files_take_the_zero_run_reader(tmp_path, monkeypatch, case):
-    system = WIRE_CASES[case]()
+    # the large factors at the default chunk only
+    small = case in WIRE_CASES
+    system = WIRE_CASES[case]() if small else build_factor(case)
     path = tmp_path / "system.json"
     triple_core.save_system(system, path)
     oracle = _json_tensor(path)
     monkeypatch.setattr("triple_lab.report.read_json", _no_fallback)
-    for chunk in CHUNKS:
+    for chunk in CHUNKS if small else (report.SCAN_CHUNK,):
         monkeypatch.setattr(report, "SCAN_CHUNK", chunk)
         loaded = triple_core.load_system(path)
         assert loaded == system
         assert loaded.tensor.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize(
+    "token, longer",
+    [
+        (b"1.0,", b"1.00000000000000000000000000000000,"),  # no separator in the window after
+        (b"1e-06,", b"0.000001,"),  # nor in the window before
+    ],
+    ids=["long_digits", "long_zero_prefix"],
+)
+def test_tokens_that_overrun_the_windows_load_through_read_json(tmp_path, monkeypatch, token, longer):
+    # valid JSON for the same floats, but longer than float repr writes them;
+    # entries 0 and 1, whose windows the end of the file does not shift
+    tensor = np.zeros((3,) * 4)
+    tensor[0, 0, 0, 0] = 1.0
+    tensor[0, 0, 0, 1] = 1e-06
+    system = TripleSystem("long", tensor)
+    path = tmp_path / "system.json"
+    triple_core.save_system(system, path)
+    path.write_bytes(_in_tensor(path.read_bytes(), token, longer))
+    calls = []
+
+    def read_json(*args):
+        calls.append(args)
+        return json_reader(*args)
+
+    json_reader = report.read_json
+    monkeypatch.setattr(report, "read_json", read_json)
+    loaded = triple_core.load_system(path)
+    assert len(calls) == 1
+    assert loaded == system
+    assert loaded.tensor.tobytes() == _json_tensor(path).tobytes() == system.tensor.tobytes()
 
 
 def _compact(payload) -> str:
@@ -569,6 +717,9 @@ MALFORMED_FACTOR_BYTES = {
     "trailing_comma": lambda b: b.replace(b"]}", b",]}"),  # the tensor is the last key
     "bad_last_entry": lambda b: _in_tensor(b, b"1.0]", b".00]"),
     "nan_entry": lambda b: _in_tensor(b, b"0.0,", b"NaN,"),
+    # 4-periodic runs of the right length whose tokens are not "0.0"
+    "zero_runs_00.": lambda b: _in_tensor(b, b"0.0,0.0,0.0,0.0,0.5", b"00.,00.,00.,00.,0.5"),
+    "final_run_without_commas": lambda b: b.replace(b"0.0,0.0,0.0,0.0,1.0]", b"0.000.000.000.000.0]"),
 }
 
 
@@ -594,6 +745,20 @@ def test_loading_a_factor_holds_no_boxed_floats(tmp_path):
         tracemalloc.stop()
     assert loaded.dim == 28
     assert peak < 16 * 2**20
+
+
+def test_saving_a_factor_copies_its_bytes_once(tmp_path):
+    # II_R(8), n = 28, a 2.5 MB file: the str writer (str pieces, two bracketing
+    # concatenations and the UTF-8 encode) peaked at 3.46 times the file's size
+    system = build_factor("II_R(8)")
+    path = tmp_path / "system.json"
+    tracemalloc.start()
+    try:
+        triple_core.save_system(system, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
 
 
 def test_wire_lists_hold_builtin_floats():
