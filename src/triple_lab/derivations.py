@@ -11,10 +11,10 @@ from .errors import InvalidInput, NoSpectralGap, Unsupported
 from .factors import complexify, extend_map_complex
 from .numerics import check_tol, expm, span_distance
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
-from .structure import peirce
+from .structure import peirce_projections
 from .triple_core import (
     Element,
-    L_operator,
+    L_maps,
     LinearMap,
     TripleSystem,
     _require_keys,
@@ -265,8 +265,14 @@ def _grouped_norms(res: np.ndarray, group: np.ndarray) -> np.ndarray:
 
 def inner_derivation(a: Element, b: Element) -> LinearMap:
     """The inner triple derivation L(a,b) - L(b,a)."""
-    _same_system(a, b)
-    return L_operator(a, b) - L_operator(b, a)
+    system = _same_system(a, b)
+    return LinearMap(system, inner_derivation_maps(system, a.coords, b.coords))
+
+
+def inner_derivation_maps(system: TripleSystem, a, b) -> np.ndarray:
+    """Entries of L(a,b) - L(b,a) for coordinates ``a`` and ``b``, or their (k, n, n)
+    stack for (k, n) stacks; ``inner_derivation`` is the one-pair case."""
+    return L_maps(system, a, b) - L_maps(system, b, a)
 
 
 def leibniz_residual(t: LinearMap, kind: str) -> dict:
@@ -275,10 +281,7 @@ def leibniz_residual(t: LinearMap, kind: str) -> dict:
         raise InvalidInput(f"no Leibniz identity for kind {kind!r}")
     p = t.system.product_tensor(kind)
     m = t.entries
-    res = p @ m.T
-    res -= in_slots(p, m)
-    res -= in_slots(p, None, m)
-    res -= in_slots(p, None, None, m)
+    res = _leibniz_defects(p, m[None])[0]
     if res.size == 0:
         return {"max_residual": 0.0, "witness_triple": None}
     norms = np.sqrt(np.einsum("...l,...l->...", res, res))
@@ -292,6 +295,31 @@ def leibniz_residual(t: LinearMap, kind: str) -> dict:
         "witness_lhs": applied,
         "witness_leibniz_sum": applied - defect,
     }
+
+
+def leibniz_residuals(system: TripleSystem, maps, kind: str) -> np.ndarray:
+    """The ``max_residual`` of ``leibniz_residual`` for each map of the (k, n, n)
+    stack ``maps``, checked ``batch_rows(n^4)`` maps at a time."""
+    if kind not in ("triple", "symmetrized"):
+        raise InvalidInput(f"no Leibniz identity for kind {kind!r}")
+    p = system.product_tensor(kind)
+    rows = batch_rows(system.dim**4)
+    worst = np.zeros(len(maps))
+    for first in range(0, len(maps), rows):
+        res = _leibniz_defects(p, maps[first : first + rows])
+        squares = np.einsum("...l,...l->...", res, res).reshape(res.shape[0], -1)
+        worst[first : first + rows] = np.sqrt(squares.max(axis=1, initial=0.0))
+    return worst
+
+
+def _leibniz_defects(p, maps) -> np.ndarray:
+    """(k, n, n, n, n) Leibniz defects T{x,y,z} - {Tx,y,z} - {x,Ty,z} - {x,y,Tz}
+    at the basis triples, for each map T of the (k, n, n) stack ``maps``."""
+    res = p @ np.swapaxes(maps, -1, -2)[:, None, None]
+    res -= in_slots(p, maps)
+    res -= in_slots(p, None, maps)
+    res -= in_slots(p, None, None, maps)
+    return res
 
 
 @timed
@@ -347,26 +375,11 @@ def local_derivation_residual(
     """
     check_tol(tol)
     points = list(points)
-    if not points:
-        raise InvalidInput("local_derivation_residual needs at least one point")
     if space is None:
         space = derivation_space(t.system, "triple")
-    elif space.kind != "triple":
-        raise InvalidInput("local derivation checks compare against kind='triple'")
     elif space.system is not t.system and space.system != t.system:
         raise InvalidInput("derivation space of a different system")
-    for el in points:
-        if el.system is not t.system and el.system != t.system:
-            raise InvalidInput("sample point from a different system")
-    n = t.system.dim
-    coords = np.array([el.coords for el in points]).reshape(len(points), n)
-    rows = batch_rows(n * space.dim)
-    residuals = np.concatenate(
-        [
-            _local_residuals(space, t.entries, coords[first : first + rows])
-            for first in range(0, len(points), rows)
-        ]
-    )
+    residuals = local_residuals(t.entries[None], points, space)[0]
     # argmax keeps the first point that attains the maximum
     index = int(residuals.argmax())
     worst, worst_point = float(residuals[index]), points[index]
@@ -380,8 +393,36 @@ def local_derivation_residual(
     )
 
 
-def _local_residuals(space: DerivationSpace, t: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Distance of T(a) from {D(a) : D in space} for each row a of coords.
+def local_residuals(maps, points, space: DerivationSpace) -> np.ndarray:
+    """(k, len(points)) distances of T(a) from {D(a) : D in ``space``}, one row
+    per map T of the (k, n, n) stack ``maps`` and one column per point a.
+
+    The points go ``batch_rows(n * space.dim)`` at a time, each chunk against
+    every map, so each chunk's SVD frames are taken once.
+    """
+    if not points:
+        raise InvalidInput("local_derivation_residual needs at least one point")
+    system = space.system
+    if space.kind != "triple":
+        raise InvalidInput("local derivation checks compare against kind='triple'")
+    for el in points:
+        if el.system is not system and el.system != system:
+            raise InvalidInput("sample point from a different system")
+    n = system.dim
+    coords = np.array([el.coords for el in points]).reshape(len(points), n)
+    rows = batch_rows(n * space.dim)
+    return np.concatenate(
+        [
+            _local_residuals(space, maps, coords[first : first + rows])
+            for first in range(0, len(points), rows)
+        ],
+        axis=1,
+    )
+
+
+def _local_residuals(space: DerivationSpace, maps: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Distance of T(a) from {D(a) : D in space} for each map T of the (k, n, n)
+    stack ``maps`` (one row each) and each row a of coords (one column each).
 
     The evaluation matrices E_a[:, r] = D_r(a) get one stacked thin SVD, and
     the residual is ||T(a) - U_k U_k^T T(a)||.  The rank k of each E_a uses the
@@ -392,9 +433,9 @@ def _local_residuals(space: DerivationSpace, t: np.ndarray, coords: np.ndarray) 
     later maps checked at the same points skip the SVD.  The memo holds one
     chunk, at most ``BATCH_ENTRIES`` entries of U.
     """
-    targets = coords @ t.T
+    targets = coords @ np.swapaxes(maps, -1, -2)
     if space.dim == 0:
-        return np.linalg.norm(targets, axis=1)
+        return np.linalg.norm(targets, axis=-1)
     key = coords.tobytes()
     frames = space._frames.get(key)
     if frames is None:
@@ -405,8 +446,8 @@ def _local_residuals(space: DerivationSpace, t: np.ndarray, coords: np.ndarray) 
         kept = s > np.finfo(float).eps * max(n, r) * s[:, :1]
         frames = space._frames[key] = (u, kept)
     u, kept = frames
-    coefficients = np.einsum("bnk,bn->bk", u, targets) * kept
-    return np.linalg.norm(targets - np.einsum("bnk,bk->bn", u, coefficients), axis=1)
+    coefficients = np.einsum("bnk,tbn->tbk", u, targets) * kept
+    return np.linalg.norm(targets - np.einsum("bnk,tbk->tbn", u, coefficients), axis=-1)
 
 
 def rank_one_local_witness(t: LinearMap, x: Element) -> LinearMap:
@@ -414,22 +455,29 @@ def rank_one_local_witness(t: LinearMap, x: Element) -> LinearMap:
 
     With u = x/||x||, the witness is (1 / (2||x||)) * d(T(x) + 3 P1(u)T(x), u)
     where d(a, b) = L(a,b) - L(b,a).  For T in the symmetrized derivation
-    space this reproduces T(x) at x to rounding.
+    space this reproduces T(x) at x to rounding.  This is the one-row case of
+    ``rank_one_witness_maps``.
     """
     system = _same_system(x)
     if t.system is not system and t.system != system:
         raise InvalidInput("map and point belong to different systems")
+    return LinearMap(system, rank_one_witness_maps(system, t.entries[None], x.coords[None])[0])
+
+
+def rank_one_witness_maps(system: TripleSystem, maps, coords) -> np.ndarray:
+    """The witness of ``rank_one_local_witness`` for each map T_b of the
+    (k, n, n) stack ``maps`` at the point x_b, row b of the (k, n) stack
+    ``coords``, as a (k, n, n) stack: one Peirce pass over all the points."""
     if system.rank_hint != 1:
         raise Unsupported("the witness formula is limited to rank-one factors")
-    norm = x.norm()
-    if norm == 0.0:
+    norms = np.linalg.norm(coords, axis=1)
+    if np.any(norms == 0.0):
         raise InvalidInput("x must be nonzero")
-    u = Element(system, x.coords / norm)
-    ps = peirce(u)
-    tx = Element(system, t.entries @ x.coords)
-    w = Element(system, tx.coords + 3.0 * (ps.p1.entries @ tx.coords))
-    delta = inner_derivation(w, u)
-    return LinearMap(system, delta.entries / (2.0 * norm))
+    u = coords / norms[:, None]
+    _, p1, _ = peirce_projections(system, u)
+    tx = (maps @ coords[:, :, None])[:, :, 0]
+    w = tx + 3.0 * (p1 @ tx[:, :, None])[:, :, 0]
+    return inner_derivation_maps(system, w, u) / (2.0 * norms)[:, None, None]
 
 
 @timed
@@ -471,33 +519,58 @@ def exp_flow_check(
 
     For each t the residual is the worst basis-triple defect
     ||g{x,y,z} - {gx,gy,gz}||, compared against tol * (1 + ||g||^3).  A NaN or
-    infinite defect (a flow that overflows) fails, with no bound.
+    infinite defect (a flow that overflows) fails, with no bound.  This is the
+    one-map case of ``exp_flow_reports``.
+    """
+    return exp_flow_reports(t.system, t.entries[None], kind, t_grid, tol)[0]
+
+
+def exp_flow_reports(system: TripleSystem, maps, kind: str, t_grid, tol: float = 1e-7) -> list:
+    """The ``exp_flow_check`` report of each map of the (k, n, n) stack ``maps``.
+
+    The flows exp(tT), one per map T and value t of the grid, are checked
+    ``batch_rows(n^4)`` at a time, with one stacked ``expm`` and one stacked
+    defect per chunk; at n >= 23 that is one flow at a time.
     """
     check_tol(tol)
-    p = t.system.product_tensor(kind)
-    residuals = {}
-    witness = {}
-    for value in map(float, t_grid):
-        g = expm(value * t.entries)
-        diff = p @ g.T - in_slots(p, g, g, g)
-        worst = float(np.sqrt(np.einsum("...l,...l->...", diff, diff).max(initial=0.0)))
-        # the short label where it reads back as the same t, so distinct t never share a key
-        key = f"t={value:g}" if float(f"{value:g}") == value else f"t={value!r}"
-        residuals[key] = worst
-        if not np.isfinite(worst):
-            witness[key] = {"residual": worst, "bound": None}
-        elif worst > tol:  # the bound is at least tol: its SVD only when it can fail
-            bound = tol * (1.0 + np.linalg.norm(g, 2) ** 3)
-            if worst > bound:
-                witness[key] = {"residual": worst, "bound": bound}
-    if not residuals:  # an empty grid would pass without checking anything
+    p = system.product_tensor(kind)
+    values = list(map(float, t_grid))
+    if not values:  # an empty grid would pass without checking anything
         raise InvalidInput("exp_flow_check needs at least one t")
-    return Report(
-        statement_id=f"exp_flow_{kind}[{t.system.name}]",
-        status=STATUS_FAIL if witness else STATUS_PASS,
-        residuals=residuals,
-        witnesses=witness,
-    )
+    # the short label where it reads back as the same t, so distinct t never share a key
+    keys = [f"t={value:g}" if float(f"{value:g}") == value else f"t={value!r}" for value in values]
+    n, count = system.dim, len(values)
+    maps = np.asarray(maps, dtype=float)
+    rates = (maps[:, None] * np.array(values)[:, None, None]).reshape(len(maps) * count, n, n)
+    residuals = [{} for _ in range(len(maps))]
+    witnesses = [{} for _ in range(len(maps))]
+    rows = batch_rows(n**4)
+    for first in range(0, len(rates), rows):
+        flows = expm(rates[first : first + rows])
+        # the defect with its sign flipped, which leaves its norms as they are
+        diff = in_slots(p, flows, flows, flows)
+        diff -= p @ np.swapaxes(flows, -1, -2)[:, None, None]
+        squares = np.einsum("...l,...l->...", diff, diff).reshape(len(flows), -1)
+        del diff
+        worsts = np.sqrt(squares.max(axis=1, initial=0.0))
+        for index, g, worst in zip(range(first, len(rates)), flows, worsts.tolist()):
+            member, key = index // count, keys[index % count]
+            residuals[member][key] = worst
+            if not np.isfinite(worst):
+                witnesses[member][key] = {"residual": worst, "bound": None}
+            elif worst > tol:  # the bound is at least tol: its SVD only when it can fail
+                bound = tol * (1.0 + np.linalg.norm(g, 2) ** 3)
+                if worst > bound:
+                    witnesses[member][key] = {"residual": worst, "bound": bound}
+    return [
+        Report(
+            statement_id=f"exp_flow_{kind}[{system.name}]",
+            status=STATUS_FAIL if witness else STATUS_PASS,
+            residuals=residual,
+            witnesses=witness,
+        )
+        for residual, witness in zip(residuals, witnesses)
+    ]
 
 
 @timed

@@ -90,26 +90,43 @@ _PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 def expm(a) -> np.ndarray:
     """Matrix exponential by Higham's (2005) scaling and squaring with Pade [13/13].
 
-    a is scaled by 2^-s so that its 1-norm is at most theta_13, the [13/13]
-    approximant r = (V - U)^-1 (V + U) is taken with one solve, and r is
-    squared s times.  A diagonal input is exponentiated entrywise, so expm(0)
-    is exactly the identity.
+    ``a`` is an (n, n) matrix or a (..., n, n) stack of them, and each matrix
+    of a stack is exponentiated as it would be alone.  A matrix is scaled by
+    2^-s so that its 1-norm is at most theta_13, the [13/13] approximant
+    r = (V - U)^-1 (V + U) is taken with one solve, and r is squared s times;
+    in a stack each matrix keeps its own s.  A diagonal matrix is
+    exponentiated entrywise, so expm(0) is exactly the identity.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2:
+        raise InvalidInput(f"expected a 2-d array or a stack of them, got shape {m.shape}")
+    if m.shape[-1] != m.shape[-2]:
         raise InvalidInput(f"expm needs a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
-        return np.zeros((0, 0))
-    diagonal = np.diagonal(m)
-    if np.count_nonzero(m) == np.count_nonzero(diagonal):
-        return np.diag(np.exp(diagonal))
-    norm = float(np.abs(m).sum(axis=0).max())
-    squarings = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
-    m = m / 2.0**squarings
+    if m.size and not np.all(np.isfinite(m)):
+        raise InvalidInput("matrix has non-finite entries")
+    n = m.shape[-1]
+    if n == 0:
+        return np.zeros(m.shape)
+    stack = m.reshape(-1, n, n)
+    out = np.zeros(stack.shape)
+    diagonal = np.diagonal(stack, axis1=1, axis2=2)
+    is_diagonal = np.count_nonzero(stack, axis=(1, 2)) == np.count_nonzero(diagonal, axis=1)
+    at = np.flatnonzero(is_diagonal)[:, None]
+    out[at, np.arange(n), np.arange(n)] = np.exp(diagonal[is_diagonal])
+    if not is_diagonal.all():
+        out[~is_diagonal] = _pade_13_squared(stack[~is_diagonal])
+    return out.reshape(m.shape)
+
+
+def _pade_13_squared(m: np.ndarray) -> np.ndarray:
+    """expm of each matrix of the (k, n, n) stack ``m``, none of them diagonal."""
+    norm = np.abs(m).sum(axis=1).max(axis=1)
+    squarings = np.maximum(0, np.ceil(np.log2(norm / _THETA_13))).astype(int)
+    m = m / (2.0**squarings)[:, None, None]
     # U = m (a6 (b13 a6 + b11 a4 + b9 a2) + b7 a6 + b5 a4 + b3 a2 + b1 I) and
     # V = a6 (b12 a6 + b10 a4 + b8 a2) + b6 a6 + b4 a4 + b2 a2 + b0 I
     b = _PADE_13
-    ident = np.eye(m.shape[0])
+    ident = np.eye(m.shape[-1])
     a2 = m @ m
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -118,8 +135,9 @@ def expm(a) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
+    for step in range(int(squarings.max(initial=0))):
+        more = squarings > step  # each matrix takes its own number of squarings
+        r[more] = r[more] @ r[more]
     return r
 
 

@@ -312,9 +312,10 @@ def _plain(value):
 class Report:
     """Outcome of one verification statement.
 
-    ``runtime_ms`` is volatile between runs, so the canonical JSON form omits
-    it by default; pass ``include_timings=True`` to keep it.  A failing report
-    must carry at least a residual, a witness, or failing sub-reports.
+    ``runtime_ms`` is the wall time of the call in milliseconds, to the
+    microsecond.  It is volatile between runs, so the canonical JSON form
+    omits it by default; pass ``include_timings=True`` to keep it.  A failing
+    report must carry at least a residual, a witness, or failing sub-reports.
     """
 
     statement_id: str
@@ -322,7 +323,7 @@ class Report:
     residuals: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
     seed: int | None = None
-    runtime_ms: int = 0
+    runtime_ms: float = 0.0
     items: tuple = ()
 
     def __post_init__(self):
@@ -357,7 +358,7 @@ class Report:
             "seed": self.seed,
         }
         if include_timings:
-            payload["runtime_ms"] = int(self.runtime_ms)
+            payload["runtime_ms"] = round(float(self.runtime_ms), 3)
         if self.items:
             payload["items"] = [item.to_dict(include_timings) for item in self.items]
         return payload
@@ -397,13 +398,14 @@ class Report:
 
 def timed(fn):
     """Decorate a function returning a ``Report`` so that report carries the
-    wall time of the call in ``runtime_ms``."""
+    wall time of the call in ``runtime_ms``, in milliseconds rounded to the
+    microsecond, so a check faster than a millisecond does not read 0."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
         report = fn(*args, **kwargs)
-        report.runtime_ms = int(1000 * (time.perf_counter() - start))
+        report.runtime_ms = round(1000 * (time.perf_counter() - start), 3)
         return report
 
     return wrapper

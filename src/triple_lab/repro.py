@@ -306,29 +306,19 @@ def repro_theorem_surrogate(specs, seed: int = DEFAULT_SEED) -> Report:
         "max_offblock_leakage": leakage,
     }
     witnesses = {"summands": [s.label() for s in specs], "forbidden_summand": forbidden}
+    # the checks are linear in the map, so the basis decides them for the space
+    basis = sym.basis_stack()
+    leibniz = derivations.leibniz_residuals(system, basis, "triple")
     if forbidden:
-        worst = None
-        worst_res = -1.0
-        for b in sym.basis:
-            res = derivations.leibniz_residual(b, "triple")["max_residual"]
-            if res > worst_res:
-                worst_res = res
-                worst = b
+        worst_res = float(leibniz.max(initial=-1.0))
         residuals["witness_triple_leibniz_residual"] = worst_res
         ok = gap >= 1 and worst_res > 1e-6 and leakage <= 1e-8
-        if worst is not None:
-            witnesses["witness_map"] = worst.entries
+        if leibniz.size:
+            witnesses["witness_map"] = basis[int(leibniz.argmax())]
     else:
-        # both checks are linear in the map, so the basis decides them for the space
-        worst_local = 0.0
-        worst_leibniz = 0.0
         points = derivations.default_point_set(system, samples=64, seed=seed)
-        for b in sym.basis:
-            rep = derivations.local_derivation_residual(b, points, space=der)
-            worst_local = max(worst_local, rep.residuals["max_residual"])
-            worst_leibniz = max(
-                worst_leibniz, derivations.leibniz_residual(b, "triple")["max_residual"]
-            )
+        worst_local = float(derivations.local_residuals(basis, points, der).max(initial=0.0))
+        worst_leibniz = float(leibniz.max(initial=0.0))
         residuals["basis_local_residual"] = worst_local
         residuals["basis_triple_leibniz_residual"] = worst_leibniz
         ok = gap == 0 and worst_local <= 1e-8 and worst_leibniz <= 1e-8 and leakage <= 1e-8
@@ -404,16 +394,15 @@ def _stmt_rank_one_witness(ctx, seed):
         system = factors.build_factor(label)
         sym = derivations.derivation_space(system, "symmetrized")
         rng = np.random.default_rng(seed ^ offset)
-        worst = 0.0
-        for _ in range(pairs):
-            member = sym.member(rng.standard_normal(sym.dim))
-            coords = rng.standard_normal(system.dim)
-            x = Element(system, coords)
-            delta = derivations.rank_one_local_witness(member, x)
-            err = float(
-                np.linalg.norm(delta.entries @ coords - member.entries @ coords)
-            ) / x.norm()
-            worst = max(worst, err)
+        # row b of one draw holds the weights of member b, then its point: the
+        # draws of the pairs one after another
+        draws = rng.standard_normal((pairs, sym.dim + system.dim))
+        weights, coords = draws[:, : sym.dim], draws[:, sym.dim :]
+        members = np.einsum("br,rnm->bnm", weights, sym.basis_stack())
+        deltas = derivations.rank_one_witness_maps(system, members, coords)
+        points = coords[:, :, None]
+        errors = np.linalg.norm((deltas @ points - members @ points)[:, :, 0], axis=1)
+        worst = float(np.max(errors / np.linalg.norm(coords, axis=1)))
         return _sub(f"witness_formula[{label}]", worst <= 1e-8, {"max_relative_error": worst})
 
     items = (run(*pair) for pair in enumerate(ctx.config["rank_one_factors"]))
@@ -429,12 +418,10 @@ def _stmt_flows(ctx, seed):
     @timed
     def run(system):
         der = derivations.derivation_space(system, "triple")
-        worst = 0.0
-        ok = True
-        for member in _seeded_members(der, count, seed):
-            rep = derivations.exp_flow_check(member, "triple", grid)
-            worst = max(worst, max(rep.residuals.values(), default=0.0))
-            ok = ok and rep.status == STATUS_PASS
+        members = np.stack([member.entries for member in _seeded_members(der, count, seed)])
+        reports = derivations.exp_flow_reports(system, members, "triple", grid)
+        worst = max([0.0, *(max(rep.residuals.values(), default=0.0) for rep in reports)])
+        ok = all(rep.status == STATUS_PASS for rep in reports)
         return _sub(f"flows[{system.name}]", ok, {"max_residual": worst})
 
     @timed
@@ -593,17 +580,14 @@ def _stmt_inner_leibniz(ctx, seed):
     @timed
     def run(system):
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        antisym = 0.0
-        for _ in range(8):
-            a = Element(system, rng.standard_normal(system.dim))
-            b = Element(system, rng.standard_normal(system.dim))
-            delta = derivations.inner_derivation(a, b)
-            worst = max(worst, derivations.leibniz_residual(delta, "triple")["max_residual"])
-            flipped = derivations.inner_derivation(b, a)
-            antisym = max(antisym, float(np.max(np.abs(delta.entries + flipped.entries))))
-            self_term = derivations.inner_derivation(a, a)
-            antisym = max(antisym, float(np.max(np.abs(self_term.entries))))
+        # row d of one draw holds a, then b, of draw d: the draws one after another
+        a, b = np.split(rng.standard_normal((8, 2 * system.dim)), 2, axis=1)
+        delta = derivations.inner_derivation_maps(system, a, b)
+        worst = float(derivations.leibniz_residuals(system, delta, "triple").max())
+        flipped = derivations.inner_derivation_maps(system, b, a)
+        self_term = derivations.inner_derivation_maps(system, a, a)
+        antisym = float(np.abs(delta + flipped).max(initial=0.0))
+        antisym = max(antisym, float(np.abs(self_term).max(initial=0.0)))
         scale = max(1.0, float(np.max(np.abs(system.tensor))) if system.dim else 1.0)
         ok = worst <= 1e-10 * scale * system.dim**2 and antisym <= 1e-12 * scale * system.dim
         return _sub(
@@ -633,9 +617,8 @@ def _stmt_tripotent_identities(ctx, seed):
         sym = derivations.derivation_space(system, "symmetrized")
         der = derivations.derivation_space(system, "triple")
         points = derivations.default_point_set(system, samples=32, seed=seed)
-        local = [derivations.local_derivation_residual(b, points, space=der) for b in sym.basis]
-        worst_local = max((rep.residuals["max_residual"] for rep in local), default=0.0)
         stack = sym.basis_stack()
+        worst_local = float(derivations.local_residuals(stack, points, der).max(initial=0.0))
         worst_p0 = worst_p2 = 0.0
         for e in factors.canonical_tripotents(system):
             ps = structure.peirce(e)

@@ -11,12 +11,14 @@ from .numerics import check_tol, null_space, orthonormal_columns, span_distance
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
 from .triple_core import (
     Element,
+    L_maps,
     L_operator,
     LinearMap,
     Q_operator,
     TripleSystem,
     _same_system,
     in_slots,
+    product_batch,
 )
 
 
@@ -62,45 +64,61 @@ def peirce(e: Element, tol: float = 1e-9) -> PeirceSystem:
 
     The eigenvalues of L(e,e) are 0, 1/2, 1, so the projections are the
     Lagrange polynomials P2 = A(2A-1), P1 = 4A(1-A), P0 = (1-A)(1-2A).
+    This is the one-row case of ``peirce_projections``.
     """
+    p0, p1, p2 = peirce_projections(e.system, e.coords[None], tol)
+    return PeirceSystem(
+        tripotent=e,
+        p0=LinearMap(e.system, p0[0]),
+        p1=LinearMap(e.system, p1[0]),
+        p2=LinearMap(e.system, p2[0]),
+    )
+
+
+def peirce_projections(system: TripleSystem, coords, tol: float = 1e-9) -> tuple:
+    """(P0, P1, P2) of ``peirce`` for each row e of the (k, n) stack ``coords``,
+    as three (k, n, n) stacks; NotTripotent, as ``peirce``, if any row is not a
+    tripotent within max(tol, 1e-9) or its projections violate their invariants
+    by more than tol."""
     check_tol(tol)
-    if not is_tripotent(e, tol=max(tol, 1e-9)):
+    cube = product_batch(system.unfolding("triple"), coords, coords, coords)
+    if np.any(np.linalg.norm(cube - coords, axis=1) > max(tol, 1e-9)):
         raise NotTripotent("peirce decomposition needs a tripotent")
-    n = e.system.dim
-    a = L_operator(e, e).entries
-    eye = np.eye(n)
+    a = L_maps(system, coords, coords)
+    eye = np.eye(system.dim)
     p2 = a @ (2.0 * a - eye)
     p1 = 4.0 * a @ (eye - a)
     p0 = (eye - a) @ (eye - 2.0 * a)
-    system = PeirceSystem(
-        tripotent=e,
-        p0=LinearMap(e.system, p0),
-        p1=LinearMap(e.system, p1),
-        p2=LinearMap(e.system, p2),
-    )
-    worst = peirce_invariant_residual(system)
+    worst = float(_invariant_residuals(a, (p0, p1, p2)).max(initial=0.0))
     if worst > tol:
         raise NotTripotent(
             f"Peirce projections violate their invariants (residual {worst:.3e}); "
             "the element is not a tripotent of a valid system"
         )
-    return system
+    return p0, p1, p2
 
 
 def peirce_invariant_residual(ps: PeirceSystem) -> float:
     """Max violation of completeness, idempotency, disjointness and eigenspaces."""
-    n = ps.tripotent.system.dim
-    if n == 0:
-        return 0.0
-    eye = np.eye(n)
     a = L_operator(ps.tripotent, ps.tripotent).entries
-    mats = [ps.p0.entries, ps.p1.entries, ps.p2.entries]
-    worst = float(np.max(np.abs(mats[0] + mats[1] + mats[2] - eye)))
+    mats = (ps.p0.entries, ps.p1.entries, ps.p2.entries)
+    return float(_invariant_residuals(a[None], [m[None] for m in mats])[0])
+
+
+def _invariant_residuals(a, mats) -> np.ndarray:
+    """``peirce_invariant_residual`` for each entry of the stacks A = L(e,e) and
+    (P0, P1, P2)."""
+    eye = np.eye(a.shape[-1])
+
+    def largest(x):
+        return np.abs(x).max(axis=(-2, -1), initial=0.0)
+
+    worst = largest(mats[0] + mats[1] + mats[2] - eye)
     for k, m in enumerate(mats):
-        worst = max(worst, float(np.max(np.abs(m @ m - m))))
-        worst = max(worst, float(np.max(np.abs(a @ m - 0.5 * k * m))))
+        worst = np.maximum(worst, largest(m @ m - m))
+        worst = np.maximum(worst, largest(a @ m - 0.5 * k * m))
         for other in mats[k + 1 :]:
-            worst = max(worst, float(np.max(np.abs(m @ other))))
+            worst = np.maximum(worst, largest(m @ other))
     return worst
 
 

@@ -9,6 +9,7 @@ rather than a storage assumption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,11 +333,20 @@ def in_slots(p, *maps) -> np.ndarray:
 
     Each map is an n x r matrix applied to one input slot of the structure
     tensor ``p``; ``None`` (or a missing trailing map) leaves that slot alone.
-    A map on the output slot is ``in_slots(...) @ m.T`` at the call site.
+    A map may also be a (G, n, r) stack, and ``p`` a (G, n, n, n, n) stack:
+    the result then carries the leading axis, entry g taking the maps of
+    stack entry g.  One matmul per slot contracts the slot's axis, with the
+    axes before it as the batch and those after it as the columns.  A map on
+    the output slot is ``in_slots(...) @ m.T`` at the call site.
     """
     for slot, m in enumerate(maps):
-        if m is not None:
-            p = np.moveaxis(np.tensordot(m, p, axes=([0], [slot])), 0, slot)
+        if m is None:
+            continue
+        m = np.asarray(m, dtype=float)
+        lead, dims = p.shape[:-4], p.shape[-4:]
+        before, after = math.prod(dims[:slot]), math.prod(dims[slot + 1 :])
+        out = np.swapaxes(m, -1, -2)[..., None, :, :] @ p.reshape(*lead, before, dims[slot], after)
+        p = out.reshape(*out.shape[:-3], *dims[:slot], m.shape[-1], *dims[slot + 1 :])
     return p
 
 
@@ -453,8 +463,13 @@ def symmetrized_product(a: Element, b: Element, c: Element) -> Element:
 def L_operator(a: Element, b: Element) -> LinearMap:
     """The map x -> {a, b, x}."""
     system = _same_system(a, b)
-    entries = np.einsum("ijkl,i,j->lk", system.tensor, a.coords, b.coords)
-    return LinearMap(system, entries)
+    return LinearMap(system, L_maps(system, a.coords, b.coords))
+
+
+def L_maps(system: TripleSystem, a, b) -> np.ndarray:
+    """Entries of L(a, b) for coordinates ``a`` and ``b``, or the (k, n, n) stack
+    of L(a_i, b_i) for (k, n) stacks of them; ``L_operator`` is the one-pair case."""
+    return np.einsum("ijkl,...i,...j->...lk", system.tensor, a, b)
 
 
 def Q_operator(a: Element) -> LinearMap:

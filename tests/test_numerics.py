@@ -287,6 +287,45 @@ def test_expm_of_diagonal_is_exact():
         assert _relative_frobenius(g, scipy.linalg.expm(np.diag(d))) <= 1e-11, n
 
 
+def _stack_cases(n, rng):
+    """0, a diagonal matrix, a matrix of 1-norm 0.9 theta_13 (no squaring) and
+    a skew matrix of 1-norm 6000, which takes 11 squarings."""
+    d = np.diag(rng.uniform(-5.0, 5.0, n))
+    small = _with_norm1(rng.standard_normal((n, n)), EXPM_NORMS["theta13"])
+    b = rng.standard_normal((n, n))
+    large = _with_norm1(b - b.T, 6000.0)
+    return np.stack([np.zeros((n, n)), d, small, large])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_expm_stack_matches_each_matrix_alone(n):
+    # each matrix keeps its own diagonal shortcut and its own number of squarings
+    cases = _stack_cases(n, np.random.default_rng(n))
+    assert np.ceil(np.log2(np.abs(cases[3]).sum(axis=0).max() / 5.371920351148152)) >= 10
+    stacked = expm(cases)
+    assert stacked.shape == cases.shape
+    assert np.array_equal(stacked[0], np.eye(n))
+    for a, got in zip(cases, stacked):
+        assert np.array_equal(got, expm(a))
+        if a.any():
+            assert _relative_frobenius(got, scipy.linalg.expm(a)) <= 1e-11
+    # any leading shape, and the stack in another order
+    assert np.array_equal(expm(cases.reshape(2, 2, n, n)), stacked.reshape(2, 2, n, n))
+    assert np.array_equal(expm(cases[::-1]), stacked[::-1])
+
+
+def test_expm_stack_edge_shapes():
+    assert expm(np.zeros((3, 0, 0))).shape == (3, 0, 0)
+    assert expm(np.zeros((0, 0))).shape == (0, 0)
+    assert expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    with pytest.raises(InvalidInput):
+        expm(np.zeros(3))
+    with pytest.raises(InvalidInput):
+        expm(np.zeros((2, 3, 4)))
+    with pytest.raises(InvalidInput):
+        expm(np.full((2, 2, 2), np.nan))
+
+
 def test_orthonormal_columns_and_distance():
     vectors = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
     basis = orthonormal_columns(vectors)

@@ -120,14 +120,15 @@ def test_degenerate_one_dimensional_summands_do_not_force_a_gap():
 
 
 def test_tripotent_identities_check_each_symmetrized_basis_map_once(monkeypatch):
+    # the statement checks the whole basis stack in one local_residuals pass
     checked = []
-    original = derivations.local_derivation_residual
+    original = derivations.local_residuals
 
-    def spy(t, *args, **kwargs):
-        checked.append(t.entries)
-        return original(t, *args, **kwargs)
+    def spy(maps, *args, **kwargs):
+        checked.extend(maps)
+        return original(maps, *args, **kwargs)
 
-    monkeypatch.setattr(derivations, "local_derivation_residual", spy)
+    monkeypatch.setattr(derivations, "local_residuals", spy)
     ctx = repro._RunContext(SMALL_SUITE)
     report = repro._stmt_tripotent_identities(ctx, seed=1)
     assert report.status == "pass"
@@ -236,6 +237,32 @@ def test_timings_are_excluded_from_canonical_json(full_report):
     assert "runtime_ms" not in text
     with_timings = full_report.to_json(include_timings=True)
     assert "runtime_ms" in with_timings
+
+
+def test_runtimes_keep_the_microseconds(monkeypatch):
+    # a clock that advances 0.25 ms per call: a whole millisecond would read 0
+    ticks = itertools.count()
+    monkeypatch.setattr("triple_lab.report.time.perf_counter", lambda: 0.00025 * next(ticks))
+
+    @timed
+    def check():
+        return Report(statement_id="fast", status="pass")
+
+    report = check()
+    assert report.runtime_ms == 0.25
+    assert json.loads(report.to_json(include_timings=True))["runtime_ms"] == 0.25
+    assert "runtime_ms" not in report.to_json()
+
+
+def test_every_node_of_repro_all_reads_its_runtime(full_report):
+    def runtimes(payload):
+        yield payload["runtime_ms"]
+        for item in payload.get("items", ()):
+            yield from runtimes(item)
+
+    read = list(runtimes(json.loads(full_report.to_json(include_timings=True))))
+    assert len(read) == 124
+    assert all(ms > 0 for ms in read)
 
 
 def test_suite_config_loads():

@@ -85,6 +85,34 @@ def test_peirce_invariants_on_constructor_tripotents():
             assert np.max(np.abs(total - np.eye(system.dim))) <= 1e-10
 
 
+def test_peirce_projections_stack_matches_peirce_row_by_row():
+    for label in ("I_R(2,2)", "I_C(2,1)", "I_H(2,1)", "III_R(3)", "SPIN_R(3,1)", "SPIN_C(3)"):
+        system = build_factor(label)
+        tripotents = canonical_tripotents(system)
+        coords = np.stack([e.coords for e in tripotents])
+        stacked = structure.peirce_projections(system, coords)
+        for row, e in enumerate(tripotents):
+            ps = peirce(e)
+            for got, want in zip(stacked, (ps.p0, ps.p1, ps.p2)):
+                assert np.array_equal(got[row], want.entries)
+
+
+def test_peirce_projections_refuse_a_stack_with_one_bad_row():
+    system = build_factor("I_R(2,2)")
+    e = system.basis_element(0).coords
+    with pytest.raises(NotTripotent, match="needs a tripotent"):
+        structure.peirce_projections(system, np.stack([e, 0.5 * e, e]))
+    # e stays a tripotent of a tensor whose L(e,e) has an eigenvalue off {0, 1/2, 1}
+    c = np.array(system.tensor)
+    c[0, 0, 1, 1] += 0.1
+    c[1, 0, 0, 1] += 0.1
+    broken = type(system)(name="broken", tensor=c)
+    with pytest.raises(NotTripotent, match="violate their invariants"):
+        structure.peirce_projections(broken, np.stack([e, e]))
+    with pytest.raises(NotTripotent, match="violate their invariants"):
+        peirce(broken.element(e))
+
+
 def test_peirce_arithmetic_on_matrix_units():
     system = build_factor("I_R(3,3)")
     for index in (0, 4):

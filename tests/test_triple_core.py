@@ -960,7 +960,9 @@ def test_product_batch_matches_per_row_einsum(label):
     ids=lambda ranks: "-".join("x" if r is None else str(r) for r in ranks),
 )
 def test_in_slots_matches_einsum(ranks):
-    """{A e_u, B e_v, C e_w}_l against one einsum, square and rectangular maps."""
+    """{A e_u, B e_v, C e_w}_l against one einsum, square and rectangular maps;
+    with a leading stack axis on the maps, each entry of the stack is the 2-D
+    call with its own maps, bit for bit."""
     n = 5
     rng = np.random.default_rng(sum(r or 0 for r in ranks))
     p = rng.standard_normal((n,) * 4)
@@ -969,6 +971,53 @@ def test_in_slots_matches_einsum(ranks):
     got = triple_core.in_slots(p, *(None if r is None else m for r, m in zip(ranks, maps)))
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12
+
+    stacks = [np.eye(n)[None] if r is None else rng.standard_normal((3, n, r)) for r in ranks]
+    stacked = triple_core.in_slots(p, *(None if r is None else m for r, m in zip(ranks, stacks)))
+    assert stacked.shape == (3, *expected.shape)
+    for g in range(3):
+        own = [m[0] if r is None else m[g] for r, m in zip(ranks, stacks)]
+        alone = triple_core.in_slots(p, *(None if r is None else m for r, m in zip(ranks, own)))
+        assert np.array_equal(stacked[g], alone)
+        oracle = np.einsum("abcl,au,bv,cw->uvwl", p, *own)
+        assert np.max(np.abs(stacked[g] - oracle), initial=0.0) <= 1e-12
+
+
+def _in_slots_by_tensordot(p, *maps):
+    """The slot maps contracted one at a time by ``np.tensordot``."""
+    for slot, m in enumerate(maps):
+        if m is not None:
+            p = np.moveaxis(np.tensordot(m, p, axes=([0], [slot])), 0, slot)
+    return p
+
+
+@pytest.mark.parametrize("label", ["I_C(2,2)", "III_R(4)", "I_R(4,4)", "I_C(4,4)"])
+def test_in_slots_reproduces_the_tensordot_contraction(label):
+    # the flows and Leibniz defects of the suite read the same bits as with
+    # one tensordot per slot
+    system = build_factor(label)
+    n = system.dim
+    maps = np.random.default_rng(n).standard_normal((2, n, n))
+    for kind in ("triple", "symmetrized"):
+        p = system.product_tensor(kind)
+        stacked = triple_core.in_slots(p, maps, maps, maps)
+        for g, m in enumerate(maps):
+            assert np.array_equal(stacked[g], _in_slots_by_tensordot(p, m, m, m))
+            middle = triple_core.in_slots(p, None, m)
+            assert np.array_equal(middle, _in_slots_by_tensordot(p, None, m))
+
+
+def test_L_maps_rows_are_the_L_operator():
+    rng = np.random.default_rng(5)
+    for label in ("SPIN_R(4,0)", "I_C(2,1)", "I_H(2,1)", "III_R(3)"):
+        system = build_factor(label)
+        a, b = rng.standard_normal((2, 6, system.dim))
+        stack = triple_core.L_maps(system, a, b)
+        assert stack.shape == (6, system.dim, system.dim)
+        for row, x, y in zip(stack, a, b):
+            single = triple_core.L_operator(system.element(x), system.element(y)).entries
+            assert np.array_equal(row, single)
+            assert np.array_equal(row, np.einsum("ijkl,i,j->lk", system.tensor, x, y))
 
 
 def test_in_slots_edge_cases():
