@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidInput, NoSpectralGap, Unsupported
 from .factors import complexify, extend_map_complex
-from .numerics import check_tol, expm, span_distance
+from .numerics import check_tol, expm
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
 from .structure import peirce_projections
 from .triple_core import (
@@ -34,9 +34,14 @@ DEFAULT_SAMPLES = 256
 BLOCK_ENTRIES = 2**23
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivationSpace:
     """Orthonormal basis (Frobenius inner product) of a derivation space.
+
+    The basis is one read-only (dim, n, n) float64 array, ``entries``, given
+    as such a stack (which the space freezes) or as a sequence of maps, and
+    ``basis`` is the tuple of its ``LinearMap`` views.  Two spaces are equal
+    when their systems, kinds, tolerances and basis entries are.
 
     ``derivation_space`` also records the health of its rank decision: the
     ``rank`` above the relative ``cutoff``, the smallest value kept above it
@@ -54,32 +59,50 @@ class DerivationSpace:
     kind: str
     basis: tuple
     tol: float
-    rank: int | None = field(default=None, compare=False)
-    cutoff: float | None = field(default=None, compare=False)
-    min_kept: float | None = field(default=None, compare=False)
-    max_kernel: float | None = field(default=None, compare=False)
-    _frames: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    rank: int | None = None
+    cutoff: float | None = None
+    min_kept: float | None = None
+    max_kernel: float | None = None
+    entries: np.ndarray = field(init=False, repr=False)
+    _frames: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.system.dim
+        basis = self.basis
+        if not isinstance(basis, np.ndarray):
+            _same_system(*basis, system=self.system)
+            basis = [t.entries for t in basis]
+        entries = np.asarray(basis, dtype=float)
+        # frozen, the basis cannot outdate the frames memo
+        entries.flags.writeable = False
+        entries = entries.reshape(len(basis), n, n)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "basis", tuple(LinearMap(self.system, m) for m in entries))
+
+    def __eq__(self, other):
+        if not isinstance(other, DerivationSpace):
+            return NotImplemented
+        return (
+            (self.kind, self.tol) == (other.kind, other.tol)
+            and (self.system is other.system or self.system == other.system)
+            and np.array_equal(self.entries, other.entries)
+        )
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.entries)
 
-    def basis_stack(self) -> np.ndarray:
-        n = self.system.dim
-        if not self.basis:
-            return np.zeros((0, n, n))
-        return np.stack([t.entries for t in self.basis])
+    def members(self, weights) -> np.ndarray:
+        """The (k, n, n) stack of combinations sum_r weights[b, r] * basis[r],
+        one per row b of the (k, dim) ``weights``."""
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[1] != self.dim:
+            raise InvalidInput(f"need rows of {self.dim} weights, got {weights.shape}")
+        return np.einsum("br,rnm->bnm", weights, self.entries)
 
     def member(self, weights) -> LinearMap:
-        """The combination sum_r weights[r] * basis[r]."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (self.dim,):
-            raise InvalidInput(f"need {self.dim} weights, got {weights.shape}")
-        n = self.system.dim
-        entries = np.zeros((n, n))
-        for w, t in zip(weights, self.basis):
-            entries += w * t.entries
-        return LinearMap(self.system, entries)
+        """The combination sum_r weights[r] * basis[r]: the one-row case of ``members``."""
+        return LinearMap(self.system, self.members([weights])[0])
 
 
 def derivation_space(
@@ -164,10 +187,7 @@ def derivation_space(
         raise InvalidInput(
             f"derivation basis violates its Leibniz identity (residual {worst:.3e})"
         )
-    # the basis maps are views of basis_matrix; frozen, they cannot outdate the frames memo
-    basis_matrix.flags.writeable = False
-    maps = tuple(LinearMap(system, r.reshape(n, n)) for r in basis_matrix)
-    return DerivationSpace(system, kind, maps, tol, **health)
+    return DerivationSpace(system, kind, basis_matrix, tol, **health)
 
 
 def _check_spectrum(system, kind, cutoff, top, spectra, kept) -> dict:
@@ -276,50 +296,45 @@ def inner_derivation_maps(system: TripleSystem, a, b) -> np.ndarray:
 
 
 def leibniz_residual(t: LinearMap, kind: str) -> dict:
-    """Max Leibniz defect of ``t`` over all basis triples, with its witness."""
-    if kind not in ("triple", "symmetrized"):
-        raise InvalidInput(f"no Leibniz identity for kind {kind!r}")
-    p = t.system.product_tensor(kind)
-    m = t.entries
-    res = _leibniz_defects(p, m[None])[0]
-    if res.size == 0:
+    """Max Leibniz defect of ``t`` over all basis triples, with its witness:
+    the one-map case of ``leibniz_residuals``."""
+    worst, triples = leibniz_residuals(t.system, t.entries[None], kind)
+    if not t.system.dim:
         return {"max_residual": 0.0, "witness_triple": None}
-    norms = np.sqrt(np.einsum("...l,...l->...", res, res))
-    worst = np.unravel_index(int(norms.argmax()), norms.shape)
-    i, j, k = (int(v) for v in worst)
-    applied = m @ p[i, j, k, :]
-    defect = res[i, j, k, :]
+    i, j, k = triples[0].tolist()
+    p, m = t.system.product_tensor(kind), t.entries
+    applied = m @ p[i, j, k]
     return {
-        "max_residual": float(norms.max()),
+        "max_residual": float(worst[0]),
         "witness_triple": (i, j, k),
         "witness_lhs": applied,
-        "witness_leibniz_sum": applied - defect,
+        # {Te_i, e_j, e_k} + {e_i, Te_j, e_k} + {e_i, e_j, Te_k}
+        "witness_leibniz_sum": m[:, i] @ p[:, j, k] + m[:, j] @ p[i, :, k] + m[:, k] @ p[i, j],
     }
 
 
-def leibniz_residuals(system: TripleSystem, maps, kind: str) -> np.ndarray:
-    """The ``max_residual`` of ``leibniz_residual`` for each map of the (k, n, n)
-    stack ``maps``, checked ``batch_rows(n^4)`` maps at a time."""
+def leibniz_residuals(system: TripleSystem, maps, kind: str) -> tuple:
+    """For each map T of the (k, n, n) stack ``maps``, the largest norm of the
+    Leibniz defect T{x,y,z} - {Tx,y,z} - {x,Ty,z} - {x,y,Tz} over the basis
+    triples and the first triple (i, j, k) attaining it: a (k,) float array
+    and a (k, 3) int array, checked ``batch_rows(n^4)`` maps at a time."""
     if kind not in ("triple", "symmetrized"):
         raise InvalidInput(f"no Leibniz identity for kind {kind!r}")
-    p = system.product_tensor(kind)
-    rows = batch_rows(system.dim**4)
+    p, n = system.product_tensor(kind), system.dim
+    rows = batch_rows(n**4)
     worst = np.zeros(len(maps))
-    for first in range(0, len(maps), rows):
-        res = _leibniz_defects(p, maps[first : first + rows])
-        squares = np.einsum("...l,...l->...", res, res).reshape(res.shape[0], -1)
-        worst[first : first + rows] = np.sqrt(squares.max(axis=1, initial=0.0))
-    return worst
-
-
-def _leibniz_defects(p, maps) -> np.ndarray:
-    """(k, n, n, n, n) Leibniz defects T{x,y,z} - {Tx,y,z} - {x,Ty,z} - {x,y,Tz}
-    at the basis triples, for each map T of the (k, n, n) stack ``maps``."""
-    res = p @ np.swapaxes(maps, -1, -2)[:, None, None]
-    res -= in_slots(p, maps)
-    res -= in_slots(p, None, maps)
-    res -= in_slots(p, None, None, maps)
-    return res
+    triples = np.zeros((len(maps), 3), dtype=np.intp)
+    for first in range(0, len(maps) if n else 0, rows):  # n = 0 has no basis triples
+        chunk = maps[first : first + rows]
+        res = p @ np.swapaxes(chunk, -1, -2)[:, None, None]
+        res -= in_slots(p, chunk)
+        res -= in_slots(p, None, chunk)
+        res -= in_slots(p, None, None, chunk)
+        norms = np.sqrt(np.einsum("...l,...l->...", res, res)).reshape(res.shape[0], -1)
+        worst[first : first + rows] = norms.max(axis=1)
+        where = np.unravel_index(norms.argmax(axis=1), (n, n, n))
+        triples[first : first + rows] = np.column_stack(where)
+    return worst, triples
 
 
 @timed
@@ -351,13 +366,12 @@ def default_point_set(
 ) -> list:
     """Canonical basis plus seeded random unit elements."""
     rng = np.random.default_rng(seed)
-    points = [system.basis_element(i) for i in range(system.dim)]
-    for _ in range(int(samples)):
-        coords = rng.standard_normal(system.dim)
-        norm = np.linalg.norm(coords)
-        if norm > 0:
-            points.append(Element(system, coords / norm))
-    return points
+    # rows of one draw are the draws of successive samples; vecdot is the dot
+    # product of np.linalg.norm, so each point is the per-sample draw over its norm
+    draws = rng.standard_normal((max(int(samples), 0), system.dim))
+    norms = np.sqrt(np.vecdot(draws, draws))
+    coords = np.concatenate([np.eye(system.dim), draws[norms > 0] / norms[norms > 0, None]])
+    return [Element(system, c) for c in coords]
 
 
 @timed
@@ -405,9 +419,7 @@ def local_residuals(maps, points, space: DerivationSpace) -> np.ndarray:
     system = space.system
     if space.kind != "triple":
         raise InvalidInput("local derivation checks compare against kind='triple'")
-    for el in points:
-        if el.system is not system and el.system != system:
-            raise InvalidInput("sample point from a different system")
+    _same_system(*points, system=system)
     n = system.dim
     coords = np.array([el.coords for el in points]).reshape(len(points), n)
     rows = batch_rows(n * space.dim)
@@ -434,13 +446,11 @@ def _local_residuals(space: DerivationSpace, maps: np.ndarray, coords: np.ndarra
     chunk, at most ``BATCH_ENTRIES`` entries of U.
     """
     targets = coords @ np.swapaxes(maps, -1, -2)
-    if space.dim == 0:
-        return np.linalg.norm(targets, axis=-1)
     key = coords.tobytes()
     frames = space._frames.get(key)
     if frames is None:
         space._frames.clear()  # before the SVD, so two chunks are never held at once
-        evaluations = np.einsum("rnm,bm->bnr", space.basis_stack(), coords, optimize=True)
+        evaluations = np.einsum("rnm,bm->bnr", space.entries, coords, optimize=True)
         u, s, _ = np.linalg.svd(evaluations, full_matrices=False)
         n, r = evaluations.shape[1:]
         kept = s > np.finfo(float).eps * max(n, r) * s[:, :1]
@@ -458,9 +468,7 @@ def rank_one_local_witness(t: LinearMap, x: Element) -> LinearMap:
     space this reproduces T(x) at x to rounding.  This is the one-row case of
     ``rank_one_witness_maps``.
     """
-    system = _same_system(x)
-    if t.system is not system and t.system != system:
-        raise InvalidInput("map and point belong to different systems")
+    system = _same_system(x, t)
     return LinearMap(system, rank_one_witness_maps(system, t.entries[None], x.coords[None])[0])
 
 
@@ -487,15 +495,13 @@ def check_complex_linearity(space: DerivationSpace, tol: float = 1e-8) -> Report
     j = space.system.complex_structure
     if j is None:
         raise Unsupported(f"{space.system.name} carries no complex structure")
-    worst = 0.0
-    worst_index = None
-    per_member = []
-    for idx, t in enumerate(space.basis):
-        comm = float(np.linalg.norm(t.entries @ j - j @ t.entries))
-        per_member.append(comm)
-        if comm > worst:
-            worst = comm
-            worst_index = idx
+    m = space.entries
+    # vecdot is the dot product of np.linalg.norm's Frobenius norm
+    commutators = (m @ j - j @ m).reshape(space.dim, space.system.dim**2)
+    per_member = np.sqrt(np.vecdot(commutators, commutators))
+    worst = float(per_member.max(initial=0.0))
+    # the first member attaining a nonzero worst commutator
+    worst_index = int(per_member.argmax()) if worst > 0 else None
     status = STATUS_PASS if worst <= tol else STATUS_FAIL
     return Report(
         statement_id=f"complex_linearity[{space.system.name}:{space.kind}]",
@@ -503,7 +509,7 @@ def check_complex_linearity(space: DerivationSpace, tol: float = 1e-8) -> Report
         residuals={"max_commutator": worst},
         witnesses={
             "worst_member": worst_index,
-            "commutators": per_member,
+            "commutators": per_member.tolist(),
         },
     )
 
@@ -585,10 +591,10 @@ def check_IAP_finite(system: TripleSystem, tol: float = 1e-8) -> Report:
     check_tol(tol)
     der = derivation_space(system, "triple")
     inner = derivation_space(system, "inner_span")
-    n2 = system.dim**2
-    der_cols, inner_cols = (s.basis_stack().reshape(s.dim, n2).T for s in (der, inner))
-    worst_inner = max((span_distance(t.entries, der_cols) for t in inner.basis), default=0.0)
-    worst_der = max((span_distance(t.entries, inner_cols) for t in der.basis), default=0.0)
+    der_rows, inner_rows = (s.entries.reshape(s.dim, system.dim**2) for s in (der, inner))
+    # what is left of each basis map off the span of the other orthonormal basis
+    rests = [a - (a @ b.T) @ b for a, b in ((inner_rows, der_rows), (der_rows, inner_rows))]
+    worst_inner, worst_der = (float(np.sqrt(np.vecdot(r, r)).max(initial=0.0)) for r in rests)
     ok = der.dim == inner.dim and worst_inner <= tol and worst_der <= tol
     return Report(
         statement_id=f"iap_span_equality[{system.name}]",
@@ -649,7 +655,7 @@ def space_to_json(space: DerivationSpace) -> dict:
         "kind": space.kind,
         "dim": space.system.dim,
         "tol": space.tol,
-        "basis": [t.entries.reshape(-1).tolist() for t in space.basis],
+        "basis": space.entries.reshape(space.dim, space.system.dim**2).tolist(),
     }
 
 
@@ -665,6 +671,4 @@ def space_from_json(payload: dict, system: TripleSystem) -> DerivationSpace:
     count = len(payload["basis"])
     flat = _wire_floats(payload, "basis", count * n * n, f"{count} maps x dim^2")
     tol = check_tol(payload["tol"])
-    flat.flags.writeable = False  # see derivation_space
-    maps = tuple(LinearMap(system, m) for m in flat.reshape(count, n, n))
-    return DerivationSpace(system, payload["kind"], maps, tol)
+    return DerivationSpace(system, payload["kind"], flat.reshape(count, n, n), tol)

@@ -116,14 +116,13 @@ class _RunContext:
 
 
 def _seeded_members(space, count, seed):
-    """Deterministic unit-norm combinations of a derivation basis."""
+    """(count, n, n) stack of deterministic unit-norm combinations of a derivation basis."""
     rng = np.random.default_rng(seed)
-    members = []
-    for _ in range(count):
-        weights = rng.standard_normal(space.dim)
-        weights /= max(np.linalg.norm(weights), 1e-300)
-        members.append(space.member(weights))
-    return members
+    # rows of one draw are the draws of successive members; vecdot is the dot
+    # product of np.linalg.norm
+    weights = rng.standard_normal((count, space.dim))
+    weights /= np.maximum(np.sqrt(np.vecdot(weights, weights)), 1e-300)[:, None]
+    return space.members(weights)
 
 
 def _sub(statement_id, ok, residuals, witnesses=None, seed=None, items=()):
@@ -228,10 +227,7 @@ def _skew_characterization(statement_id, label_template, sizes, seed) -> Report:
         der = derivations.derivation_space(system, "triple")
         sym = derivations.derivation_space(system, "symmetrized")
         expected_dim = n * (n - 1) // 2
-        sym_part = max(
-            (float(np.max(np.abs(b.entries + b.entries.T))) for b in der.basis),
-            default=0.0,
-        )
+        sym_part = float(np.abs(der.entries + np.swapaxes(der.entries, 1, 2)).max(initial=0.0))
         raw = rng.standard_normal((n, n))
         skew_map = system.linear_map(raw - raw.T)
         skew_ok = derivations.is_derivation(skew_map, "triple").status == STATUS_PASS
@@ -296,8 +292,8 @@ def repro_theorem_surrogate(specs, seed: int = DEFAULT_SEED) -> Report:
     gap = sym.dim - der.dim
     forbidden = any(_is_gap_summand(s) for s in specs)
 
-    leakage = max((structure.offblock_leakage(b) for b in sym.basis), default=0.0) \
-        if system.blocks is not None else 0.0
+    leakage = 0.0 if system.blocks is None else \
+        float(structure.offblock_leakages(system, sym.entries).max(initial=0.0))
 
     residuals = {
         "symmetrized_dim": float(sym.dim),
@@ -307,17 +303,16 @@ def repro_theorem_surrogate(specs, seed: int = DEFAULT_SEED) -> Report:
     }
     witnesses = {"summands": [s.label() for s in specs], "forbidden_summand": forbidden}
     # the checks are linear in the map, so the basis decides them for the space
-    basis = sym.basis_stack()
-    leibniz = derivations.leibniz_residuals(system, basis, "triple")
+    leibniz, _ = derivations.leibniz_residuals(system, sym.entries, "triple")
     if forbidden:
         worst_res = float(leibniz.max(initial=-1.0))
         residuals["witness_triple_leibniz_residual"] = worst_res
         ok = gap >= 1 and worst_res > 1e-6 and leakage <= 1e-8
         if leibniz.size:
-            witnesses["witness_map"] = basis[int(leibniz.argmax())]
+            witnesses["witness_map"] = sym.entries[int(leibniz.argmax())]
     else:
         points = derivations.default_point_set(system, samples=64, seed=seed)
-        worst_local = float(derivations.local_residuals(basis, points, der).max(initial=0.0))
+        worst_local = float(derivations.local_residuals(sym.entries, points, der).max(initial=0.0))
         worst_leibniz = float(leibniz.max(initial=0.0))
         residuals["basis_local_residual"] = worst_local
         residuals["basis_triple_leibniz_residual"] = worst_leibniz
@@ -398,7 +393,7 @@ def _stmt_rank_one_witness(ctx, seed):
         # draws of the pairs one after another
         draws = rng.standard_normal((pairs, sym.dim + system.dim))
         weights, coords = draws[:, : sym.dim], draws[:, sym.dim :]
-        members = np.einsum("br,rnm->bnm", weights, sym.basis_stack())
+        members = sym.members(weights)
         deltas = derivations.rank_one_witness_maps(system, members, coords)
         points = coords[:, :, None]
         errors = np.linalg.norm((deltas @ points - members @ points)[:, :, 0], axis=1)
@@ -418,7 +413,7 @@ def _stmt_flows(ctx, seed):
     @timed
     def run(system):
         der = derivations.derivation_space(system, "triple")
-        members = np.stack([member.entries for member in _seeded_members(der, count, seed)])
+        members = _seeded_members(der, count, seed)
         reports = derivations.exp_flow_reports(system, members, "triple", grid)
         worst = max([0.0, *(max(rep.residuals.values(), default=0.0) for rep in reports)])
         ok = all(rep.status == STATUS_PASS for rep in reports)
@@ -467,7 +462,7 @@ def _stmt_ideal_invariance(ctx, seed):
     def run(specs):
         system = factors.direct_sum([factors.build_factor(s) for s in specs])
         sym = derivations.derivation_space(system, "symmetrized")
-        leak_rep = structure.check_ideal_invariance(system, sym.basis)
+        leak_rep = structure.check_ideal_invariance(system, sym.entries)
         worst_root_leak = 0.0
         for offset, length, _ in system.blocks:
             coords = np.zeros(system.dim)
@@ -495,7 +490,7 @@ def _stmt_two_local(ctx, seed):
     derivations into derivations and exposes the counterexample."""
     base = factors.build_factor("I_R(2,2)")
     der = derivations.derivation_space(base, "triple")
-    member = _seeded_members(der, 1, seed)[0]
+    member = base.linear_map(_seeded_members(der, 1, seed)[0])
     lifted_ok = derivations.two_local_lift(member, samples=32, seed=seed)
     real_form = factors.as_real_form(factors.build_factor("I_C(2,1)"))
     t = counterexample_map(real_form)
@@ -583,7 +578,7 @@ def _stmt_inner_leibniz(ctx, seed):
         # row d of one draw holds a, then b, of draw d: the draws one after another
         a, b = np.split(rng.standard_normal((8, 2 * system.dim)), 2, axis=1)
         delta = derivations.inner_derivation_maps(system, a, b)
-        worst = float(derivations.leibniz_residuals(system, delta, "triple").max())
+        worst = float(derivations.leibniz_residuals(system, delta, "triple")[0].max())
         flipped = derivations.inner_derivation_maps(system, b, a)
         self_term = derivations.inner_derivation_maps(system, a, a)
         antisym = float(np.abs(delta + flipped).max(initial=0.0))
@@ -617,12 +612,11 @@ def _stmt_tripotent_identities(ctx, seed):
         sym = derivations.derivation_space(system, "symmetrized")
         der = derivations.derivation_space(system, "triple")
         points = derivations.default_point_set(system, samples=32, seed=seed)
-        stack = sym.basis_stack()
-        worst_local = float(derivations.local_residuals(stack, points, der).max(initial=0.0))
+        worst_local = float(derivations.local_residuals(sym.entries, points, der).max(initial=0.0))
         worst_p0 = worst_p2 = 0.0
         for e in factors.canonical_tripotents(system):
             ps = structure.peirce(e)
-            te = stack @ e.coords  # row r is T_r(e) for basis map r
+            te = sym.entries @ e.coords  # row r is T_r(e) for basis map r
             q = triple_core.Q_operator(e).entries
             p0_te = np.linalg.norm(te @ ps.p0.entries.T, axis=1)
             p2_te = np.linalg.norm(te @ (ps.p2.entries + q).T, axis=1)

@@ -190,10 +190,8 @@ def verify_rank_witness(system: TripleSystem, family, tol: float = 1e-10) -> Rep
     from the factor classification.
     """
     check_tol(tol)
-    if isinstance(family, OrthogonalSystem):
-        elements = list(family.elements)
-    else:
-        elements = list(family)
+    elements = list(family.elements if isinstance(family, OrthogonalSystem) else family)
+    _same_system(*elements, system=system)
     residuals = {}
     ok = True
     witness = {}
@@ -306,33 +304,37 @@ def is_minimal_tripotent(e: Element, tol: float = 1e-8) -> bool:
 
 
 def offblock_leakage(t: LinearMap) -> float:
-    """Largest entry of the map outside the diagonal blocks of a direct sum."""
-    blocks = t.system.blocks
-    if blocks is None:
+    """Largest entry of the map outside the diagonal blocks of a direct sum:
+    the one-map case of ``offblock_leakages``."""
+    return float(offblock_leakages(t.system, t.entries[None])[0])
+
+
+def offblock_leakages(system: TripleSystem, maps) -> np.ndarray:
+    """Largest entry outside the diagonal blocks of the direct sum ``system``
+    of each map of the (k, n, n) stack ``maps``."""
+    if system.blocks is None:
         raise InvalidInput("offblock_leakage needs a direct-sum system")
-    mask = np.ones((t.system.dim, t.system.dim), dtype=bool)
-    for offset, length, _ in blocks:
+    mask = np.ones((system.dim, system.dim), dtype=bool)
+    for offset, length, _ in system.blocks:
         mask[offset : offset + length, offset : offset + length] = False
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(t.entries[mask])))
+    return np.abs(maps[:, mask]).max(axis=1, initial=0.0)
 
 
 @timed
 def check_ideal_invariance(system: TripleSystem, maps, tol: float = 1e-8) -> Report:
-    """Block invariance of maps on a direct sum: T(block) stays in the block."""
+    """Block invariance of maps on a direct sum: T(block) stays in the block.
+    ``maps`` is a (k, n, n) stack on ``system`` or a sequence of its LinearMaps."""
     check_tol(tol)
-    worst = 0.0
-    witness = {}
-    for idx, t in enumerate(maps):
-        leak = offblock_leakage(t)
-        if leak > worst:
-            worst = leak
-            if leak > tol:
-                witness = {"map_index": idx}
+    if not isinstance(maps, np.ndarray):
+        maps = list(maps)
+        _same_system(*maps, system=system)
+        maps = np.reshape([t.entries for t in maps], (len(maps), system.dim, system.dim))
+    leaks = offblock_leakages(system, maps)
+    worst = float(leaks.max(initial=0.0))
     return Report(
         statement_id=f"ideal_invariance[{system.name}]",
         status=STATUS_PASS if worst <= tol else STATUS_FAIL,
         residuals={"max_offblock_entry": worst},
-        witnesses=witness,
+        # the first map attaining the worst leak
+        witnesses={"map_index": int(leaks.argmax())} if worst > tol else {},
     )

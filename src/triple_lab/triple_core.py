@@ -264,15 +264,15 @@ class LinearMap:
         object.__setattr__(self, "entries", entries)
 
     def __call__(self, x: Element) -> Element:
-        _same_system_map(self, x)
+        _same_system(self, x)
         return Element(self.system, self.entries @ x.coords)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
-        _same_system_map(self, other)
+        _same_system(self, other)
         return LinearMap(self.system, self.entries + other.entries)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        _same_system_map(self, other)
+        _same_system(self, other)
         return LinearMap(self.system, self.entries - other.entries)
 
     def __mul__(self, scalar: float) -> "LinearMap":
@@ -281,18 +281,13 @@ class LinearMap:
     __rmul__ = __mul__
 
 
-def _same_system(*elements) -> TripleSystem:
-    system = elements[0].system
-    for e in elements[1:]:
+def _same_system(*elements, system=None) -> TripleSystem:
+    """The system of the elements or maps, which must all share it, and ``system`` if given."""
+    system = elements[0].system if system is None else system
+    for e in elements:
         if e.system is not system and e.system != system:
-            raise SystemMismatch("elements belong to different triple systems")
+            raise SystemMismatch("elements or maps belong to different triple systems")
     return system
-
-
-def _same_system_map(a, b) -> TripleSystem:
-    if a.system is not b.system and a.system != b.system:
-        raise SystemMismatch("objects belong to different triple systems")
-    return a.system
 
 
 # -- products and operators -------------------------------------------------

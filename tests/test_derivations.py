@@ -31,7 +31,7 @@ from triple_lab.derivations import (
     space_from_json,
     space_to_json,
 )
-from triple_lab.errors import InvalidInput, NoSpectralGap, Unsupported
+from triple_lab.errors import InvalidInput, NoSpectralGap, SystemMismatch, Unsupported
 from triple_lab.factors import as_real_form
 from triple_lab.numerics import least_squares_residual, orthonormal_columns, span_distance
 from triple_lab.report import canonical_json
@@ -107,7 +107,7 @@ def test_symmetrized_contains_triple(label):
     expected_sym = SYM_DIMS.get(label, TRIPLE_DIMS[label])
     assert sym.dim == expected_sym
     assert oracle_derivation_dim(system, "symmetrized") == expected_sym
-    sym_cols = sym.basis_stack().reshape(sym.dim, -1).T
+    sym_cols = sym.entries.reshape(sym.dim, -1).T
     worst = max((span_distance(t.entries, sym_cols) for t in tri.basis), default=0.0)
     assert worst <= 1e-8
 
@@ -140,7 +140,7 @@ def test_orthonormality_of_bases():
     system = build_factor("I_C(2,1)")
     for kind in ("triple", "symmetrized", "inner_span"):
         space = derivation_space(system, kind)
-        stack = space.basis_stack().reshape(space.dim, -1)
+        stack = space.entries.reshape(space.dim, -1)
         gram = stack @ stack.T
         assert np.max(np.abs(gram - np.eye(space.dim))) <= 1e-10
 
@@ -157,7 +157,7 @@ def test_inner_span_is_the_span_of_basis_inner_derivations(label):
         for j in range(i + 1, system.dim)
     ]
     reference = orthonormal_columns(np.column_stack(spanning), tol=space.tol)
-    basis = space.basis_stack().reshape(space.dim, -1).T
+    basis = space.entries.reshape(space.dim, -1).T
     assert basis.shape == reference.shape
     assert np.max(np.abs(basis @ basis.T - reference @ reference.T)) <= 1e-12
 
@@ -195,7 +195,7 @@ def _assert_blocks_match_oracle(system, kind, monkeypatch):
             covered[np.ix_(rows, cols)] = True
         assert np.all(leibniz[~covered] == 0.0)
         space = derivation_space(system, kind)
-        basis = space.basis_stack().reshape(space.dim, -1).T
+        basis = space.entries.reshape(space.dim, -1).T
         assert space.dim == kernel.shape[1]
         assert np.linalg.norm(basis @ basis.T - kernel @ kernel.T, 2) <= 1e-10
 
@@ -271,7 +271,7 @@ def test_sign_grading_is_the_joint_eigenspaces_of_every_sign_automorphism(label,
     codes = chars.reshape(system.dim, system.dim)[:, 0]
     i, j, k, l = np.nonzero(p)
     space = derivation_space(system, kind)
-    cols = space.basis_stack().reshape(space.dim, -1).T
+    cols = space.entries.reshape(space.dim, -1).T
     for g in range(int(codes.max()).bit_length()):
         sigma = 1 - 2 * ((codes >> np.uint64(g)) & np.uint64(1)).astype(int)
         assert np.all(sigma[i] * sigma[j] * sigma[k] * sigma[l] == 1)
@@ -297,7 +297,7 @@ def test_block_residuals_equal_the_dense_leibniz_residual(label):
     for kind in ("triple", "symmetrized", "inner_span"):
         space = derivation_space(system, kind)
         leibniz_kind = "triple" if kind == "inner_span" else kind
-        maps = space.basis_stack().reshape(space.dim, -1).T
+        maps = space.entries.reshape(space.dim, -1).T
         blockwise = np.zeros(space.dim)
         for _, cols, rows, m in _leibniz_blocks(system.unfolding(leibniz_kind)):
             blockwise = np.maximum(blockwise, _grouped_norms(m @ maps[cols], rows // n))
@@ -441,7 +441,7 @@ def test_identity_is_not_local_on_hilbert_factor():
 
 def oracle_local_residual(t, points, space):
     """Independent path: one lstsq solve per point; (max residual, first argmax)."""
-    stack = space.basis_stack()
+    stack = space.entries
     residuals = []
     for el in points:
         target = t.entries @ el.coords
@@ -849,7 +849,91 @@ def test_space_json_roundtrip():
     payload = space_to_json(space)
     loaded = space_from_json(payload, system)
     assert loaded.dim == space.dim
-    assert np.array_equal(loaded.basis_stack(), space.basis_stack())
+    assert np.array_equal(loaded.entries, space.entries)
+
+
+def _space_from(source, space):
+    if source == "constructor":
+        return DerivationSpace(space.system, space.kind, space.basis, space.tol)
+    if source == "json":
+        return space_from_json(space_to_json(space), space.system)
+    return space
+
+
+@pytest.mark.parametrize("source", ["computed", "constructor", "json"])
+@pytest.mark.parametrize("kind", ["triple", "symmetrized", "inner_span"])
+def test_space_basis_is_one_read_only_array(source, kind):
+    system = build_factor("I_C(2,2)")
+    computed = derivation_space(system, kind)
+    space = _space_from(source, computed)
+    n = system.dim
+    assert space.entries.dtype == np.float64 and space.entries.shape == (space.dim, n, n)
+    assert not space.entries.flags.writeable
+    with pytest.raises(ValueError):
+        space.entries[0, 0, 0] = 1.0
+    assert len(space.basis) == space.dim
+    for row, t in zip(space.entries, space.basis):
+        assert t.system is system
+        assert np.shares_memory(t.entries, space.entries)
+        assert np.array_equal(t.entries, row)
+    # every source holds the computed array, bit for bit
+    assert space.entries.tobytes() == computed.entries.tobytes()
+
+
+def test_space_constructor_takes_a_stack_or_maps():
+    system = build_factor("SPIN_R(3,1)")
+    space = derivation_space(system, "triple")
+    writable = np.array(space.entries)
+    from_stack = DerivationSpace(system, "triple", writable, space.tol)
+    assert not writable.flags.writeable  # the space freezes the array it keeps
+    assert np.shares_memory(from_stack.entries, writable)
+    from_maps = DerivationSpace(system, "triple", list(space.basis), space.tol)
+    assert not np.shares_memory(from_maps.entries, space.entries)
+    assert from_stack == from_maps == space
+    empty = DerivationSpace(system, "triple", (), space.tol)
+    assert empty.dim == 0 and empty.entries.shape == (0, 4, 4) and empty.basis == ()
+    with pytest.raises(SystemMismatch):
+        DerivationSpace(build_factor("I_R(2,2)"), "triple", space.basis, space.tol)
+
+
+def test_space_equality_is_system_kind_tol_and_entries():
+    system = build_factor("I_C(2,1)")
+    space = derivation_space(system, "triple")
+    assert DerivationSpace(build_factor("I_C(2,1)"), "triple", space.basis, space.tol) == space
+    assert DerivationSpace(system, "symmetrized", space.basis, space.tol) != space
+    assert DerivationSpace(system, "triple", space.basis, 2 * space.tol) != space
+    assert DerivationSpace(system, "triple", space.basis[:-1], space.tol) != space
+    assert DerivationSpace(system, "triple", space.entries[::-1], space.tol) != space
+    assert DerivationSpace(as_real_form(system), "triple", space.entries, space.tol) != space
+    assert space != "triple" and space != None  # noqa: E711
+
+
+def _per_sample_points(system, samples, seed):
+    """``default_point_set`` one sample at a time, as it was first written."""
+    rng = np.random.default_rng(seed)
+    points = [system.basis_element(i) for i in range(system.dim)]
+    for _ in range(int(samples)):
+        coords = rng.standard_normal(system.dim)
+        norm = np.linalg.norm(coords)
+        if norm > 0:
+            points.append(Element(system, coords / norm))
+    return points
+
+
+@pytest.mark.parametrize("label", ["I_R(1,1)", "I_C(2,1)", "III_R(3)+I_C(2,2)", "SPIN_R(16,0)", "empty"])
+@pytest.mark.parametrize("samples", [0, 1, 64, 257])
+def test_default_point_set_is_the_per_sample_draw_bit_for_bit(label, samples):
+    if label == "empty":
+        system = TripleSystem("empty", np.zeros((0, 0, 0, 0)))
+    else:
+        system = direct_sum([build_factor(spec) for spec in label.split("+")])
+    for seed in (0, DEFAULT_SEED, 2**40 + 7):
+        got = default_point_set(system, samples=samples, seed=seed)
+        want = _per_sample_points(system, samples, seed)
+        assert len(got) == len(want) == system.dim + (samples if system.dim else 0)
+        for a, b in zip(got, want):
+            assert a.system is system
+            assert a.coords.tobytes() == b.coords.tobytes()
 
 
 

@@ -18,7 +18,7 @@ from triple_lab import (
     peirce,
     verify_rank_witness,
 )
-from triple_lab.errors import InvalidInput, NoConvergence, NotTripotent
+from triple_lab.errors import InvalidInput, NoConvergence, NotTripotent, SystemMismatch
 from triple_lab.factors import representation_to_coords, coords_to_representation
 from triple_lab import structure
 from triple_lab.structure import (
@@ -208,6 +208,17 @@ def test_verify_rank_witness_reports():
     assert "non_orthogonal_pair" in bad.witnesses
 
 
+def test_verify_rank_witness_refuses_elements_of_another_system():
+    system = build_factor("I_R(2,2)")
+    twin = build_factor("I_R(2,2)")  # equal to system, so its elements belong to it
+    assert verify_rank_witness(system, canonical_rank_witness(twin)).status == "pass"
+    # I_C(2,1) has the dimension and the rank of I_R(2,2)
+    with pytest.raises(SystemMismatch):
+        verify_rank_witness(system, canonical_rank_witness(build_factor("I_C(2,1)")))
+    with pytest.raises(SystemMismatch):
+        verify_rank_witness(system, [system.basis_element(0), build_factor("I_C(2,1)").basis_element(3)])
+
+
 def test_cube_root_fixes_tripotents():
     system = build_factor("I_R(2,2)")
     e = system.basis_element(0)
@@ -366,3 +377,26 @@ def test_ideal_invariance_of_symmetrized_derivations():
     assert np.linalg.norm(root.coords[:4]) < 1e-10
     with pytest.raises(InvalidInput):
         offblock_leakage(build_factor("I_R(2,2)").identity_map())
+
+
+def _leaking_map(system):
+    entries = np.zeros((8, 8))
+    entries[2, 5] = 1.0
+    return system.linear_map(entries)
+
+
+def test_ideal_invariance_refuses_maps_of_another_system():
+    total = direct_sum([build_factor("I_R(2,2)"), build_factor("SPIN_R(3,1)")])
+    # entry [2, 5] crosses the blocks 0..3 and 4..7 of this sum
+    report = check_ideal_invariance(total, [_leaking_map(total)])
+    assert report.status == "fail" and report.witnesses == {"map_index": 0}
+    # the same entries lie inside the block 2..7 of a sum with other blocks
+    other_sum = direct_sum([build_factor("I_R(2,1)"), build_factor("SPIN_R(5,1)")])
+    assert check_ideal_invariance(other_sum, [_leaking_map(other_sum)]).status == "pass"
+    with pytest.raises(SystemMismatch):
+        check_ideal_invariance(total, [_leaking_map(total), _leaking_map(other_sum)])
+    # and a factor without blocks is no direct sum at all
+    with pytest.raises(SystemMismatch):
+        check_ideal_invariance(total, [_leaking_map(build_factor("I_R(2,4)"))])
+    # a stack of entries is read as maps on the given system
+    assert check_ideal_invariance(total, _leaking_map(other_sum).entries[None]).status == "fail"
