@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidInput, NoSpectralGap, Unsupported
 from .factors import complexify, extend_map_complex
-from .numerics import check_tol, expm
+from .numerics import check_tol, expm, row_norms
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
 from .structure import peirce_projections
 from .triple_core import (
@@ -298,32 +298,32 @@ def inner_derivation_maps(system: TripleSystem, a, b) -> np.ndarray:
 def leibniz_residual(t: LinearMap, kind: str) -> dict:
     """Max Leibniz defect of ``t`` over all basis triples, with its witness:
     the one-map case of ``leibniz_residuals``."""
-    worst, triples = leibniz_residuals(t.system, t.entries[None], kind)
+    worst, triples, defects = leibniz_residuals(t.system, t.entries[None], kind)
     if not t.system.dim:
         return {"max_residual": 0.0, "witness_triple": None}
     i, j, k = triples[0].tolist()
-    p, m = t.system.product_tensor(kind), t.entries
-    applied = m @ p[i, j, k]
+    applied = t.entries @ t.system.product_tensor(kind)[i, j, k]
     return {
         "max_residual": float(worst[0]),
         "witness_triple": (i, j, k),
         "witness_lhs": applied,
-        # {Te_i, e_j, e_k} + {e_i, Te_j, e_k} + {e_i, e_j, Te_k}
-        "witness_leibniz_sum": m[:, i] @ p[:, j, k] + m[:, j] @ p[i, :, k] + m[:, k] @ p[i, j],
+        "witness_leibniz_sum": applied - defects[0],
     }
 
 
 def leibniz_residuals(system: TripleSystem, maps, kind: str) -> tuple:
     """For each map T of the (k, n, n) stack ``maps``, the largest norm of the
     Leibniz defect T{x,y,z} - {Tx,y,z} - {x,Ty,z} - {x,y,Tz} over the basis
-    triples and the first triple (i, j, k) attaining it: a (k,) float array
-    and a (k, 3) int array, checked ``batch_rows(n^4)`` maps at a time."""
+    triples, the first triple (i, j, k) attaining it and the defect there: a
+    (k,) float array, a (k, 3) int array and a (k, n) float array, checked
+    ``batch_rows(n^4)`` maps at a time."""
     if kind not in ("triple", "symmetrized"):
         raise InvalidInput(f"no Leibniz identity for kind {kind!r}")
     p, n = system.product_tensor(kind), system.dim
     rows = batch_rows(n**4)
     worst = np.zeros(len(maps))
     triples = np.zeros((len(maps), 3), dtype=np.intp)
+    defects = np.zeros((len(maps), n))
     for first in range(0, len(maps) if n else 0, rows):  # n = 0 has no basis triples
         chunk = maps[first : first + rows]
         res = p @ np.swapaxes(chunk, -1, -2)[:, None, None]
@@ -334,7 +334,8 @@ def leibniz_residuals(system: TripleSystem, maps, kind: str) -> tuple:
         worst[first : first + rows] = norms.max(axis=1)
         where = np.unravel_index(norms.argmax(axis=1), (n, n, n))
         triples[first : first + rows] = np.column_stack(where)
-    return worst, triples
+        defects[first : first + rows] = res[(np.arange(len(chunk)), *where)]
+    return worst, triples, defects
 
 
 @timed
@@ -366,10 +367,10 @@ def default_point_set(
 ) -> list:
     """Canonical basis plus seeded random unit elements."""
     rng = np.random.default_rng(seed)
-    # rows of one draw are the draws of successive samples; vecdot is the dot
-    # product of np.linalg.norm, so each point is the per-sample draw over its norm
+    # rows of one draw are the draws of successive samples, and row_norms are
+    # np.linalg.norm's, so each point is the per-sample draw over its norm
     draws = rng.standard_normal((max(int(samples), 0), system.dim))
-    norms = np.sqrt(np.vecdot(draws, draws))
+    norms = row_norms(draws)
     coords = np.concatenate([np.eye(system.dim), draws[norms > 0] / norms[norms > 0, None]])
     return [Element(system, c) for c in coords]
 
@@ -419,7 +420,9 @@ def local_residuals(maps, points, space: DerivationSpace) -> np.ndarray:
     system = space.system
     if space.kind != "triple":
         raise InvalidInput("local derivation checks compare against kind='triple'")
-    _same_system(*points, system=system)
+    for el in points:
+        if el.system is not system and el.system != system:
+            raise InvalidInput("sample point from a different system")
     n = system.dim
     coords = np.array([el.coords for el in points]).reshape(len(points), n)
     rows = batch_rows(n * space.dim)
@@ -468,7 +471,9 @@ def rank_one_local_witness(t: LinearMap, x: Element) -> LinearMap:
     space this reproduces T(x) at x to rounding.  This is the one-row case of
     ``rank_one_witness_maps``.
     """
-    system = _same_system(x, t)
+    system = _same_system(x)
+    if t.system is not system and t.system != system:
+        raise InvalidInput("map and point belong to different systems")
     return LinearMap(system, rank_one_witness_maps(system, t.entries[None], x.coords[None])[0])
 
 
@@ -496,9 +501,8 @@ def check_complex_linearity(space: DerivationSpace, tol: float = 1e-8) -> Report
     if j is None:
         raise Unsupported(f"{space.system.name} carries no complex structure")
     m = space.entries
-    # vecdot is the dot product of np.linalg.norm's Frobenius norm
-    commutators = (m @ j - j @ m).reshape(space.dim, space.system.dim**2)
-    per_member = np.sqrt(np.vecdot(commutators, commutators))
+    # row_norms are np.linalg.norm's Frobenius norms of the commutators
+    per_member = row_norms((m @ j - j @ m).reshape(space.dim, space.system.dim**2))
     worst = float(per_member.max(initial=0.0))
     # the first member attaining a nonzero worst commutator
     worst_index = int(per_member.argmax()) if worst > 0 else None
@@ -594,7 +598,7 @@ def check_IAP_finite(system: TripleSystem, tol: float = 1e-8) -> Report:
     der_rows, inner_rows = (s.entries.reshape(s.dim, system.dim**2) for s in (der, inner))
     # what is left of each basis map off the span of the other orthonormal basis
     rests = [a - (a @ b.T) @ b for a, b in ((inner_rows, der_rows), (der_rows, inner_rows))]
-    worst_inner, worst_der = (float(np.sqrt(np.vecdot(r, r)).max(initial=0.0)) for r in rests)
+    worst_inner, worst_der = (float(row_norms(r).max(initial=0.0)) for r in rests)
     ok = der.dim == inner.dim and worst_inner <= tol and worst_der <= tol
     return Report(
         statement_id=f"iap_span_equality[{system.name}]",

@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptySpec, InvalidInput, InvalidSpec, Unsupported
+from .numerics import row_dots, row_norms
 from .triple_core import Element, LinearMap, TripleSystem, check_dim
 
 # -- quaternion arithmetic ----------------------------------------------------
@@ -571,16 +572,6 @@ def representation_to_coords(label: str, rep) -> np.ndarray:
     return np.einsum("uva,iuva->i", np.asarray(rep, dtype=float), basis)
 
 
-def _row_dots(x, y) -> np.ndarray:
-    """Row-wise dot products, summed as ``np.dot`` sums one row: the norms below
-    equal a per-row ``np.linalg.norm`` bit for bit, ``norm(axis=1)`` does not."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
-def _row_norms(x) -> np.ndarray:
-    return np.sqrt(_row_dots(x, x))
-
-
 def _operator_norms(label: str, coords) -> np.ndarray:
     field, rep = coords_to_representation(label, coords)
     if field == "H":
@@ -594,9 +585,9 @@ def _spin_norms(label: str, coords) -> np.ndarray:
         r = spec.dims[0]
         # X1 + X2 split with the l1 combination of the two Hilbert norms;
         # this equals the generic spin-norm formula for the real conjugation.
-        return _row_norms(coords[:, :r]) + _row_norms(coords[:, r:])
+        return row_norms(coords[:, :r]) + row_norms(coords[:, r:])
     v = coords[:, 0::2] + 1j * coords[:, 1::2]
-    quad = _row_dots(np.conj(v), v).real
+    quad = row_dots(np.conj(v), v).real
     s = np.sum(v * v, axis=1)
     bilin = np.hypot(s.real, s.imag)
     return np.sqrt(quad + np.sqrt(np.maximum(quad * quad - bilin * bilin, 0.0)))
@@ -610,7 +601,7 @@ def _norms(label: str, norm_kind: str, coords, blocks=None) -> np.ndarray:
     if wrapper == "complexified":
         raise Unsupported(f"no norm is defined for factor kind {label!r}")
     if norm_kind == "hilbert":
-        return _row_norms(coords)
+        return row_norms(coords)
     if norm_kind in ("spin", "operator"):
         return (_spin_norms if norm_kind == "spin" else _operator_norms)(label, coords)
     if norm_kind == "product":

@@ -156,6 +156,14 @@ def span_distance(vector, basis) -> float:
     """Distance from ``vector`` to the span of the orthonormal ``basis`` columns."""
     v = np.asarray(vector, dtype=float).reshape(-1)
     b = as_matrix(basis)
-    if b.shape[1] == 0:
-        return float(np.linalg.norm(v))
     return float(np.linalg.norm(v - b @ (b.T @ v)))
+
+
+def row_dots(x, y) -> np.ndarray:
+    """Row-wise dot products, summed as ``np.dot`` sums one row: the norms below
+    equal a per-row ``np.linalg.norm`` bit for bit, ``norm(axis=1)`` does not."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def row_norms(x) -> np.ndarray:
+    return np.sqrt(row_dots(x, x))

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import derivations, factors, structure, triple_core
 from .errors import EmptySpec, InvalidInput, InvalidSpec, TripleLabError
+from .numerics import row_norms
 from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS, read_json, timed
 from .triple_core import MAX_DIM, Element, LinearMap, TripleSystem
 
@@ -118,10 +119,10 @@ class _RunContext:
 def _seeded_members(space, count, seed):
     """(count, n, n) stack of deterministic unit-norm combinations of a derivation basis."""
     rng = np.random.default_rng(seed)
-    # rows of one draw are the draws of successive members; vecdot is the dot
-    # product of np.linalg.norm
+    # rows of one draw are the draws of successive members, and row_norms are
+    # np.linalg.norm's
     weights = rng.standard_normal((count, space.dim))
-    weights /= np.maximum(np.sqrt(np.vecdot(weights, weights)), 1e-300)[:, None]
+    weights /= np.maximum(row_norms(weights), 1e-300)[:, None]
     return space.members(weights)
 
 
@@ -303,7 +304,7 @@ def repro_theorem_surrogate(specs, seed: int = DEFAULT_SEED) -> Report:
     }
     witnesses = {"summands": [s.label() for s in specs], "forbidden_summand": forbidden}
     # the checks are linear in the map, so the basis decides them for the space
-    leibniz, _ = derivations.leibniz_residuals(system, sym.entries, "triple")
+    leibniz = derivations.leibniz_residuals(system, sym.entries, "triple")[0]
     if forbidden:
         worst_res = float(leibniz.max(initial=-1.0))
         residuals["witness_triple_leibniz_residual"] = worst_res

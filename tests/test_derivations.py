@@ -420,6 +420,16 @@ def test_local_residual_rejects_a_space_of_another_system():
             local_derivation_residual(t, points, space=foreign)
 
 
+def test_foreign_points_and_witness_maps_raise_invalid_input():
+    # the same error as a foreign space, so one call raises one type
+    system, other = build_factor("I_C(2,1)"), build_factor("I_R(2,2)")
+    t = counterexample_map(system)
+    with pytest.raises(InvalidInput, match="different system"):
+        local_derivation_residual(t, [other.basis_element(0)])
+    with pytest.raises(InvalidInput, match="different systems"):
+        rank_one_local_witness(other.identity_map(), system.basis_element(0))
+
+
 def test_derivations_have_zero_local_residual():
     system = build_factor("SPIN_R(3,1)")
     space = derivation_space(system, "triple")

@@ -18,6 +18,7 @@ from triple_lab import build_factor, derivation_space, derivations, direct_sum, 
 from triple_lab.errors import InvalidInput
 from triple_lab.numerics import expm, span_distance
 from triple_lab.repro import DEFAULT_SEED, counterexample_map, load_suite
+from triple_lab.triple_core import in_slots
 
 SUITE = load_suite()
 STATEMENT_INDEX = {statement_id: i for i, (statement_id, _) in enumerate(repro._STATEMENT_RUNNERS)}
@@ -155,7 +156,7 @@ def test_basis_leibniz_and_local_residuals_are_the_per_map_calls(specs):
     sym = derivation_space(system, "symmetrized")
     der = derivation_space(system, "triple")
     stack = sym.entries
-    leibniz, _ = derivations.leibniz_residuals(system, stack, "triple")
+    leibniz = derivations.leibniz_residuals(system, stack, "triple")[0]
     assert leibniz.tolist() == [derivations.leibniz_residual(b, "triple")["max_residual"] for b in sym.basis]
     points = derivations.default_point_set(system, samples=16, seed=4)
     local = derivations.local_residuals(stack, points, der)
@@ -260,7 +261,7 @@ def test_iap_distances_of_spaces_apart_are_the_per_map_loop():
     der = derivation_space(system, "triple")
     rows = sym.entries.reshape(sym.dim, -1)
     rest = rows - (rows @ der.entries.reshape(der.dim, -1).T) @ der.entries.reshape(der.dim, -1)
-    assert np.sqrt(np.vecdot(rest, rest)).max() == pytest.approx(_span_distance_loop(sym, der), rel=1e-14)
+    assert np.linalg.norm(rest, axis=1).max() == pytest.approx(_span_distance_loop(sym, der), rel=1e-14)
 
 
 @pytest.mark.parametrize("statement", ["hilbert_factor_skew_characterization", "spin_rank_one_skew_characterization"])
@@ -321,8 +322,14 @@ def _assert_witness_is_the_dense_formula(t, kind):
     assert abs(got["max_residual"] - worst) <= 1e-15 * scale
     assert got["witness_triple"] == triple
     assert np.max(np.abs(got["witness_lhs"] - applied)) <= 1e-15 * scale
-    # summed directly, not as lhs - defect: equal to a few ulps of the scale
     assert np.max(np.abs(got["witness_leibniz_sum"] - leibniz_sum)) <= 2e-15 * scale
+    # and bit for bit lhs minus the in_slots defect at the witness triple
+    p, m = t.system.product_tensor(kind), t.entries[None]
+    res = p @ np.swapaxes(m, -1, -2)[:, None, None]
+    for slot in range(3):
+        res -= in_slots(p, *[None] * slot, m)
+    assert np.array_equal(got["witness_lhs"], m[0] @ p[triple])
+    assert np.array_equal(got["witness_leibniz_sum"], got["witness_lhs"] - res[(0, *triple)])
 
 
 @pytest.mark.parametrize("label", SUITE["factors"])
