@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NoSpectralGap, Unsupported
+from .errors import InvalidInput, NoSpectralGap, SystemMismatch, Unsupported
 from .factors import complexify, extend_map_complex
 from .numerics import check_tol, expm, row_norms
 from .report import Report, STATUS_FAIL, STATUS_PASS, timed
@@ -393,7 +393,7 @@ def local_derivation_residual(
     if space is None:
         space = derivation_space(t.system, "triple")
     elif space.system is not t.system and space.system != t.system:
-        raise InvalidInput("derivation space of a different system")
+        raise SystemMismatch("derivation space of a different system")
     residuals = local_residuals(t.entries[None], points, space)[0]
     # argmax keeps the first point that attains the maximum
     index = int(residuals.argmax())
@@ -422,7 +422,7 @@ def local_residuals(maps, points, space: DerivationSpace) -> np.ndarray:
         raise InvalidInput("local derivation checks compare against kind='triple'")
     for el in points:
         if el.system is not system and el.system != system:
-            raise InvalidInput("sample point from a different system")
+            raise SystemMismatch("sample point from a different system")
     n = system.dim
     coords = np.array([el.coords for el in points]).reshape(len(points), n)
     rows = batch_rows(n * space.dim)
@@ -473,7 +473,7 @@ def rank_one_local_witness(t: LinearMap, x: Element) -> LinearMap:
     """
     system = _same_system(x)
     if t.system is not system and t.system != system:
-        raise InvalidInput("map and point belong to different systems")
+        raise SystemMismatch("map and point belong to different systems")
     return LinearMap(system, rank_one_witness_maps(system, t.entries[None], x.coords[None])[0])
 
 

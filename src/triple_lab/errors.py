@@ -13,8 +13,8 @@ class InvalidSpec(TripleLabError):
     """A factor specification with inconsistent kind or dimensions."""
 
 
-class SystemMismatch(TripleLabError):
-    """Elements or maps from different triple systems were combined."""
+class SystemMismatch(InvalidInput):
+    """Elements, maps or spaces from different triple systems were combined."""
 
 
 class NotTripotent(TripleLabError):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import EmptySpec, InvalidInput, InvalidSpec, Unsupported
 from .numerics import row_dots, row_norms
-from .triple_core import Element, LinearMap, TripleSystem, check_dim
+from .triple_core import Element, LinearMap, TripleSystem, _Fresh, check_dim
 
 # -- quaternion arithmetic ----------------------------------------------------
 
@@ -320,32 +320,39 @@ def _interleaved_j(pairs: int) -> np.ndarray:
 
 
 def _spin_real_tensor(r: int, s: int) -> np.ndarray:
+    """c[i,j,k,l] = d_ij d_kl + d_jk d_il - d_ik d_jl s_i s_j, with s_i = 1 on
+    the first r coordinates and -1 on the other s: each Kronecker-delta term
+    is added at its n^2 entries of the one output buffer."""
     n = r + s
-    eye = np.eye(n)
     sig = np.concatenate([np.ones(r), -np.ones(s)])
-    tensor = (
-        np.einsum("ij,kl->ijkl", eye, eye)
-        + np.einsum("jk,il->ijkl", eye, eye)
-        - np.einsum("ik,jl,i,j->ijkl", eye, eye, sig, sig)
-    )
+    i, k = np.indices((n, n))
+    tensor = np.zeros((n,) * 4)
+    tensor[i, i, k, k] += 1.0
+    tensor[i, k, k, i] += 1.0
+    tensor[i, k, i, k] -= np.outer(sig, sig)
     return tensor
 
 
+# (e1, e2, e3, part, sign) for the parts e (0 real, 1 imaginary) of the three
+# slots: the phase i^e1 (-i)^e2 i^e3 of a product of basis coordinates is
+# sign times 1 (part 0) or i (part 1).
+_PHASES = tuple(
+    (e1, e2, e3, (e1 - e2 + e3) % 2, 1.0 if (e1 - e2 + e3) % 4 < 2 else -1.0)
+    for e1 in (0, 1)
+    for e2 in (0, 1)
+    for e3 in (0, 1)
+)
+
+
 def _spin_complex_tensor(n: int) -> np.ndarray:
-    vecs = np.zeros((2 * n, n), dtype=complex)
-    for t in range(n):
-        vecs[2 * t, t] = 1.0
-        vecs[2 * t + 1, t] = 1j
-    inner = np.einsum("ia,ja->ij", vecs, np.conj(vecs))
-    bilinear = np.einsum("ia,ka->ik", vecs, vecs)
-    value = (
-        np.einsum("ij,ka->ijka", inner, vecs)
-        + np.einsum("kj,ia->ijka", inner, vecs)
-        - np.einsum("ik,ja->ijka", bilinear, np.conj(vecs))
-    )
-    tensor = np.empty((2 * n,) * 4)
-    tensor[..., 0::2] = value.real
-    tensor[..., 1::2] = value.imag
+    """{x,y,z} = (x|y) z + (z|y) x - (x|conj z) conj y on C^n: the
+    complexification of SPIN_R(n, 0), written at the nonzero entries of that
+    tensor only, so that every other entry is +0.0."""
+    real = _spin_real_tensor(n, 0)
+    nonzero = real != 0
+    tensor = np.zeros((2 * n,) * 4)
+    for e1, e2, e3, part, sign in _PHASES:
+        np.multiply(real, sign, out=tensor[e1::2, e2::2, e3::2, part::2], where=nonzero)
     return tensor
 
 
@@ -373,7 +380,7 @@ def build_factor(spec) -> TripleSystem:
         complex_structure = _interleaved_j(spec.dims[0])
     return TripleSystem(
         name=spec.label(),
-        tensor=tensor,
+        tensor=_Fresh(tensor),
         norm_kind=spec.norm_kind(),
         rank_hint=spec.rank(),
         complex_structure=complex_structure,
@@ -396,16 +403,11 @@ def complexify(system: TripleSystem) -> TripleSystem:
     n = system.dim
     check_dim(2 * n)
     tensor = np.zeros((2 * n,) * 4)
-    for e1 in (0, 1):
-        for e2 in (0, 1):
-            for e3 in (0, 1):
-                # phase i^e1 * (-i)^e2 * i^e3 decides sign and real/imag slot
-                k = (e1 - e2 + e3) % 4
-                sign = 1.0 if k in (0, 1) else -1.0
-                tensor[e1::2, e2::2, e3::2, (k % 2)::2] = sign * system.tensor
+    for e1, e2, e3, part, sign in _PHASES:
+        np.multiply(system.tensor, sign, out=tensor[e1::2, e2::2, e3::2, part::2])
     return TripleSystem(
         name=f"complexified({system.name})",
-        tensor=tensor,
+        tensor=_Fresh(tensor),
         norm_kind=system.norm_kind,
         rank_hint=None,
         complex_structure=_interleaved_j(n),
@@ -457,7 +459,7 @@ def direct_sum(systems) -> TripleSystem:
     label = "sum(" + "|".join(s.factor_kind for s in systems) + ")"
     return TripleSystem(
         name="sum(" + "|".join(s.name for s in systems) + ")",
-        tensor=tensor,
+        tensor=_Fresh(tensor),
         norm_kind="product",
         rank_hint=rank_hint,
         complex_structure=j,

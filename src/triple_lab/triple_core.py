@@ -36,8 +36,9 @@ MAX_DIM = 64
 BATCH_ROWS = 1024
 # Entries of one stack of per-row intermediates (outer products, maps,
 # evaluation matrices) that a batched check holds: 2 MB.  The Jordan check
-# holds four such stacks at once.  The constructor scans its tensor this many
-# entries at a time.
+# holds several stacks at once, so its chunks take a quarter as many rows: at
+# n = 32 it then peaks at 5 MB, not 14 MB, and takes a third less time.  The
+# constructor scans its tensor this many entries at a time.
 BATCH_ENTRIES = 2**18
 
 
@@ -94,12 +95,23 @@ def _symmetrize_outer(flat: np.ndarray, n: int) -> None:
         raise InvalidInput("tensor entries overflow when symmetrized")
 
 
+@dataclass(frozen=True, eq=False)
+class _Fresh:
+    """A tensor handed to ``TripleSystem`` by the code that just made it and
+    never reads it again: the builders, the direct sum, the complexification
+    and the factor-file reader.  The constructor symmetrizes and freezes the
+    array in place instead of copying it."""
+
+    array: np.ndarray
+
+
 class TripleSystem:
     """A finite-dimensional real-trilinear triple system.
 
     The tensor is validated and then symmetrized in the outer slots, so
     c[i, j, k, l] == c[k, j, i, l] holds bit-exactly after construction.
-    Instances are immutable; all operations on them are pure.
+    The caller's array is only read.  Instances are immutable; all operations
+    on them are pure.
     """
 
     def __init__(
@@ -112,14 +124,15 @@ class TripleSystem:
         factor_kind: str = "custom",
         blocks: tuple | None = None,
     ):
-        tensor = np.asarray(tensor, dtype=float)
+        fresh = isinstance(tensor, _Fresh)
+        tensor = np.asarray(tensor.array if fresh else tensor, dtype=float)
         if tensor.ndim != 4 or len(set(tensor.shape)) > 1:
             raise InvalidInput(f"tensor must be n^4, got shape {tensor.shape}")
         n = tensor.shape[0] if tensor.ndim == 4 else 0
         check_dim(n)
-        # one C-ordered copy, the only n^4 buffer for a float array of any
-        # layout, becomes the tensor; the caller's array is only read
-        tensor = np.array(tensor, order="C")
+        # one C-ordered buffer becomes the tensor: a copy of the caller's
+        # array, of any layout, or a fresh C-ordered array itself
+        tensor = np.array(tensor, order="C", copy=None if fresh else True)
         _symmetrize_outer(tensor.reshape(-1), n)
         tensor.flags.writeable = False
         if norm_kind not in NORM_KINDS:
@@ -513,7 +526,7 @@ def check_jordan_identity(
         u = system.unfolding("triple")
         rng = np.random.default_rng(seed)
         count = max(int(samples), 1000)
-        rows = batch_rows(n * n)
+        rows = batch_rows(4 * n * n)
         worst = None
         for first in range(0, count, BATCH_ROWS):
             vecs = rng.standard_normal((5, min(BATCH_ROWS, count - first), n))
@@ -697,8 +710,11 @@ def _wire_dim(payload) -> int:
 def _wire_floats(payload, key: str, size: int, size_text: str) -> np.ndarray:
     """``payload[key]`` as a flat float array of ``size`` entries, or InvalidInput."""
     try:
-        values = np.asarray(payload[key])
-        if values.dtype.kind in "SU":  # numpy would parse the string "1.5" as a number
+        raw = payload[key]
+        values = np.asarray(raw)
+        # numpy would parse the string "1.5" as a number, and true and false
+        # as 1.0 and 0.0; the factor-file reader's arrays hold neither
+        if values.dtype.kind in "SUb" or (isinstance(raw, list) and _holds_bool(raw)):
             raise TypeError
         values = values.astype(float, copy=False).reshape(-1)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -708,7 +724,22 @@ def _wire_floats(payload, key: str, size: int, size_text: str) -> np.ndarray:
     return values
 
 
+def _holds_bool(values: list) -> bool:
+    """Whether the list ``values``, or a list nested in it, holds a bool."""
+    kinds = set(map(type, values))
+    if list in kinds:
+        return any(_holds_bool(v) if type(v) is list else type(v) is bool for v in values)
+    return bool in kinds
+
+
 def system_from_json(payload: dict) -> TripleSystem:
+    """The system of a wire-format dict, whose arrays are only read."""
+    return _system_from_wire(payload, fresh=False)
+
+
+def _system_from_wire(payload: dict, fresh: bool) -> TripleSystem:
+    """``system_from_json``; with ``fresh``, the payload is the reader's own and
+    its tensor is handed to the constructor (``_Fresh``), not copied."""
     _require_keys(payload, ("name", "dim", "tensor", "norm_kind"), "factor")
     n = _wire_dim(payload)
     tensor = _wire_floats(payload, "tensor", n**4, "dim^4").reshape(n, n, n, n)
@@ -720,7 +751,7 @@ def system_from_json(payload: dict) -> TripleSystem:
     factor_kind = str(payload.get("factor_kind", "custom"))
     return TripleSystem(
         name=str(payload["name"]),
-        tensor=tensor,
+        tensor=_Fresh(tensor) if fresh else tensor,
         norm_kind=str(payload["norm_kind"]),
         rank_hint=payload.get("rank_hint"),
         complex_structure=j,
@@ -735,8 +766,9 @@ def save_system(system: TripleSystem, path) -> None:
 
 
 def load_system(path) -> TripleSystem:
-    """Read the wire format; ``read_json_array`` parses only the tensor's nonzero entries."""
-    return system_from_json(read_json_array(path, "factor", "tensor"))
+    """Read the wire format; ``read_json_array`` parses only the tensor's nonzero
+    entries, into an array that becomes the system's tensor."""
+    return _system_from_wire(read_json_array(path, "factor", "tensor"), fresh=True)
 
 
 def linear_map_to_json(t: LinearMap) -> dict:

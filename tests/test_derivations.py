@@ -430,6 +430,21 @@ def test_foreign_points_and_witness_maps_raise_invalid_input():
         rank_one_local_witness(other.identity_map(), system.basis_element(0))
 
 
+def test_foreign_spaces_points_and_maps_raise_system_mismatch():
+    # the type the products and structure checks raise, and an InvalidInput
+    system, other = build_factor("I_C(2,1)"), build_factor("I_R(2,2)")
+    t = counterexample_map(system)
+    points = default_point_set(system, samples=4, seed=DEFAULT_SEED)
+    foreign = derivation_space(other, "triple")
+    with pytest.raises(SystemMismatch, match="derivation space of a different system"):
+        local_derivation_residual(t, points, space=foreign)
+    with pytest.raises(SystemMismatch, match="sample point from a different system"):
+        local_derivation_residual(t, [other.basis_element(0)])
+    with pytest.raises(SystemMismatch, match="map and point belong to different systems"):
+        rank_one_local_witness(other.identity_map(), system.basis_element(0))
+    assert issubclass(SystemMismatch, InvalidInput)
+
+
 def test_derivations_have_zero_local_residual():
     system = build_factor("SPIN_R(3,1)")
     space = derivation_space(system, "triple")

@@ -170,6 +170,17 @@ def test_symmetrization_reads_the_callers_array_only():
     assert system.tensor.flags.c_contiguous and not system.tensor.flags.writeable
 
 
+
+def test_system_from_json_reads_the_payloads_array_only():
+    payload = system_to_json(build_factor("I_C(2,1)"))
+    raw = np.array(payload["tensor"])  # writable, C-ordered float64
+    raw[np.flatnonzero(raw)[0]] += 1e-12  # within the symmetry tolerance
+    before = raw.tobytes()
+    loaded = system_from_json(dict(payload, tensor=raw))
+    assert raw.tobytes() == before and raw.flags.writeable
+    assert not np.shares_memory(loaded.tensor, raw)
+    assert loaded.tensor.flags.c_contiguous and not loaded.tensor.flags.writeable
+
 @pytest.mark.parametrize(
     "pair, message",
     [
@@ -717,6 +728,9 @@ MALFORMED_FACTOR_BYTES = {
     "trailing_comma": lambda b: b.replace(b"]}", b",]}"),  # the tensor is the last key
     "bad_last_entry": lambda b: _in_tensor(b, b"1.0]", b".00]"),
     "nan_entry": lambda b: _in_tensor(b, b"0.0,", b"NaN,"),
+    # numpy would read the booleans as the entries they replace
+    "true_entry": lambda b: _in_tensor(b, b"1.0", b"true"),
+    "false_entry": lambda b: _in_tensor(b, b"0.0,", b"false,"),
     # 4-periodic runs of the right length whose tokens are not "0.0"
     "zero_runs_00.": lambda b: _in_tensor(b, b"0.0,0.0,0.0,0.0,0.5", b"00.,00.,00.,00.,0.5"),
     "final_run_without_commas": lambda b: b.replace(b"0.0,0.0,0.0,0.0,1.0]", b"0.000.000.000.000.0]"),
@@ -747,6 +761,24 @@ def test_loading_a_factor_holds_no_boxed_floats(tmp_path):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("label", ["II_R(8)", "III_R(8)", "I_C(4,4)"])
+def test_loaded_tensor_is_the_readers_array(tmp_path, label):
+    # the reader's array becomes the system's tensor; loading peaked at
+    # 2.02-2.06 n^4 doubles when the constructor copied it
+    built = build_factor(label)
+    path = tmp_path / "system.json"
+    triple_core.save_system(built, path)
+    tracemalloc.start()
+    try:
+        loaded = triple_core.load_system(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.tensor.tobytes() == built.tensor.tobytes()
+    assert loaded.tensor.flags.c_contiguous and not loaded.tensor.flags.writeable
+    assert peak < 1.7 * built.dim**4 * 8
+
+
 def test_saving_a_factor_copies_its_bytes_once(tmp_path):
     # II_R(8), n = 28, a 2.5 MB file: the str writer (str pieces, two bracketing
     # concatenations and the UTF-8 encode) peaked at 3.46 times the file's size
@@ -759,6 +791,44 @@ def test_saving_a_factor_copies_its_bytes_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * path.stat().st_size
+
+
+def _with_bool(values, at):
+    """``values`` as a list with entry ``at`` replaced by the bool of its value."""
+    values = list(values)
+    values[at] = bool(values[at])
+    return values
+
+
+def test_wire_lists_refuse_json_booleans():
+    # numpy reads true and false as 1.0 and 0.0, the entries they replace
+    system = build_factor("I_C(2,1)")
+    payload = system_to_json(system)
+    one = payload["tensor"].index(1.0)
+    j_one = payload["complex_structure"].index(1.0)
+    factor_payloads = {
+        "tensor": dict(payload, tensor=_with_bool(payload["tensor"], one)),
+        "nested_tensor": dict(
+            payload, tensor=[_with_bool(payload["tensor"][:128], 0), payload["tensor"][128:]]
+        ),
+        "bool_array": dict(payload, tensor=np.asarray(payload["tensor"]) != 0),
+        "complex_structure": dict(
+            payload, complex_structure=_with_bool(payload["complex_structure"], j_one)
+        ),
+    }
+    for bad in factor_payloads.values():
+        with pytest.raises(InvalidInput, match="must be a list of numbers"):
+            system_from_json(bad)
+    for entries in ([True] * 16, _with_bool(np.eye(4).reshape(-1), 0)):
+        with pytest.raises(InvalidInput, match="entries must be a list of numbers"):
+            linear_map_from_json({"dim": 4, "entries": entries}, system)
+    from triple_lab.derivations import derivation_space, space_from_json, space_to_json
+
+    space = space_to_json(derivation_space(system, "triple"))
+    nonzero = np.flatnonzero(space["basis"])[0]
+    space["basis"] = _with_bool(space["basis"], nonzero)
+    with pytest.raises(InvalidInput, match="basis must be a list of numbers"):
+        space_from_json(space, system)
 
 
 def test_wire_lists_hold_builtin_floats():
@@ -1263,6 +1333,21 @@ def test_jordan_identity_rejects_sample_counts_below_one(samples):
 def test_norm_axiom_rejects_sample_counts_below_one(samples):
     with pytest.raises(InvalidInput, match="samples"):
         check_norm_axiom(build_factor("I_R(2,2)"), samples)
+
+
+def test_randomized_jordan_check_holds_a_few_stacks():
+    # I_C(4,4), n = 32: chunks of batch_rows(n^2) rows peaked at 14.1 MB, about
+    # seven 2 MB stacks; a quarter of those rows keeps it under three
+    system = build_factor("I_C(4,4)")
+    system.unfolding("triple")
+    tracemalloc.start()
+    try:
+        report = check_jordan_identity(system, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == "pass"
+    assert peak < 3 * triple_core.BATCH_ENTRIES * 8
 
 
 def test_jordan_and_norm_memory_is_bounded_for_large_sample_counts():
