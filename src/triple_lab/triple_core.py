@@ -34,11 +34,10 @@ MAX_DIM = 64
 # Samples per draw of the randomized Jordan check, whatever the sample count;
 # a count up to this is a single draw.
 BATCH_ROWS = 1024
-# Entries of one stack of per-row intermediates (outer products, maps,
-# evaluation matrices) that a batched check holds: 2 MB.  The Jordan check
-# holds several stacks at once, so its chunks take a quarter as many rows: at
-# n = 32 it then peaks at 5 MB, not 14 MB, and takes a third less time.  The
-# constructor scans its tensor this many entries at a time.
+# Entries of the per-row intermediates (outer products, maps, evaluation
+# matrices) that one chunk of a batched check holds: 2 MB.  The Jordan and
+# cube-norm checks hold about four n x n stacks per row.  The constructor
+# scans its tensor this many entries at a time.
 BATCH_ENTRIES = 2**18
 
 
@@ -132,7 +131,7 @@ class TripleSystem:
         check_dim(n)
         # one C-ordered buffer becomes the tensor: a copy of the caller's
         # array, of any layout, or a fresh C-ordered array itself
-        tensor = np.array(tensor, order="C", copy=None if fresh else True)
+        tensor = np.ascontiguousarray(tensor) if fresh else np.array(tensor, order="C")
         _symmetrize_outer(tensor.reshape(-1), n)
         tensor.flags.writeable = False
         if norm_kind not in NORM_KINDS:
@@ -579,7 +578,7 @@ def check_norm_axiom(
     samples = int(samples)
     worst = 0.0
     witness = {}
-    rows = batch_rows(system.dim**2)
+    rows = batch_rows(4 * system.dim**2)
     u = system.unfolding("triple")
     # row by row, the blocks draw the same stream as one draw per sample
     for first in range(0, samples, rows):

@@ -170,3 +170,55 @@ def test_four_index_check_finds_a_hand_written_contraction(tmp_path):
         "a = einsum(spec, p, x, x)\n"
     )
     assert _four_index_einsums(path) == [(2, "lm,ijkm->ijkl"), (4, None)]
+
+
+# numpy functions that pyproject.toml's floor (numpy 1.24) lacks: numpy 2.0
+# added them with the array-API namespace
+NUMPY_2_FUNCTIONS = {
+    "acos", "acosh", "asin", "asinh", "astype", "atan", "atan2", "atanh",
+    "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift", "concat",
+    "cumulative_prod", "cumulative_sum", "isdtype", "matrix_norm",
+    "matrix_transpose", "permute_dims", "pow", "unique_all", "unique_counts",
+    "unique_inverse", "unique_values", "unstack", "vecdot", "vector_norm",
+}  # fmt: skip
+
+
+def _numpy_2_only_calls(path: Path) -> list:
+    """``(line, name)`` of each use in ``path`` of ``np.f`` or ``np.linalg.f``
+    for f in ``NUMPY_2_FUNCTIONS``, of the ``.mT`` attribute, and of a ``copy``
+    keyword that is None or not a constant: numpy 1.x refuses ``copy=None``
+    (``NoneType copy mode not allowed``)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            base = ast.unparse(node.value)
+            if node.attr == "mT" or (base in ("np", "np.linalg") and node.attr in NUMPY_2_FUNCTIONS):
+                found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.keyword) and node.arg == "copy":
+            if not isinstance(node.value, ast.Constant):
+                found.append((node.value.lineno, "copy=<expression>"))
+            elif node.value.value is None:
+                found.append((node.value.lineno, "copy=None"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_source_runs_on_the_declared_numpy_floor(path):
+    assert _numpy_2_only_calls(path) == []
+
+
+def test_numpy_floor_check_finds_numpy_2_calls(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import numpy as np\n"
+        "d = np.vecdot(a, b)\n"
+        "t = np.array(t, copy=None)\n"
+        "t = np.array(t, copy=None if fresh else True)\n"
+        "t = np.array(t, copy=False)\n"
+        "n = np.linalg.norm(a.mT, axis=1)\n"
+        "b = a.astype(float)\n"
+        "c = np.linalg.vecdot(a, b)\n"
+    )
+    assert _numpy_2_only_calls(path) == [
+        (2, "vecdot"), (3, "copy=None"), (4, "copy=<expression>"), (6, "mT"), (8, "vecdot"),
+    ]  # fmt: skip

@@ -932,7 +932,7 @@ def test_norm_axiom_takes_two_norm_calls_per_chunk(monkeypatch):
     monkeypatch.setattr(factors, "element_norms", counting)
     samples = 40000
     report = check_norm_axiom(system, samples, seed=1)
-    chunks = -(-samples // triple_core.batch_rows(system.dim**2))
+    chunks = -(-samples // triple_core.batch_rows(4 * system.dim**2))
     assert report.status == "pass"
     assert chunks > 1 and len(calls) == 2 * chunks
     assert sum(calls) == 2 * samples  # the cubes, then the coordinates, of each chunk
