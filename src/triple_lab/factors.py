@@ -469,10 +469,11 @@ def direct_sum(systems) -> TripleSystem:
 
 
 def as_real_form(system: TripleSystem) -> TripleSystem:
-    """The same system viewed as a real form: the complex structure is dropped."""
+    """The same system viewed as a real form: the complex structure is dropped.
+    The two systems share the one frozen tensor."""
     return TripleSystem(
         name=f"realform({system.name})",
-        tensor=system.tensor,
+        tensor=_Fresh(system.tensor),
         norm_kind=system.norm_kind,
         rank_hint=system.rank_hint,
         complex_structure=None,

@@ -36,8 +36,10 @@ MAX_DIM = 64
 BATCH_ROWS = 1024
 # Entries of the per-row intermediates (outer products, maps, evaluation
 # matrices) that one chunk of a batched check holds: 2 MB.  The Jordan and
-# cube-norm checks hold about four n x n stacks per row.  The constructor
-# scans its tensor this many entries at a time.
+# cube-norm checks hold about four n x n stacks per row, in one ``_Workspace``
+# that each call allocates once and every chunk reuses: no chunk allocates
+# an n x n stack.  The constructor scans its tensor this many entries at a
+# time.
 BATCH_ENTRIES = 2**18
 
 
@@ -99,7 +101,9 @@ class _Fresh:
     """A tensor handed to ``TripleSystem`` by the code that just made it and
     never reads it again: the builders, the direct sum, the complexification
     and the factor-file reader.  The constructor symmetrizes and freezes the
-    array in place instead of copying it."""
+    array in place instead of copying it.  A read-only array is the frozen
+    tensor of another system (``as_real_form``), already validated and
+    symmetric, and the new system shares it as it is."""
 
     array: np.ndarray
 
@@ -132,8 +136,9 @@ class TripleSystem:
         # one C-ordered buffer becomes the tensor: a copy of the caller's
         # array, of any layout, or a fresh C-ordered array itself
         tensor = np.ascontiguousarray(tensor) if fresh else np.array(tensor, order="C")
-        _symmetrize_outer(tensor.reshape(-1), n)
-        tensor.flags.writeable = False
+        if tensor.flags.writeable:
+            _symmetrize_outer(tensor.reshape(-1), n)
+            tensor.flags.writeable = False
         if norm_kind not in NORM_KINDS:
             raise InvalidInput(f"unknown norm_kind {norm_kind!r}")
         # bool is an int subclass but no rank
@@ -316,18 +321,43 @@ def product_batch(u: "GradedUnfolding", x, y, z) -> np.ndarray:
     return _apply_maps(_product_maps(u, x, y), z)
 
 
-def _product_maps(u: "GradedUnfolding", x, y) -> np.ndarray:
-    """(b, n, n) stack M with {x_b, y_b, z} = z @ M[b]."""
+class _Workspace:
+    """The arrays of n^2 entries per sample that ``_product_maps`` writes, for
+    up to ``rows`` samples: two scratch arrays and ``stacks`` result stacks.
+    A chunked check allocates one per call and hands it to every chunk, so no
+    chunk allocates an array of that size."""
+
+    def __init__(self, n: int, rows: int, stacks: int = 1):
+        self.size = n * n
+        self.buffers = np.empty((2 + stacks, self.size * rows))
+
+    def view(self, index: int, b: int) -> np.ndarray:
+        """Buffer ``index`` as a C-ordered (n^2, b) array."""
+        return self.buffers[index, : self.size * b].reshape(self.size, b)
+
+
+def _product_maps(u: "GradedUnfolding", x, y, work: _Workspace | None = None, stack: int = 0):
+    """(b, n, n) stack M with {x_b, y_b, z} = z @ M[b], written to result stack
+    ``stack`` of ``work`` (a workspace of its own when ``work`` is None)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     b = x.shape[0]
+    # the gathers clip their indices, so a narrow stack would pass unnoticed
+    if x.shape != (b, u.dim) or y.shape != x.shape:
+        raise InvalidInput(f"x and y must be (b, {u.dim}) stacks, got {x.shape} and {y.shape}")
+    if work is None:
+        work = _Workspace(u.dim, b)
+    pairs, out = work.view(0, b), work.view(1, b)
     # one row per pair and one column per sample, so that each gather copies
     # whole rows and each group of blocks is a contiguous (m, w, b) stack
-    xy = x.T[u.left] * y.T[u.right]
-    out = np.empty_like(xy)
+    np.take(x.T, u.left, axis=0, out=pairs, mode="clip")
+    np.multiply(pairs, np.take(y.T, u.right, axis=0, out=out, mode="clip"), out=pairs)
     for lo, hi, blocks in u.groups:
         m, w = blocks.shape[:2]
-        np.matmul(blocks, xy[lo:hi].reshape(m, w, b), out=out[lo:hi].reshape(m, w, b))
-    return np.ascontiguousarray(out[u.inverse].T).reshape(b, u.dim, u.dim)
+        np.matmul(blocks, pairs[lo:hi].reshape(m, w, b), out=out[lo:hi].reshape(m, w, b))
+    np.take(out, u.inverse, axis=0, out=pairs, mode="clip")
+    maps = work.view(2 + stack, b).reshape(b, u.dim**2)
+    np.copyto(maps, pairs.T)
+    return maps.reshape(b, u.dim, u.dim)
 
 
 def _apply_maps(maps, z) -> np.ndarray:
@@ -510,12 +540,7 @@ def check_jordan_identity(
     if n == 0:
         max_residual = 0.0
     elif n <= 8:
-        lhs = np.einsum("abml,xyzm->abxyzl", c, c, optimize=True)
-        t1 = np.einsum("abxm,myzl->abxyzl", c, c, optimize=True)
-        t2 = np.einsum("baym,xmzl->abxyzl", c, c, optimize=True)
-        t3 = np.einsum("abzm,xyml->abxyzl", c, c, optimize=True)
-        res = lhs - t1 + t2 - t3
-        norms = np.sqrt(np.einsum("abxyzl,abxyzl->abxyz", res, res))
+        norms = _exhaustive_jordan_norms(c)
         max_residual = float(norms.max())
         if max_residual > tol:
             idx = np.unravel_index(int(norms.argmax()), norms.shape)
@@ -526,12 +551,16 @@ def check_jordan_identity(
         rng = np.random.default_rng(seed)
         count = max(int(samples), 1000)
         rows = batch_rows(4 * n * n)
+        work = _Workspace(n, rows, stacks=3)
         worst = None
         for first in range(0, count, BATCH_ROWS):
             vecs = rng.standard_normal((5, min(BATCH_ROWS, count - first), n))
             vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
             norms = np.concatenate(
-                [_jordan_defects(u, vecs[:, i : i + rows]) for i in range(0, vecs.shape[1], rows)]
+                [
+                    _jordan_defects(u, vecs[:, i : i + rows], work)
+                    for i in range(0, vecs.shape[1], rows)
+                ]
             )
             if worst is None or norms.max() > max_residual:
                 max_residual = float(norms.max())
@@ -549,14 +578,41 @@ def check_jordan_identity(
     )
 
 
-def _jordan_defects(u, vecs) -> np.ndarray:
-    """Per-sample norm of the Jordan identity's defect at rows (a, b, x, y, z)."""
+def _exhaustive_jordan_norms(c) -> np.ndarray:
+    """Norm of the Jordan identity's defect at every basis 5-tuple (a, b, x, y, z).
+
+    One leading index a at a time: three matmuls per a fill (n,)*5 buffers
+    reused for every a, each entry the same sum over the inner index m as in
+    one contraction of the whole (n,)*6 stack.
+    """
+    n = c.shape[0]
+    defect, outer, middle = (np.empty((n,) * 5) for _ in range(3))
+    norms = np.empty((n,) * 5)
+    for a in range(n):
+        # {a, b, {x, y, z}}_l = sum_m c[x, y, z, m] c[a, b, m, l]
+        np.matmul(c.reshape(n**3, n), c[a], out=defect.reshape(n, n**3, n))
+        # {{a, b, x}, y, z}_l = sum_m c[a, b, x, m] c[m, y, z, l]
+        np.matmul(c[a].reshape(n * n, n), c.reshape(n, n**3), out=outer.reshape(n * n, n**3))
+        # {x, {b, a, y}, z}_l = sum_m c[b, a, y, m] c[x, m, z, l]
+        np.matmul(c[:, a, None], c.reshape(n, n, n * n), out=middle.reshape(n, n, n, n * n))
+        defect -= outer
+        defect += middle
+        # {x, y, {a, b, z}} is {{a, b, z}, y, x}: the outer slots are symmetric
+        defect -= outer.transpose(0, 3, 2, 1, 4)
+        np.einsum("bxyzl,bxyzl->bxyz", defect, defect, out=norms[a])
+    return np.sqrt(norms, out=norms)
+
+
+def _jordan_defects(u, vecs, work: _Workspace) -> np.ndarray:
+    """Per-sample norm of the Jordan identity's defect at rows (a, b, x, y, z);
+    the maps go to the three result stacks of ``work``."""
     a, b, x, y, z = vecs
     # L(a,b) and L(x,y) each act twice: five kernel calls, not seven
-    ab, xy = _product_maps(u, a, b), _product_maps(u, x, y)
+    ab, xy = _product_maps(u, a, b, work, 0), _product_maps(u, x, y, work, 1)
     lhs = _apply_maps(ab, _apply_maps(xy, z))
-    t1 = product_batch(u, _apply_maps(ab, x), y, z)
-    t2 = product_batch(u, x, product_batch(u, b, a, y), z)
+    t1 = _apply_maps(_product_maps(u, _apply_maps(ab, x), y, work, 2), z)
+    ba_y = _apply_maps(_product_maps(u, b, a, work, 2), y)
+    t2 = _apply_maps(_product_maps(u, x, ba_y, work, 2), z)
     t3 = _apply_maps(xy, _apply_maps(ab, z))
     return np.linalg.norm(lhs - t1 + t2 - t3, axis=1)
 
@@ -578,13 +634,14 @@ def check_norm_axiom(
     samples = int(samples)
     worst = 0.0
     witness = {}
-    rows = batch_rows(4 * system.dim**2)
+    rows = min(batch_rows(4 * system.dim**2), samples)
     u = system.unfolding("triple")
+    work = _Workspace(system.dim, rows)
     # row by row, the blocks draw the same stream as one draw per sample
     for first in range(0, samples, rows):
         coords = rng.standard_normal((min(rows, samples - first), system.dim))
         coords = coords[np.any(coords, axis=1)]
-        cubes = product_batch(u, coords, coords, coords)
+        cubes = _apply_maps(_product_maps(u, coords, coords, work), coords)
         lhs = element_norms(system, cubes)
         rhs = element_norms(system, coords) ** 3
         rel = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
@@ -616,13 +673,18 @@ def check_complex_structure(system: TripleSystem, tol: float = 1e-12) -> Report:
         raise Unsupported(f"{system.name} carries no complex structure")
     c = system.tensor
     applied = c @ j.T
-    outer = in_slots(c, j) - applied
-    middle = in_slots(c, None, j) + applied
+    # one n^4 defect at a time beside ``applied``, reduced in place
+    outer = in_slots(c, j)
+    outer -= applied
+    outer_residual = _max_abs(outer)
+    del outer
+    middle = in_slots(c, None, j)
+    middle += applied
     square = j @ j + np.eye(system.dim)
     residuals = {
-        "outer_linearity": float(np.max(np.abs(outer))) if outer.size else 0.0,
-        "middle_conjugate_linearity": float(np.max(np.abs(middle))) if middle.size else 0.0,
-        "j_squares_to_minus_identity": float(np.max(np.abs(square))) if square.size else 0.0,
+        "outer_linearity": outer_residual,
+        "middle_conjugate_linearity": _max_abs(middle),
+        "j_squares_to_minus_identity": _max_abs(square),
     }
     worst = max(residuals.values())
     return Report(
@@ -631,6 +693,11 @@ def check_complex_structure(system: TripleSystem, tol: float = 1e-12) -> Report:
         residuals=residuals,
         witnesses={} if worst <= tol else {"tolerance": tol},
     )
+
+
+def _max_abs(defect: np.ndarray) -> float:
+    """Largest absolute entry of ``defect``, which it overwrites; 0.0 when empty."""
+    return float(np.abs(defect, out=defect).max()) if defect.size else 0.0
 
 
 @timed

@@ -41,6 +41,7 @@ from triple_lab.factors import (
     quaternion_matrix_to_complex,
     representation_to_coords,
 )
+from triple_lab.repro import repro_all
 from triple_lab.structure import (
     are_orthogonal,
     cube_root,
@@ -465,6 +466,38 @@ def test_canonical_tripotents_on_sums_and_real_forms():
 
 def _real_form_of_sum():
     return as_real_form(direct_sum([build_factor("I_R(2,2)"), build_factor("I_C(2,1)")]))
+
+
+def _copied_real_form(system):
+    """``as_real_form`` through the public constructor, which copies the tensor."""
+    return TripleSystem(
+        f"realform({system.name})", np.array(system.tensor), norm_kind=system.norm_kind,
+        rank_hint=system.rank_hint, factor_kind=f"realform({system.factor_kind})",
+        blocks=system.blocks,
+    )
+
+
+@pytest.mark.parametrize("label", ["I_C(4,4)", "SPIN_C(16)"])
+def test_real_form_shares_its_sources_frozen_tensor(label):
+    # copying the tensor took 1.04 n^4 doubles on I_C(4,4)
+    system = build_factor(label)
+    before = system.tensor.tobytes()
+    tracemalloc.start()
+    try:
+        real = as_real_form(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(real.tensor, system.tensor)
+    assert not real.tensor.flags.writeable and system.tensor.tobytes() == before
+    assert peak < 0.1 * system.dim**4 * 8
+    assert real == _copied_real_form(system) and real.complex_structure is None
+
+
+def test_repro_reports_do_not_depend_on_the_real_forms_sharing(monkeypatch):
+    shared = repro_all(seed=0xA11CE).to_json()
+    monkeypatch.setattr(factors, "as_real_form", _copied_real_form)
+    assert repro_all(seed=0xA11CE).to_json() == shared
 
 
 def test_real_form_of_a_sum_keeps_the_summand_coordinates():

@@ -17,6 +17,7 @@ from triple_lab import (
     check_jordan_identity,
     check_norm_axiom,
     element_norm,
+    element_norms,
     symmetrized_product,
     triple_product,
 )
@@ -30,6 +31,7 @@ from triple_lab.triple_core import (
     check_complex_structure,
     check_hermitian_surrogate,
     graded_unfolding,
+    in_slots,
     linear_map_from_json,
     linear_map_to_json,
     product_batch,
@@ -336,6 +338,47 @@ def test_jordan_identity_detects_corruption():
     assert report.witnesses  # a witness 5-tuple is recorded
 
 
+def _einsum_jordan_basis_norms(c):
+    """Norm of the Jordan identity's defect at every basis 5-tuple, one
+    optimized einsum per (n,)*6 stack of products."""
+    lhs = np.einsum("abml,xyzm->abxyzl", c, c, optimize=True)
+    t1 = np.einsum("abxm,myzl->abxyzl", c, c, optimize=True)
+    t2 = np.einsum("baym,xmzl->abxyzl", c, c, optimize=True)
+    t3 = np.einsum("abzm,xyml->abxyzl", c, c, optimize=True)
+    res = lhs - t1 + t2 - t3
+    return np.sqrt(np.einsum("abxyzl,abxyzl->abxyz", res, res))
+
+
+@pytest.mark.parametrize("label", ["I_C(2,2)", "SPIN_R(8,0)"])
+def test_exhaustive_jordan_matches_einsum_on_a_corrupted_tensor(label):
+    # n = 8, one outer-symmetric pair raised: many 5-tuples tie at the worst
+    # defect, and the witness is the first of them in C order
+    system = build_factor(label)
+    tensor = np.array(system.tensor)
+    tensor[0, 1, 7, 2] += 0.1
+    tensor[7, 1, 0, 2] += 0.1
+    broken = TripleSystem("broken", tensor)
+    report = check_jordan_identity(broken, tol=1e-10)
+    norms = _einsum_jordan_basis_norms(broken.tensor)
+    assert report.status == "fail" and report.seed is None
+    assert report.residuals["max_residual"] == float(norms.max())
+    first = np.unravel_index(int(norms.argmax()), norms.shape)
+    assert report.witnesses == {"basis_tuple": [int(i) for i in first]}
+
+
+def test_exhaustive_jordan_check_holds_no_six_index_stack():
+    # n = 8: the (n,)*6 stacks of the einsum formula peaked at 10.5 MB
+    system = build_factor("I_C(2,2)")
+    tracemalloc.start()
+    try:
+        report = check_jordan_identity(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == "pass"
+    assert peak < triple_core.BATCH_ENTRIES * 8
+
+
 def test_jordan_identity_vacuous_on_empty_system():
     empty = TripleSystem("empty", np.zeros((0, 0, 0, 0)))
     report = check_jordan_identity(empty)
@@ -412,6 +455,31 @@ def test_complex_structure_compatibility():
         assert max(report.residuals.values()) < 1e-12
     with pytest.raises(Unsupported):
         check_complex_structure(build_factor("I_R(2,2)"))
+
+
+def test_complex_structure_check_holds_two_tensors():
+    # I_C(4,4), n = 32, with one outer-symmetric pair raised: the check held
+    # its three n^4 results and their sums at once, 4.0 n^4 doubles
+    system = build_factor("I_C(4,4)")
+    tensor = np.array(system.tensor)
+    tensor[0, 1, 2, 3] += 0.1
+    tensor[2, 1, 0, 3] += 0.1
+    j = system.complex_structure
+    broken = TripleSystem("broken", tensor, complex_structure=j)
+    c = broken.tensor
+    expected = {
+        "outer_linearity": float(np.max(np.abs(in_slots(c, j) - c @ j.T))),
+        "middle_conjugate_linearity": float(np.max(np.abs(in_slots(c, None, j) + c @ j.T))),
+        "j_squares_to_minus_identity": float(np.max(np.abs(j @ j + np.eye(32)))),
+    }
+    tracemalloc.start()
+    try:
+        report = check_complex_structure(broken)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == "fail" and report.residuals == expected
+    assert peak <= 2.1 * 32**4 * 8
 
 
 def test_hermitian_surrogate_is_advisory_and_clean():
@@ -1110,6 +1178,9 @@ def test_product_batch_edge_shapes():
     single = product_batch(system.unfolding("triple"), x, y, z)
     assert single.shape == (1, system.dim)
     assert np.max(np.abs(single - oracle_products(system.tensor, x, y, z))) <= 1e-14
+    for narrow in ((x[:, 1:], y), (x, y[:, 1:]), (x[0], y[0])):
+        with pytest.raises(InvalidInput, match="stacks"):
+            product_batch(system.unfolding("triple"), *narrow, z)
     empty_system = TripleSystem("empty", empty)
     assert empty_system.product_arrays(np.zeros(0), np.zeros(0), np.zeros(0)).shape == (0,)
     assert empty_system.unfolding("symmetrized").groups == ()
@@ -1317,6 +1388,54 @@ def test_randomized_jordan_on_corrupted_large_tensor_matches_einsum(keeps_gradin
     vecs = np.random.default_rng(3).standard_normal((5, 1000, 32))
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
     _assert_jordan_matches_einsum(report, broken.tensor, vecs)
+
+
+def test_chunk_workspace_gives_the_bits_of_fresh_arrays_per_chunk():
+    # n = 16, 1500 samples: the Jordan check's draws of 1024 and 476 samples
+    # and the norm check's 1500 end in a chunk shorter than the workspace
+    system = build_factor("I_R(4,4)")
+    tensor = np.array(system.tensor)
+    tensor[0, 1, 0, 2] += 0.1
+    broken = TripleSystem("broken", tensor, norm_kind="operator", factor_kind="I_R(4,4)")
+    u, n = broken.unfolding("triple"), broken.dim
+    rows = triple_core.batch_rows(4 * n * n)
+    assert 1500 % rows and 476 % rows
+
+    def product(x, y, z):  # a fresh set of arrays per call
+        return product_batch(u, x, y, z)
+
+    rng = np.random.default_rng(3)
+    jordan = []
+    for m in (1024, 476):
+        vecs = rng.standard_normal((5, m, n))
+        vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+        for i in range(0, m, rows):
+            a, b, x, y, z = vecs[:, i : i + rows]
+            defect = (
+                product(a, b, product(x, y, z))
+                - product(product(a, b, x), y, z)
+                + product(x, product(b, a, y), z)
+                - product(x, y, product(a, b, z))
+            )
+            jordan.append(np.linalg.norm(defect, axis=1))
+    jordan = np.concatenate(jordan)
+    report = check_jordan_identity(broken, samples=1500, seed=3)
+    assert report.residuals["max_residual"] == float(jordan.max())
+    assert report.witnesses["sample_index"] == int(jordan.argmax())
+
+    rng = np.random.default_rng(3)
+    cube_norms = []
+    for first in range(0, 1500, rows):
+        coords = rng.standard_normal((min(rows, 1500 - first), n))
+        lhs = element_norms(broken, product(coords, coords, coords))
+        rhs = element_norms(broken, coords) ** 3
+        cube_norms.append(np.abs(lhs - rhs) / np.maximum(rhs, 1e-300))
+    cube_norms = np.concatenate(cube_norms)
+    report = check_norm_axiom(broken, 1500, seed=3)
+    assert report.residuals["max_relative_residual"] == float(cube_norms.max())
+    assert report.status == "fail"
+    worst = np.random.default_rng(3).standard_normal((1500, n))[int(cube_norms.argmax())]
+    assert np.array_equal(report.witnesses["coords"], worst)
 
 
 def test_randomized_jordan_passes_on_the_largest_factor():
