@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import EmptySpec, InvalidInput, InvalidSpec, Unsupported
 from .numerics import row_dots, row_norms
-from .triple_core import Element, LinearMap, TripleSystem, _Fresh, check_dim
+from .report import FlatEntries
+from .triple_core import Element, LinearMap, TripleSystem, _Entries, check_dim
 
 # -- quaternion arithmetic ----------------------------------------------------
 
@@ -319,18 +320,24 @@ def _interleaved_j(pairs: int) -> np.ndarray:
     return np.kron(np.eye(pairs), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
-def _spin_real_tensor(r: int, s: int) -> np.ndarray:
+def _spin_real_entries(r: int, s: int) -> _Entries:
     """c[i,j,k,l] = d_ij d_kl + d_jk d_il - d_ik d_jl s_i s_j, with s_i = 1 on
-    the first r coordinates and -1 on the other s: each Kronecker-delta term
-    is added at its n^2 entries of the one output buffer."""
+    the first r coordinates and -1 on the other s.  For i != k the three
+    Kronecker-delta terms sit at distinct entries [i,i,k,k], [i,k,k,i] and
+    [i,k,i,k]; for i = k they meet at [i,i,i,i], where they sum to 1."""
     n = r + s
     sig = np.concatenate([np.ones(r), -np.ones(s)])
-    i, k = np.indices((n, n))
-    tensor = np.zeros((n,) * 4)
-    tensor[i, i, k, k] += 1.0
-    tensor[i, k, k, i] += 1.0
-    tensor[i, k, i, k] -= np.outer(sig, sig)
-    return tensor
+    i, k = np.indices((n, n)).reshape(2, -1)
+    apart = i != k
+    i, k = i[apart], k[apart]
+    index = np.concatenate(
+        [((i * n + i) * n + k) * n + k, ((i * n + k) * n + k) * n + i, ((i * n + k) * n + i) * n + k]
+    )
+    values = np.concatenate([np.ones(2 * i.size), -sig[i] * sig[k]])
+    diagonal = np.arange(n) * (n**3 + n**2 + n + 1)
+    index, values = np.append(index, diagonal), np.append(values, np.ones(n))
+    order = np.argsort(index)
+    return _Entries(n, index[order], values[order])
 
 
 # (e1, e2, e3, part, sign) for the parts e (0 real, 1 imaginary) of the three
@@ -344,16 +351,30 @@ _PHASES = tuple(
 )
 
 
-def _spin_complex_tensor(n: int) -> np.ndarray:
-    """{x,y,z} = (x|y) z + (z|y) x - (x|conj z) conj y on C^n: the
-    complexification of SPIN_R(n, 0), written at the nonzero entries of that
-    tensor only, so that every other entry is +0.0."""
-    real = _spin_real_tensor(n, 0)
-    nonzero = real != 0
-    tensor = np.zeros((2 * n,) * 4)
+def _complexified_entries(real: _Entries, every: bool) -> _Entries:
+    """The entries of the 2n-dimensional tensor whose part [e1::2, e2::2,
+    e3::2, part::2] is sign times the n-dimensional ``real``, per phase of
+    ``_PHASES``, and +0.0 elsewhere.  With ``every``, each phase is written at
+    every entry of ``real``, so that -1 times a +0.0 lists -0.0; otherwise at
+    the entries ``real`` lists only."""
+    n = real.dim
+    if every:
+        source = FlatEntries(n**4, real.index, real.values).flat()
+        at = np.arange(n**4)
+    else:
+        source, at = real.values, np.asarray(real.index, dtype=np.intp)
+    # (i, j, k, l) -> (2i, 2j, 2k, 2l) in the C order of the (2n)^4 tensor
+    digits = np.unravel_index(at, (n,) * 4)
+    base = 2 * np.ravel_multi_index(digits, (2 * n,) * 4)
+    index, values = [], []
     for e1, e2, e3, part, sign in _PHASES:
-        np.multiply(real, sign, out=tensor[e1::2, e2::2, e3::2, part::2], where=nonzero)
-    return tensor
+        scaled = source * sign
+        listed = scaled.view(np.uint64) != 0
+        index.append(base[listed] + np.ravel_multi_index((e1, e2, e3, part), (2 * n,) * 4))
+        values.append(scaled[listed])
+    index, values = np.concatenate(index), np.concatenate(values)
+    order = np.argsort(index)
+    return _Entries(2 * n, index[order], values[order])
 
 
 def build_factor(spec) -> TripleSystem:
@@ -369,18 +390,19 @@ def build_factor(spec) -> TripleSystem:
             stacklevel=2,
         )
     if kind in _MATRIX_FIELD:
+        # the GEMM's dense output, which the constructor reads for its entries
         field, basis = _basis_for(spec.label())
         tensor = _matrix_tensor(field, basis)
         complex_structure = _interleaved_j(spec.dims[0] * spec.dims[1]) if kind == "I_C" else None
     elif kind == "SPIN_R":
-        tensor = _spin_real_tensor(*spec.dims)
+        tensor = _spin_real_entries(*spec.dims)
         complex_structure = None
-    else:  # SPIN_C
-        tensor = _spin_complex_tensor(spec.dims[0])
+    else:  # SPIN_C: the complexification of SPIN_R(n, 0), at its entries only
+        tensor = _complexified_entries(_spin_real_entries(spec.dims[0], 0), every=False)
         complex_structure = _interleaved_j(spec.dims[0])
     return TripleSystem(
         name=spec.label(),
-        tensor=_Fresh(tensor),
+        tensor=tensor,
         norm_kind=spec.norm_kind(),
         rank_hint=spec.rank(),
         complex_structure=complex_structure,
@@ -402,12 +424,9 @@ def complexify(system: TripleSystem) -> TripleSystem:
         raise InvalidInput(f"{system.name} already carries a complex structure")
     n = system.dim
     check_dim(2 * n)
-    tensor = np.zeros((2 * n,) * 4)
-    for e1, e2, e3, part, sign in _PHASES:
-        np.multiply(system.tensor, sign, out=tensor[e1::2, e2::2, e3::2, part::2])
     return TripleSystem(
         name=f"complexified({system.name})",
-        tensor=_Fresh(tensor),
+        tensor=_complexified_entries(system._entries, every=True),
         norm_kind=system.norm_kind,
         rank_hint=None,
         complex_structure=_interleaved_j(n),
@@ -437,12 +456,15 @@ def direct_sum(systems) -> TripleSystem:
     dims = [s.dim for s in systems]
     total = sum(dims)
     check_dim(total)
-    tensor = np.zeros((total,) * 4)
+    # each summand's entries, shifted onto its diagonal block: in summand
+    # order, the flat indices ascend
+    index, values = [], []
     offset = 0
     blocks = []
     for s in systems:
-        sl = slice(offset, offset + s.dim)
-        tensor[sl, sl, sl, sl] = s.tensor
+        digits = np.unravel_index(s._entries.index, (s.dim,) * 4)
+        index.append(np.ravel_multi_index(tuple(d + offset for d in digits), (total,) * 4))
+        values.append(s._entries.values)
         blocks.append((offset, s.dim, s.factor_kind))
         offset += s.dim
     if all(s.complex_structure is not None for s in systems):
@@ -459,7 +481,7 @@ def direct_sum(systems) -> TripleSystem:
     label = "sum(" + "|".join(s.factor_kind for s in systems) + ")"
     return TripleSystem(
         name="sum(" + "|".join(s.name for s in systems) + ")",
-        tensor=_Fresh(tensor),
+        tensor=_Entries(total, np.concatenate(index), np.concatenate(values)),
         norm_kind="product",
         rank_hint=rank_hint,
         complex_structure=j,
@@ -473,7 +495,7 @@ def as_real_form(system: TripleSystem) -> TripleSystem:
     The two systems share the one frozen tensor."""
     return TripleSystem(
         name=f"realform({system.name})",
-        tensor=_Fresh(system.tensor),
+        tensor=system._entries,
         norm_kind=system.norm_kind,
         rank_hint=system.rank_hint,
         complex_structure=None,

@@ -29,14 +29,14 @@ def canonical_json(payload) -> str:
 def canonical_bytes(payload) -> bytes:
     """The bytes of ``canonical_json``: sorted keys, no whitespace, ASCII.
 
-    A dict may hold flat float64 ndarrays as values (the factor tensor and J
-    of the wire format).  Each is written as ``json.dumps(values.tolist())``
-    would write it, by ``_float_array_pieces``, without boxing its zeros; the
-    dict's other values go through ``json.dumps`` as any other payload does,
-    and one ``b"".join`` copies every piece into the file's bytes.
-    ``read_json`` reads every such file back, and ``read_json_array`` reads
-    one array of it without boxing its zeros either: the writer/reader pair
-    of the factor files.
+    A dict may hold flat float arrays as values, as ``FlatEntries`` or as flat
+    float64 ndarrays (the factor tensor and J of the wire format).  Each is
+    written as ``json.dumps`` would write its list, by ``_float_array_pieces``,
+    without boxing its zeros; the dict's other values go through
+    ``json.dumps`` as any other payload does, and one ``b"".join`` copies
+    every piece into the file's bytes.  ``read_json`` reads every such file
+    back, and ``read_json_array`` reads one array of it as ``FlatEntries``:
+    the writer/reader pair of the factor files.
     One ``json.dumps`` call runs CPython's C encoder; ``json.dump`` always
     streams through the pure-Python encoder, which is 4-5x slower on the
     dense factor files (0.65 s against 0.14 s for the 6.8 MB ``III_R(8)``).
@@ -47,7 +47,7 @@ def canonical_bytes(payload) -> bytes:
             value = payload[key]
             pieces.append(f"{',' if index else ''}{_dumps(key)}:".encode("ascii"))
             if _is_flat_floats(value):
-                pieces += _float_array_pieces(value)
+                pieces += _float_array_pieces(FlatEntries.of(value))
             else:
                 pieces.append(_dumps(value).encode("ascii"))
         pieces.append(b"}")
@@ -59,38 +59,65 @@ def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
+@dataclass(frozen=True, eq=False)
+class FlatEntries:
+    """A flat float64 array of ``size`` entries, held as the entries whose bits
+    are not +0.0 (so -0.0, subnormals, NaN and infinities too): their
+    positions ``index``, ascending, and their ``values``.  Every other entry
+    is +0.0.  The factor files write and read a structure tensor in this form."""
+
+    size: int
+    index: np.ndarray
+    values: np.ndarray
+
+    @staticmethod
+    def of(array) -> "FlatEntries":
+        """The entries of a flat float64 ndarray, or ``array`` itself if it is ``FlatEntries``."""
+        if isinstance(array, FlatEntries):
+            return array
+        array = np.ascontiguousarray(array)
+        index = np.flatnonzero(array.view(np.uint64))
+        return FlatEntries(array.size, index, array[index])
+
+    def flat(self) -> np.ndarray:
+        """The array itself: +0.0 with the entries written in."""
+        array = np.zeros(self.size)
+        array[self.index] = self.values
+        return array
+
+
 def _is_flat_floats(value) -> bool:
+    if isinstance(value, FlatEntries):
+        return True
     return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64
 
 
-def _float_array_pieces(values: np.ndarray) -> list:
-    """``json.dumps(values.tolist())`` for a flat float64 array, as pieces to join.
+def _float_array_pieces(array: FlatEntries) -> list:
+    """``json.dumps`` of the flat array's list, as pieces to join.
 
-    Only entries whose bits are +0.0 count as zeros; -0.0, subnormals, NaN and
-    infinities are encoded with the nonzero entries by one ``json.dumps`` call.
-    Every entry is followed by a comma but the last: the pieces are slices of
-    that call's bytes and, for a run of k zeros, of one "0.0," repeat.
+    The entries are encoded by one ``json.dumps`` call, each followed by a
+    comma; the runs of +0.0 between them, whose lengths the gaps between
+    the indices give, are slices of one "0.0," repeat.  The comma after the
+    last entry or zero is dropped.
     """
-    if not values.size:
+    if not array.size:
         return [b"[]"]
-    zero = np.ascontiguousarray(values).view(np.uint64) == 0
-    inner = _dumps(values[~zero].tolist())[1:-1].encode("ascii")
+    inner = _dumps(array.values.tolist())[1:-1].encode("ascii")
     text = memoryview(inner + b"," if inner else b"")
-    # offsets in ``text`` after 0, 1, 2, ... nonzero entries
+    # offsets in ``text`` after 0, 1, 2, ... entries
     after = [0, *(np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord(",")) + 1).tolist()]
-    # padded with False, the changes of ``zero`` alternate: run start, run end
-    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False))
-    lengths = (edges[1::2] - edges[0::2]).tolist()
-    runs = memoryview(b"0.0," * max(lengths, default=0))
-    pieces, done, zeros = [b"["], 0, 0
-    for start, k in zip(edges[0::2].tolist(), lengths):
-        before = start - zeros  # nonzero entries ahead of this run
+    # the zeros ahead of each entry, and after the last one
+    gaps = np.diff(array.index, prepend=-1, append=array.size) - 1
+    runs = memoryview(b"0.0," * int(gaps.max()))
+    pieces, done = [b"["], 0
+    at = np.flatnonzero(gaps)
+    for before, k in zip(at.tolist(), gaps[at].tolist()):  # k zeros after ``before`` entries
         pieces += (text[after[done] : after[before]], runs[: 4 * k])
-        done, zeros = before, zeros + k
-    if done < len(after) - 1:
-        pieces.append(text[after[done] : -1])
-    else:  # the list ends on a run of zeros
-        pieces[-1] = pieces[-1][:-1]
+        done = before
+    pieces.append(text[after[done] :])
+    while not len(pieces[-1]):
+        pieces.pop()
+    pieces[-1] = pieces[-1][:-1]
     pieces.append(b"]")
     return pieces
 
@@ -144,14 +171,14 @@ _ZERO_TOKEN = np.frombuffer(b"0.0", dtype=np.uint8)
 
 def read_json_array(path, what: str, key: str):
     """``read_json(path, what)`` with the flat float list under the top-level
-    ``key`` as a float64 ndarray, read through its nonzero entries.
+    ``key`` as ``FlatEntries``, read through its nonzero entries.
 
     The inverse of ``canonical_bytes`` on a dict holding a flat float64 array:
     only the key's list, in the form ``_float_array_pieces`` writes, is cut out
     of the bytes, and ``json.loads`` parses the rest.  A file in any other form
     (whitespace, int or ``0.00`` tokens, tokens longer than float repr writes,
     nested lists, the key's name twice) goes through ``read_json``, with its
-    InvalidInput messages.
+    InvalidInput messages, and the key's list comes back as a list.
     """
     try:
         with open(path, "rb") as fh:
@@ -187,9 +214,9 @@ def _payload_with_array(data: bytes, key: str):
 
 
 def _float_array_from_json(data: bytes, lo: int, hi: int):
-    """The array ``_float_array_pieces`` wrote as the text ``data[lo:hi]`` between
-    the brackets; None unless each run of k zeros is k "0.0" entries and every
-    other entry a float token that fits its window.
+    """``FlatEntries`` of the array ``_float_array_pieces`` wrote as the text
+    ``data[lo:hi]`` between the brackets; None unless each run of k zeros is k
+    "0.0" entries and every other entry a float token that fits its window.
 
     A byte mask over the span finds the first byte outside "0.," of each
     nonzero entry, and a window around that byte bounds the entry.  The gaps
@@ -198,7 +225,7 @@ def _float_array_from_json(data: bytes, lo: int, hi: int):
     tokens, joined, by one regex match.
     """
     if lo == hi:
-        return np.zeros(0)
+        return FlatEntries(0, np.zeros(0, dtype=np.intp), np.zeros(0))
     view = np.frombuffer(data, dtype=np.uint8)
     if view.size < _WINDOW:
         return None
@@ -232,9 +259,8 @@ def _float_array_from_json(data: bytes, lo: int, hi: int):
     ):
         return None
     zeros = width // 4
-    array = np.zeros(int(zeros.sum()) + zeros.size - 1)
-    array[np.cumsum(zeros[:-1]) + np.arange(zeros.size - 1)] = np.concatenate([[], *values])
-    return array
+    index = np.cumsum(zeros[:-1]) + np.arange(zeros.size - 1)
+    return FlatEntries(int(zeros.sum()) + index.size, index, np.concatenate([[], *values]))
 
 
 def _nonzero_bytes(data: bytes, lo: int, hi: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from . import derivations, factors, structure, triple_core
 from .errors import EmptySpec, InvalidInput, InvalidSpec, TripleLabError
 from .numerics import row_norms
 from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS, read_json, timed
-from .triple_core import MAX_DIM, Element, LinearMap, TripleSystem, _Fresh
+from .triple_core import MAX_DIM, Element, LinearMap, TripleSystem
 
 DEFAULT_SEED = 0xA11CE
 
@@ -108,7 +108,7 @@ class _RunContext:
             corrupted[0, 0, 0, 0] += 0.1
             self.factors[0] = TripleSystem(
                 name=first.name,
-                tensor=_Fresh(corrupted),
+                tensor=corrupted,
                 norm_kind=first.norm_kind,
                 rank_hint=first.rank_hint,
                 complex_structure=first.complex_structure,

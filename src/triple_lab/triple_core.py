@@ -1,7 +1,8 @@
-"""Triple systems as dense structure-constant tensors.
+"""Triple systems as structure-constant tensors.
 
 A system of dimension n stores the tensor c[i, j, k, l]: the l-th coordinate
-of the product {e_i, e_j, e_k} of basis elements.  Everything is
+of the product {e_i, e_j, e_k} of basis elements, as the list of its entries
+whose bits are not +0.0, and builds the dense array when it is read.  Everything is
 real-trilinear; a complex structure, when present, travels as an explicit
 matrix J with J^2 = -I so that complex-linearity is a checkable predicate
 rather than a storage assumption.
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import InvalidInput, InvalidSpec, SystemMismatch, TooLarge, Unsupported
 from .numerics import check_tol
 from .report import (
+    FlatEntries,
     Report,
     STATUS_ADVISORY,
     STATUS_FAIL,
@@ -38,8 +40,8 @@ BATCH_ROWS = 1024
 # matrices) that one chunk of a batched check holds: 2 MB.  The Jordan and
 # cube-norm checks hold about four n x n stacks per row, in one ``_Workspace``
 # that each call allocates once and every chunk reuses: no chunk allocates
-# an n x n stack.  The constructor scans its tensor this many entries at a
-# time.
+# an n x n stack.  The constructor reads a dense tensor in chunks of slabs
+# c[i] of at most this many entries, or one slab.
 BATCH_ENTRIES = 2**18
 
 
@@ -54,58 +56,152 @@ def batch_rows(per_row: int) -> int:
     return max(1, BATCH_ENTRIES // max(per_row, 1))
 
 
-def _symmetrize_outer(flat: np.ndarray, n: int) -> None:
-    """Overwrite the flat C-ordered n^4 tensor ``flat`` with (c + c_swap) * 0.5,
-    c_swap[i, j, k, l] = c[k, j, i, l]; InvalidInput if an entry is not
-    finite, lies more than 1e-10 from its swap, or sums to an overflow with it.
+class _Entries:
+    """The entries of a C-ordered n^4 tensor whose bits are not +0.0: their
+    flat indices ``index``, ascending, and their ``values``; every other entry
+    is +0.0.  A system stores its tensor so, with int32 indices and frozen
+    arrays, and ``dense()`` builds the array once, on first read, and keeps it.
 
-    Only entries whose bits are not +0.0 (so -0.0, NaN and inf too) and their
-    swaps are read and written, one ``BATCH_ENTRIES`` scan at a time: the sum
-    of two +0.0 is +0.0.  Each pair is visited once, at the first entry of it
-    that a scan finds, while both entries still hold their input: an entry
-    whose swap comes earlier is skipped unless the swap holds +0.0, since a
-    swap with other bits was found first (and, in an earlier scan, written
-    with the pair's value, which this entry holds too).  Non-finite input is
-    named before asymmetry, and asymmetry before overflow, whichever entries
-    show them.
+    The builders and the factor-file reader hand their lists to
+    ``TripleSystem`` in this form, with writable arrays, which the constructor
+    only reads and symmetrizes; one with frozen arrays is the tensor of
+    another system (``as_real_form``), already validated and symmetric, and
+    the new system shares it, dense view and all.
     """
-    bits = flat.view(np.uint64)
-    step = n**3 - n  # swapping i and k moves a flat index by (k - i) * step
-    asymmetric = overflow = False
+
+    __slots__ = ("dim", "index", "values", "_dense")
+
+    def __init__(self, dim: int, index, values):
+        self.dim, self.index, self.values, self._dense = dim, index, values, None
+
+    def dense(self) -> np.ndarray:
+        if self._dense is None:
+            n = self.dim
+            dense = FlatEntries(n**4, self.index, self.values).flat().reshape((n,) * 4)
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
+
+
+def _pair_means(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(a + b) * 0.5, whether some |a - b| exceeds 1e-10 and whether some sum
+    overflows; InvalidInput if an entry of a or b is not finite.  NaN, which
+    only non-finite entries give, propagates through max and min."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, flat.size, BATCH_ENTRIES):
-            at = np.flatnonzero(bits[start : start + BATCH_ENTRIES] != 0) + start
-            swap = at + (at // n % n - at // n**3) * step
-            b = flat[swap]
-            first = (swap >= at) | (b.view(np.uint64) == 0)
-            at, swap, b = at[first], swap[first], b[first]
-            a = flat[at]
-            # an inf difference of finite entries is asymmetry; NaN compares false
-            asymmetric = asymmetric or bool(np.any(np.abs(a - b) > 1e-10))
-            sym = np.add(a, b, out=a)
-            sym *= 0.5
-            if not np.all(np.isfinite(sym)):  # a finite sum has finite terms
-                if not (np.all(np.isfinite(flat[at])) and np.all(np.isfinite(b))):
-                    raise InvalidInput("tensor has non-finite entries")
-                overflow = True  # a finite pair above about 9e307
-            flat[at] = sym
-            flat[swap] = sym
+        sym = np.subtract(a, b)
+        # an inf difference of finite entries is asymmetry
+        asymmetric = bool(sym.max(initial=0.0) > 1e-10 or sym.min(initial=0.0) < -1e-10)
+        np.add(a, b, out=sym)
+        sym *= 0.5
+    overflow = not (np.isfinite(sym.max(initial=0.0)) and np.isfinite(sym.min(initial=0.0)))
+    if overflow and not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InvalidInput("tensor has non-finite entries")  # a finite sum has finite terms
+    return sym, asymmetric, overflow
+
+
+def _frozen_entries(n: int, index, values, asymmetric: bool, overflow: bool) -> _Entries:
+    """The checked, symmetrized entries, whose bits are not +0.0, as a
+    system's tensor: InvalidInput on asymmetry, then on overflow."""
     if asymmetric:
         raise InvalidInput("tensor is not symmetric in the outer slots")
     if overflow:
         raise InvalidInput("tensor entries overflow when symmetrized")
+    index = index.astype(np.int32, copy=False)
+    index.flags.writeable = values.flags.writeable = False
+    return _Entries(n, index, values)
 
 
-@dataclass(frozen=True, eq=False)
-class _Fresh:
-    """A tensor handed to ``TripleSystem`` by the code that just made it and
-    never reads it again: the builders, the direct sum, the complexification
-    and the factor-file reader.  The constructor symmetrizes and freezes the
-    array in place instead of copying it.  A read-only array is the frozen
-    tensor of another system (``as_real_form``), already validated and
-    symmetric, and the new system shares it as it is."""
+def _dense_entries(tensor: np.ndarray) -> _Entries:
+    """The entries of (c + c_swap) * 0.5, c_swap[i, j, k, l] = c[k, j, i, l],
+    for a dense n^4 tensor c of any layout, which is only read.
 
-    array: np.ndarray
+    A first pass finds the rows c[i, j, k, :] that hold an entry whose bits
+    are not +0.0 (so -0.0, NaN and inf too); a second reads those rows, the
+    rows whose swap holds one, and their swaps: the sum of two +0.0 is +0.0.
+    Both read the slabs c[i] of ``BATCH_ENTRIES`` entries at a time.
+    Non-finite input is named before asymmetry, and asymmetry before
+    overflow, whichever entries show them.  A fully dense input costs 12
+    bytes per entry as a list, half again its own size.
+    """
+    n = tensor.shape[0]
+    step = batch_rows(n**3)  # slabs per chunk
+    held = np.zeros((n,) * 3, dtype=bool)
+    listed = 0
+    for lo in range(0, n, step):
+        bits = np.ascontiguousarray(tensor[lo : lo + step]).view(np.uint64)  # a copy only if not C-ordered
+        held[lo : lo + step] = bits.any(axis=3)
+        listed += int(np.count_nonzero(bits))
+    held |= held.transpose(2, 1, 0)
+    # room for the entries kept: each listed entry and its swap, at most
+    # every entry of the rows read
+    index = np.empty(min(int(np.count_nonzero(held)) * n, 2 * listed), dtype=np.int32)
+    values = np.empty(index.size)
+    columns = np.arange(n, dtype=np.int32)
+    count, asymmetric, overflow = 0, False, False
+    for lo in range(0, n, step):
+        rows = (np.flatnonzero(held[lo : lo + step]) + lo * n * n).astype(np.int32)
+        i, j, k = np.unravel_index(rows, (n,) * 3)
+        sym, asym, over = _pair_means(tensor[i, j, k], tensor[k, j, i])
+        asymmetric, overflow = asymmetric or asym, overflow or over
+        bits = sym.view(np.uint64).reshape(-1)
+        end = count + int(np.count_nonzero(bits))
+        kept = slice(None) if end - count == bits.size else np.flatnonzero(bits)
+        values[count:end] = sym.reshape(-1)[kept]
+        index[count:end] = (rows[:, None] * n + columns).reshape(-1)[kept]
+        count = end
+    if count < index.size:
+        index, values = index[:count].copy(), values[:count].copy()
+    return _frozen_entries(n, index, values, asymmetric, overflow)
+
+
+def _listed_entries(given: _Entries) -> _Entries:
+    """The entries of (c + c_swap) * 0.5 for a tensor c handed over as its
+    entries, which are only read: the checks of ``_dense_entries``, each
+    entry's swap looked up in the list, and a swap the list lacks added."""
+    n = given.dim
+    index = np.asarray(given.index, dtype=np.intp)
+    values = np.asarray(given.values, dtype=float)
+    # swapping i and k moves a flat index by (k - i) * (n^3 - n)
+    swap = index + (index // n % n - index // n**3) * (n**3 - n)
+    swapped, found = _lookup(index, values, swap)
+    sym, asymmetric, overflow = _pair_means(values, swapped)
+    if not np.all(found):
+        index = np.concatenate([index, swap[~found]])
+        sym = np.concatenate([sym, sym[~found]])
+        order = np.argsort(index, kind="stable")
+        index, sym = index[order], sym[order]
+    kept = sym.view(np.uint64) != 0
+    return _frozen_entries(n, index[kept], sym[kept], asymmetric, overflow)
+
+
+def _lookup(index: np.ndarray, values: np.ndarray, at: np.ndarray) -> tuple:
+    """The entries at the flat indices ``at`` of the tensor whose entries are
+    (``index``, ``values``), +0.0 where it lists none, and where it lists one."""
+    if not index.size:
+        return np.zeros(at.shape), np.zeros(at.shape, dtype=bool)
+    where = np.minimum(np.searchsorted(index, at), index.size - 1)
+    found = index[where] == at
+    return np.where(found, values[where], 0.0), found
+
+
+def _symmetric_entries(c: _Entries) -> _Entries:
+    """The entries of the fully symmetric tensor s[i, j, k, l] =
+    (c[i, j, k, l] + c[k, i, j, l] + c[j, k, i, l]) / 3.0, summed in this
+    order: an entry c[a, b, d, l] is a term at [a, b, d, l], [b, d, a, l]
+    and [d, a, b, l]."""
+    n = c.dim
+    index = np.asarray(c.index, dtype=np.intp)
+    l = index % n
+    i, j, k = np.unravel_index(index // n, (n,) * 3)
+    at = np.sort(np.concatenate([index, ((j * n + k) * n + i) * n + l, ((k * n + i) * n + j) * n + l]))
+    at = at[_run_starts(at)]
+    l = at % n
+    i, j, k = np.unravel_index(at // n, (n,) * 3)
+    terms = [at, ((k * n + i) * n + j) * n + l, ((j * n + k) * n + i) * n + l]
+    first, second, third = (_lookup(index, c.values, t)[0] for t in terms)
+    s = (first + second + third) / 3.0
+    kept = s.view(np.uint64) != 0
+    return _frozen_entries(n, at[kept], s[kept], False, False)
 
 
 class TripleSystem:
@@ -113,8 +209,10 @@ class TripleSystem:
 
     The tensor is validated and then symmetrized in the outer slots, so
     c[i, j, k, l] == c[k, j, i, l] holds bit-exactly after construction.
-    The caller's array is only read.  Instances are immutable; all operations
-    on them are pure.
+    It is stored as its entries whose bits are not +0.0 (``_Entries``), and
+    ``tensor`` is its dense view, built on first read.  The caller's array is
+    only read, in any layout and without a copy of it.  Instances are
+    immutable; all operations on them are pure.
     """
 
     def __init__(
@@ -127,18 +225,17 @@ class TripleSystem:
         factor_kind: str = "custom",
         blocks: tuple | None = None,
     ):
-        fresh = isinstance(tensor, _Fresh)
-        tensor = np.asarray(tensor.array if fresh else tensor, dtype=float)
-        if tensor.ndim != 4 or len(set(tensor.shape)) > 1:
-            raise InvalidInput(f"tensor must be n^4, got shape {tensor.shape}")
-        n = tensor.shape[0] if tensor.ndim == 4 else 0
-        check_dim(n)
-        # one C-ordered buffer becomes the tensor: a copy of the caller's
-        # array, of any layout, or a fresh C-ordered array itself
-        tensor = np.ascontiguousarray(tensor) if fresh else np.array(tensor, order="C")
-        if tensor.flags.writeable:
-            _symmetrize_outer(tensor.reshape(-1), n)
-            tensor.flags.writeable = False
+        if isinstance(tensor, _Entries):
+            n = tensor.dim
+            check_dim(n)
+            entries = _listed_entries(tensor) if tensor.values.flags.writeable else tensor
+        else:
+            tensor = np.asarray(tensor, dtype=float)
+            if tensor.ndim != 4 or len(set(tensor.shape)) > 1:
+                raise InvalidInput(f"tensor must be n^4, got shape {tensor.shape}")
+            n = tensor.shape[0]
+            check_dim(n)
+            entries = _dense_entries(tensor)
         if norm_kind not in NORM_KINDS:
             raise InvalidInput(f"unknown norm_kind {norm_kind!r}")
         # bool is an int subclass but no rank
@@ -155,15 +252,20 @@ class TripleSystem:
 
         self.name = str(name)
         self.dim = n
-        self.tensor = tensor
+        self._entries = entries
         self.norm_kind = norm_kind
         self.rank_hint = rank_hint
         self.complex_structure = complex_structure
         self.factor_kind = str(factor_kind)
         # (offset, length, factor_kind) per summand; direct sums and their real forms only.
         self.blocks = None if blocks is None else tuple(blocks)
-        self._sym_tensor = None
+        self._symmetric = None
         self._unfoldings = {}
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """The read-only, C-ordered n^4 structure tensor, built on first read."""
+        return self._entries.dense()
 
     def __repr__(self):
         return f"TripleSystem({self.name!r}, dim={self.dim})"
@@ -174,7 +276,12 @@ class TripleSystem:
         metadata = ("dim", "norm_kind", "factor_kind", "rank_hint", "blocks")
         if any(getattr(self, key) != getattr(other, key) for key in metadata):
             return False
-        if not np.array_equal(self.tensor, other.tensor):
+        # equal tensors list the same entries but their -0.0
+        mine, theirs = (e.values != 0 for e in (self._entries, other._entries))
+        if not (
+            np.array_equal(self._entries.index[mine], other._entries.index[theirs])
+            and np.array_equal(self._entries.values[mine], other._entries.values[theirs])
+        ):
             return False
         a, b = self.complex_structure, other.complex_structure
         if (a is None) != (b is None):
@@ -209,24 +316,25 @@ class TripleSystem:
 
     def sym_tensor(self) -> np.ndarray:
         """Structure tensor of the fully symmetric product <a,b,c>."""
-        if self._sym_tensor is None:
-            c = self.tensor
-            s = (c + np.einsum("kijl->ijkl", c) + np.einsum("jkil->ijkl", c)) / 3.0
-            s.flags.writeable = False
-            self._sym_tensor = s
-        return self._sym_tensor
+        return self._product("symmetrized").dense()
 
     def product_tensor(self, kind: str) -> np.ndarray:
+        return self._product(kind).dense()
+
+    def _product(self, kind: str) -> _Entries:
+        """The entries of ``product_tensor(kind)``."""
         if kind == "triple":
-            return self.tensor
+            return self._entries
         if kind == "symmetrized":
-            return self.sym_tensor()
+            if self._symmetric is None:
+                self._symmetric = _symmetric_entries(self._entries)
+            return self._symmetric
         raise InvalidInput(f"unknown product kind {kind!r}")
 
     def unfolding(self, kind: str) -> "GradedUnfolding":
         """``graded_unfolding`` of ``product_tensor(kind)``, built once per kind."""
         if kind not in self._unfoldings:
-            self._unfoldings[kind] = graded_unfolding(self.product_tensor(kind))
+            self._unfoldings[kind] = graded_unfolding(self._product(kind))
         return self._unfoldings[kind]
 
 
@@ -444,11 +552,14 @@ class GradedUnfolding:
     groups: tuple
 
 
-def graded_unfolding(p) -> GradedUnfolding:
-    """The unfolding of ``p`` split into the blocks of its ``sign_grading``."""
-    n = p.shape[0]
-    nonzero = np.stack(np.nonzero(p))
-    values = p[tuple(nonzero)]
+def graded_unfolding(p: _Entries) -> GradedUnfolding:
+    """The unfolding of the tensor with entries ``p`` split into the blocks of
+    its ``sign_grading``.  A tensor of one character is its dense view's
+    unfolding; the blocks of any other are written from the entries."""
+    n = p.dim
+    nonzero_at = p.values != 0  # not -0.0 either
+    nonzero = np.stack(np.unravel_index(p.index[nonzero_at], (n,) * 4))
+    values = p.values[nonzero_at]
     nonzero.flags.writeable = values.flags.writeable = False
     flat = sign_grading(n, nonzero).reshape(-1)
     order = np.argsort(flat, kind="stable")
@@ -458,20 +569,28 @@ def graded_unfolding(p) -> GradedUnfolding:
     order, width = order[by_width], width[by_width]
     # adjacent blocks of one width have distinct characters
     new_block = _run_starts(flat[order])
-    unfolded = p.reshape(n * n, n * n)
+    inverse = np.empty(n * n, dtype=np.intp)
+    inverse[order] = np.arange(n * n)
+    block = (np.cumsum(new_block) - 1)[inverse]
+    # entry [i, j, k, l] is row (i, j) and column (k, l) of the unfolding, at
+    # these positions of the block order; it lies in a block iff both pairs
+    # share one (a -0.0 may lie outside)
+    row, column = p.index // (n * n), p.index % (n * n)
+    inside = block[row] == block[column]
+    row, column, inside_values = inverse[row[inside]], inverse[column[inside]], p.values[inside]
     edges = [*np.flatnonzero(_run_starts(width)).tolist(), n * n]
     groups = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         w = int(width[lo])
         if w == n * n:  # one character: no copy
-            blocks = unfolded.T[None]
+            blocks = p.dense().reshape(n * n, n * n).T[None]
         else:
-            pairs = order[lo:hi].reshape(-1, w)
-            blocks = unfolded[pairs[:, None, :], pairs[:, :, None]]
+            # block b of U^T holds U[pairs[b, s], pairs[b, r]] at [b, r, s]
+            blocks = np.zeros((hi - lo) * w)
+            here = (row >= lo) & (row < hi)
+            blocks[(column[here] - lo) * w + (row[here] - lo) % w] = inside_values[here]
+            blocks = blocks.reshape(-1, w, w)
         groups.append((lo, hi, blocks))
-    inverse = np.empty(n * n, dtype=np.intp)
-    inverse[order] = np.arange(n * n)
-    block = (np.cumsum(new_block) - 1)[inverse]
     starts = np.append(np.flatnonzero(new_block), n * n)
     return GradedUnfolding(
         n, nonzero, values, order // n, order % n, inverse, block, starts, tuple(groups)
@@ -534,13 +653,12 @@ def check_jordan_identity(
     if samples < 1:  # no samples would pass without checking anything
         raise InvalidInput(f"samples must be at least 1, got {samples!r}")
     n = system.dim
-    c = system.tensor
     witness = {}
     used_seed = None
     if n == 0:
         max_residual = 0.0
     elif n <= 8:
-        norms = _exhaustive_jordan_norms(c)
+        norms = _exhaustive_jordan_norms(system.tensor)
         max_residual = float(norms.max())
         if max_residual > tol:
             idx = np.unravel_index(int(norms.argmax()), norms.shape)
@@ -725,8 +843,9 @@ def check_hermitian_surrogate(system: TripleSystem) -> Report:
 
 
 def _wire_payload(system: TripleSystem) -> dict:
-    """The wire format with the tensor and J as flat ndarray views; Unsupported
-    when the factor_kind cannot carry the blocks, so the file would not load."""
+    """The wire format with the tensor as ``FlatEntries`` of the system's lists
+    and J as a flat ndarray view; Unsupported when the factor_kind cannot
+    carry the blocks, so the file would not load."""
     from .factors import blocks_from_kind  # late import, see check_norm_axiom
 
     try:
@@ -739,7 +858,7 @@ def _wire_payload(system: TripleSystem) -> dict:
     return {
         "name": system.name,
         "dim": system.dim,
-        "tensor": system.tensor.reshape(-1),
+        "tensor": FlatEntries(system.dim**4, system._entries.index, system._entries.values),
         "norm_kind": system.norm_kind,
         "rank_hint": system.rank_hint,
         "complex_structure": None if j is None else j.reshape(-1),
@@ -749,9 +868,11 @@ def _wire_payload(system: TripleSystem) -> dict:
 
 def system_to_json(system: TripleSystem) -> dict:
     """The wire format: exactly these keys, tensor flat in (i,j,k,l) row-major."""
+    payload = _wire_payload(system)
+    payload["tensor"] = payload["tensor"].flat()
     return {
         key: value.tolist() if isinstance(value, np.ndarray) else value
-        for key, value in _wire_payload(system).items()
+        for key, value in payload.items()
     }
 
 
@@ -799,16 +920,18 @@ def _holds_bool(values: list) -> bool:
 
 
 def system_from_json(payload: dict) -> TripleSystem:
-    """The system of a wire-format dict, whose arrays are only read."""
-    return _system_from_wire(payload, fresh=False)
-
-
-def _system_from_wire(payload: dict, fresh: bool) -> TripleSystem:
-    """``system_from_json``; with ``fresh``, the payload is the reader's own and
-    its tensor is handed to the constructor (``_Fresh``), not copied."""
+    """The system of a wire-format dict, whose arrays are only read.  A tensor
+    as ``FlatEntries``, which ``load_system`` reads, is handed to the
+    constructor as its lists; a list of numbers is a dense tensor."""
     _require_keys(payload, ("name", "dim", "tensor", "norm_kind"), "factor")
     n = _wire_dim(payload)
-    tensor = _wire_floats(payload, "tensor", n**4, "dim^4").reshape(n, n, n, n)
+    tensor = payload["tensor"]
+    if isinstance(tensor, FlatEntries):
+        if tensor.size != n**4:
+            raise InvalidInput(f"tensor length {tensor.size} != dim^4 = {n**4}")
+        tensor = _Entries(n, tensor.index, tensor.values)
+    else:
+        tensor = _wire_floats(payload, "tensor", n**4, "dim^4").reshape(n, n, n, n)
     j = payload.get("complex_structure")
     if j is not None:
         j = _wire_floats(payload, "complex_structure", n * n, "dim^2").reshape(n, n)
@@ -817,7 +940,7 @@ def _system_from_wire(payload: dict, fresh: bool) -> TripleSystem:
     factor_kind = str(payload.get("factor_kind", "custom"))
     return TripleSystem(
         name=str(payload["name"]),
-        tensor=_Fresh(tensor) if fresh else tensor,
+        tensor=tensor,
         norm_kind=str(payload["norm_kind"]),
         rank_hint=payload.get("rank_hint"),
         complex_structure=j,
@@ -827,14 +950,14 @@ def _system_from_wire(payload: dict, fresh: bool) -> TripleSystem:
 
 
 def save_system(system: TripleSystem, path) -> None:
-    """Write the wire format; ``canonical_bytes`` encodes the tensor without boxing its zeros."""
+    """Write the wire format; ``canonical_bytes`` writes the tensor from its lists."""
     write_json(_wire_payload(system), path)
 
 
 def load_system(path) -> TripleSystem:
     """Read the wire format; ``read_json_array`` parses only the tensor's nonzero
-    entries, into an array that becomes the system's tensor."""
-    return _system_from_wire(read_json_array(path, "factor", "tensor"), fresh=True)
+    entries, into lists that the constructor symmetrizes into the system's own."""
+    return system_from_json(read_json_array(path, "factor", "tensor"))
 
 
 def linear_map_to_json(t: LinearMap) -> dict:

@@ -227,8 +227,8 @@ def test_tensor_without_sign_symmetry_is_one_block(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["triple", "symmetrized"])
-def test_unfolding_is_the_one_scan_of_the_product_tensor(kind, monkeypatch):
-    # a fresh system: neither unfolding is memoized yet
+def test_unfolding_is_read_off_the_product_entries(kind, monkeypatch):
+    # a fresh system: neither unfolding is memoized yet, and no dense view built
     system = direct_sum([build_factor("I_C(2,1)"), build_factor("SPIN_R(3,1)")])
     ndims = []
     nonzero = np.nonzero
@@ -238,9 +238,10 @@ def test_unfolding_is_the_one_scan_of_the_product_tensor(kind, monkeypatch):
         return nonzero(a)
 
     monkeypatch.setattr(np, "nonzero", counting)
-    system.unfolding(kind)
+    u = system.unfolding(kind)
     derivation_space(system, kind)
-    assert ndims.count(4) == 1
+    assert len(u.groups[0][2]) > 1 and ndims.count(4) == 0
+    assert system._entries._dense is None and system._product(kind)._dense is None
 
 
 GRADING_SYSTEMS = ("I_C(2,1)", "I_R(2,2)+SPIN_R(3,1)", "II_R(4)", "III_R(3)", "SPIN_C(3)", "I_H(2,1)")

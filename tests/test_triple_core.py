@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import re
 import tracemalloc
@@ -278,6 +279,72 @@ def test_constructor_matches_the_whole_tensor_oracle(n, entries, chunk):
     assert tensor.tobytes() == before.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 3),
+    entries=st.lists(
+        st.tuples(
+            st.integers(0, 80),
+            st.one_of(st.sampled_from(SYMMETRIZED_SPECIALS), st.floats()),
+            st.one_of(st.none(), st.sampled_from(SYMMETRIZED_SPECIALS), st.floats()),
+        ),
+        max_size=10,
+    ),
+)
+@example(n=2, entries=[(1, -0.0, 0.0), (3, 0.0, -0.0), (6, -0.0, -0.0)])
+@example(n=2, entries=[(2, 1.0, None), (7, 1e-11, None)])  # swaps the list lacks
+@example(n=2, entries=[(2, 1.0, 2.0), (7, np.nan, np.nan)])  # NaN is named before asymmetry
+@example(n=2, entries=[(2, 1.0, 2.0), (7, 1.5e308, 1.5e308)])  # asymmetry before overflow
+def test_handed_over_lists_match_the_whole_tensor_oracle(n, entries):
+    # the builders' and the reader's path: the entries whose bits are not
+    # +0.0, and +0.0 among them too, as the reader may list a "0e0" token
+    tensor = np.zeros((n,) * 4)
+    for index, value, swapped in entries if n else []:
+        i, j, k, l = np.unravel_index(index % n**4, tensor.shape)
+        tensor[i, j, k, l] = value
+        if swapped is not None:
+            tensor[k, j, i, l] = swapped
+    expected = _symmetrized(tensor)
+    flat = tensor.reshape(-1)
+    for index in (np.flatnonzero(flat.view(np.uint64)), np.arange(flat.size)):
+        handed = triple_core._Entries(n, index, flat[index])
+        try:
+            got = TripleSystem("x", handed).tensor
+        except InvalidInput as exc:
+            got = str(exc)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.tobytes() == expected.tobytes()
+            assert handed.index.flags.writeable and handed.values.flags.writeable
+    assert flat.tobytes() == tensor.tobytes()
+
+
+def _symmetric_oracle(c):
+    """The fully symmetric tensor in whole n^4 passes."""
+    return (c + np.einsum("kijl->ijkl", c) + np.einsum("jkil->ijkl", c)) / 3.0
+
+
+@pytest.mark.parametrize("case", ["signed_zero", "I_C(2,1)", "SPIN_C(3)", "I_R(2,2)+III_R(3)", "random"])
+def test_symmetrized_entries_match_the_dense_formula(case):
+    if case == "random":
+        # sparse, with -0.0 pairs and terms that cancel to +0.0
+        rng = np.random.default_rng(9)
+        c = np.where(rng.random((4,) * 4) < 0.3, rng.standard_normal((4,) * 4), 0.0)
+        c[rng.random((4,) * 4) < 0.2] = -0.0
+        c[1, 2, 3, 0], c[3, 1, 2, 0] = 0.5, -0.5
+        system = TripleSystem("x", c + c.transpose(2, 1, 0, 3))
+    elif case == "signed_zero":
+        system = _signed_zero_system()
+    else:
+        system = direct_sum([build_factor(label) for label in case.split("+")])
+    expected = _symmetric_oracle(system.tensor)
+    assert system.product_tensor("symmetrized").tobytes() == expected.tobytes()
+    symmetric = system._product("symmetrized")
+    assert np.all(symmetric.values.view(np.uint64) != 0)
+    assert np.array_equal(symmetric.index, np.flatnonzero(expected.reshape(-1).view(np.uint64)))
+
+
 def test_constructor_matches_the_oracle_on_a_dense_tensor_above_one_chunk():
     # n^4 = 331776 > BATCH_ENTRIES: every entry nonzero, each pair within the tolerance
     n = 24
@@ -293,8 +360,9 @@ def test_constructor_matches_the_oracle_on_a_dense_tensor_above_one_chunk():
 
 
 def test_constructor_holds_one_buffer_of_its_own():
-    # III_R(8), n = 36: the C-ordered copy is the only n^4 allocation, for a
-    # non-contiguous input too
+    # III_R(8), n = 36: the constructor reads a non-contiguous input in chunks
+    # of slabs and keeps its 0.6 % of entries as lists, 0.28 n^4 doubles at
+    # the peak; its C-ordered copy took 1.02 n^4 doubles
     tensor = np.asfortranarray(build_factor("III_R(8)").tensor)
     tracemalloc.start()
     try:
@@ -302,8 +370,8 @@ def test_constructor_holds_one_buffer_of_its_own():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert system.tensor.flags.c_contiguous
-    assert peak < 1.2 * tensor.nbytes
+    assert system._entries._dense is None and system.tensor.flags.c_contiguous
+    assert peak < 0.35 * tensor.nbytes
 
 
 @pytest.mark.parametrize("label", ["I_R(2,2)", "III_R(3)", "II_R(4)", "I_H(2,1)"])
@@ -688,7 +756,10 @@ def test_array_reader_inverts_the_array_writer(tmp_path_factory, parts, chunk):
         patch.setattr(report, "SCAN_CHUNK", chunk)
         payload = read_json_array(path, "array", "tensor")
     assert payload["name"] == "a"
-    assert np.asarray(payload["tensor"], dtype=float).tobytes() == _json_tensor(path).tobytes()
+    # the array as FlatEntries, or as read_json's list where it falls back
+    got = payload["tensor"]
+    got = got.flat() if isinstance(got, report.FlatEntries) else np.asarray(got, dtype=float)
+    assert got.tobytes() == _json_tensor(path).tobytes()
 
 
 # n = 28..36, 99.4-99.8 % zeros: the factor files of the benchmark's wire-format part
@@ -831,8 +902,9 @@ def test_loading_a_factor_holds_no_boxed_floats(tmp_path):
 
 @pytest.mark.parametrize("label", ["II_R(8)", "III_R(8)", "I_C(4,4)"])
 def test_loaded_tensor_is_the_readers_array(tmp_path, label):
-    # the reader's array becomes the system's tensor; loading peaked at
-    # 2.02-2.06 n^4 doubles when the constructor copied it
+    # the reader's lists become the system's, with no n^4 array: loading
+    # peaked at 1.57-1.61 n^4 doubles when the reader filled a dense array,
+    # and at 2.02-2.06 when the constructor copied that
     built = build_factor(label)
     path = tmp_path / "system.json"
     triple_core.save_system(built, path)
@@ -842,9 +914,10 @@ def test_loaded_tensor_is_the_readers_array(tmp_path, label):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert loaded._entries._dense is None
     assert loaded.tensor.tobytes() == built.tensor.tobytes()
     assert loaded.tensor.flags.c_contiguous and not loaded.tensor.flags.writeable
-    assert peak < 1.7 * built.dim**4 * 8
+    assert peak < 1.0 * built.dim**4 * 8
 
 
 def test_saving_a_factor_copies_its_bytes_once(tmp_path):
@@ -859,6 +932,69 @@ def test_saving_a_factor_copies_its_bytes_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * path.stat().st_size
+
+
+# sha256 of ``save_system``'s bytes, recorded from the writer that encoded the
+# dense tensor (numpy 2.4, OpenBLAS, x86-64; a matrix factor's last bits are
+# its GEMM's): the ladder factors, the wire-format factors and the signed zeros
+PINNED_FACTOR_FILES = {
+    "I_C(2,1)": "9ab1d811235cf126f589b4f5d9fa2eda29901ffe007cef94e20a8919f8bc17fc",
+    "I_C(2,2)": "8f030b831f72ea6af53643bb84486f9e95b54a9bf6adc603e4c25c256c80950e",
+    "I_R(3,3)": "69427ff433a5f0eed399462e245fd404250b2d6a7da839f72d88d1f16b781fa3",
+    "II_R(5)": "7b581e8152e79072c6327f2717d7867fb7663318d15348c3b9159bbeef69e399",
+    "III_R(4)": "638a0f29d35f8b3315bcdef1efa3a604b3f3ed710422b9ad7aee8dc41c962724",
+    "SPIN_R(16,0)": "4653a55854ba0310863f8920b9d376c03e76ab38bad0237598cdefbac2fca58b",
+    "II_R(8)": "36b51240e84ebe203123cef35ae35414ae898b45ed5e56d2b485549a1ad65cd6",
+    "I_C(4,4)": "7ae8627bb1efa3ed76a2b84bb89fee210aac08d37dc33ddbf8a987e17fe8dfca",
+    "III_R(8)": "0d7c4787bc8fb7b5fa2aca8160e114fb8a06837da98f15a1e892d469e3c32e80",
+    "I_H(3,3)": "c6bfe0fde2bce1ea6fcdf21d7a28f06094cdd7c71c5b55fc71fc30d105c7ba89",
+    "signed_zero": "57de912a470f7b4c5eb0d405577573ff2dd52c57970f62d783637168e9da55c9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FACTOR_FILES))
+def test_factor_file_bytes_are_pinned(tmp_path, case):
+    system = _signed_zero_system() if case == "signed_zero" else build_factor(case)
+    path = tmp_path / "system.json"
+    triple_core.save_system(system, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_FACTOR_FILES[case]
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_loading_and_comparing_a_factor_build_no_dense_tensor(tmp_path):
+    # III_R(8), n = 36, 0.6 % nonzero: the reader hands its lists over (its
+    # dense array took 1.57 n^4 doubles; the file alone is 0.5) and ==
+    # compares the lists (0.125 with the dense tensors)
+    system = build_factor("III_R(8)")
+    path = tmp_path / "system.json"
+    triple_core.save_system(system, path)
+    unit = system.dim**4 * 8
+    loaded, load_peak = _traced_peak(lambda: triple_core.load_system(path))
+    equal, compare_peak = _traced_peak(lambda: loaded == system)
+    assert equal and loaded._entries._dense is None and system._entries._dense is None
+    assert load_peak < 0.8 * unit
+    assert compare_peak < 0.01 * unit
+
+
+def test_jordan_and_norm_checks_build_no_dense_tensor():
+    # I_C(4,4), n = 32: the randomized checks read the graded unfolding only
+    system = build_factor("I_C(4,4)")
+    unit = system.dim**4 * 8
+    jordan, jordan_peak = _traced_peak(lambda: check_jordan_identity(system, seed=3))
+    norm, norm_peak = _traced_peak(lambda: check_norm_axiom(system, 256, seed=3))
+    assert jordan.status == norm.status == "pass"
+    assert system._entries._dense is None
+    assert jordan_peak < unit and norm_peak < unit
 
 
 def _with_bool(values, at):
@@ -1169,8 +1305,8 @@ def test_in_slots_edge_cases():
 
 
 def test_product_batch_edge_shapes():
-    empty = np.zeros((0, 0, 0, 0))
-    assert product_batch(graded_unfolding(empty), *np.zeros((3, 5, 0))).shape == (5, 0)
+    empty_system = TripleSystem("empty", np.zeros((0, 0, 0, 0)))
+    assert product_batch(graded_unfolding(empty_system._entries), *np.zeros((3, 5, 0))).shape == (5, 0)
     system = build_factor("I_C(2,1)")
     none = np.zeros((0, system.dim))
     assert product_batch(system.unfolding("triple"), none, none, none).shape == (0, system.dim)
@@ -1181,7 +1317,6 @@ def test_product_batch_edge_shapes():
     for narrow in ((x[:, 1:], y), (x, y[:, 1:]), (x[0], y[0])):
         with pytest.raises(InvalidInput, match="stacks"):
             product_batch(system.unfolding("triple"), *narrow, z)
-    empty_system = TripleSystem("empty", empty)
     assert empty_system.product_arrays(np.zeros(0), np.zeros(0), np.zeros(0)).shape == (0,)
     assert empty_system.unfolding("symmetrized").groups == ()
     assert symmetrized_product(*[Element(empty_system, np.zeros(0))] * 3).coords.shape == (0,)
