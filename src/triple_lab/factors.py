@@ -336,7 +336,7 @@ def _spin_real_entries(r: int, s: int) -> _Entries:
     values = np.concatenate([np.ones(2 * i.size), -sig[i] * sig[k]])
     diagonal = np.arange(n) * (n**3 + n**2 + n + 1)
     index, values = np.append(index, diagonal), np.append(values, np.ones(n))
-    order = np.argsort(index)
+    order = np.argsort(index, kind="stable")
     return _Entries(n, index[order], values[order])
 
 
@@ -373,7 +373,7 @@ def _complexified_entries(real: _Entries, every: bool) -> _Entries:
         index.append(base[listed] + np.ravel_multi_index((e1, e2, e3, part), (2 * n,) * 4))
         values.append(scaled[listed])
     index, values = np.concatenate(index), np.concatenate(values)
-    order = np.argsort(index)
+    order = np.argsort(index, kind="stable")
     return _Entries(2 * n, index[order], values[order])
 
 

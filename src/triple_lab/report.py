@@ -95,10 +95,10 @@ def _is_flat_floats(value) -> bool:
 def _float_array_pieces(array: FlatEntries) -> list:
     """``json.dumps`` of the flat array's list, as pieces to join.
 
-    The entries are encoded by one ``json.dumps`` call, each followed by a
-    comma; the runs of +0.0 between them, whose lengths the gaps between
-    the indices give, are slices of one "0.0," repeat.  The comma after the
-    last entry or zero is dropped.
+    The entries are encoded by one ``json.dumps`` call.  Every entry is
+    followed by a comma but the last: the pieces are slices of that call's
+    bytes and, for a run of k zeros, whose length the gap between two
+    indices gives, of one "0.0," repeat.
     """
     if not array.size:
         return [b"[]"]
@@ -114,10 +114,10 @@ def _float_array_pieces(array: FlatEntries) -> list:
     for before, k in zip(at.tolist(), gaps[at].tolist()):  # k zeros after ``before`` entries
         pieces += (text[after[done] : after[before]], runs[: 4 * k])
         done = before
-    pieces.append(text[after[done] :])
-    while not len(pieces[-1]):
-        pieces.pop()
-    pieces[-1] = pieces[-1][:-1]
+    if done < len(after) - 1:
+        pieces.append(text[after[done] : -1])
+    else:  # the list ends on a run of zeros
+        pieces[-1] = pieces[-1][:-1]
     pieces.append(b"]")
     return pieces
 

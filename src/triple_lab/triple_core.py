@@ -57,17 +57,12 @@ def batch_rows(per_row: int) -> int:
 
 
 class _Entries:
-    """The entries of a C-ordered n^4 tensor whose bits are not +0.0: their
-    flat indices ``index``, ascending, and their ``values``; every other entry
-    is +0.0.  A system stores its tensor so, with int32 indices and frozen
-    arrays, and ``dense()`` builds the array once, on first read, and keeps it.
-
-    The builders and the factor-file reader hand their lists to
-    ``TripleSystem`` in this form, with writable arrays, which the constructor
-    only reads and symmetrizes; one with frozen arrays is the tensor of
-    another system (``as_real_form``), already validated and symmetric, and
-    the new system shares it, dense view and all.
-    """
+    """The entries of a C-ordered n^4 tensor whose bits are not +0.0: flat
+    indices ``index``, ascending, and ``values``; every other entry is +0.0.
+    A system's tensor, with int32 indices and frozen arrays; ``dense()``
+    builds the array on first read and keeps it.  Builders and the file
+    reader hand theirs over with writable arrays, which the constructor reads
+    and symmetrizes; frozen ones are another system's, shared as they are."""
 
     __slots__ = ("dim", "index", "values", "_dense")
 
@@ -115,13 +110,12 @@ def _dense_entries(tensor: np.ndarray) -> _Entries:
     """The entries of (c + c_swap) * 0.5, c_swap[i, j, k, l] = c[k, j, i, l],
     for a dense n^4 tensor c of any layout, which is only read.
 
-    A first pass finds the rows c[i, j, k, :] that hold an entry whose bits
-    are not +0.0 (so -0.0, NaN and inf too); a second reads those rows, the
-    rows whose swap holds one, and their swaps: the sum of two +0.0 is +0.0.
-    Both read the slabs c[i] of ``BATCH_ENTRIES`` entries at a time.
-    Non-finite input is named before asymmetry, and asymmetry before
-    overflow, whichever entries show them.  A fully dense input costs 12
-    bytes per entry as a list, half again its own size.
+    A first pass finds the rows c[i, j, k, :] holding an entry whose bits are
+    not +0.0 (so -0.0, NaN and inf too); a second reads those rows and their
+    swaps, since two +0.0 sum to +0.0.  Both read the slabs c[i] in chunks
+    of ``BATCH_ENTRIES``.  Non-finite input is named before asymmetry, and
+    asymmetry before overflow.  A fully dense input costs 12 bytes per entry
+    as a list, half again its own size.
     """
     n = tensor.shape[0]
     step = batch_rows(n**3)  # slabs per chunk
@@ -189,19 +183,18 @@ def _symmetric_entries(c: _Entries) -> _Entries:
     (c[i, j, k, l] + c[k, i, j, l] + c[j, k, i, l]) / 3.0, summed in this
     order: an entry c[a, b, d, l] is a term at [a, b, d, l], [b, d, a, l]
     and [d, a, b, l]."""
-    n = c.dim
+    shape = (c.dim,) * 4
     index = np.asarray(c.index, dtype=np.intp)
-    l = index % n
-    i, j, k = np.unravel_index(index // n, (n,) * 3)
-    at = np.sort(np.concatenate([index, ((j * n + k) * n + i) * n + l, ((k * n + i) * n + j) * n + l]))
+    i, j, k, l = np.unravel_index(index, shape)
+    at = [index, np.ravel_multi_index((j, k, i, l), shape), np.ravel_multi_index((k, i, j, l), shape)]
+    at = np.sort(np.concatenate(at), kind="stable")
     at = at[_run_starts(at)]
-    l = at % n
-    i, j, k = np.unravel_index(at // n, (n,) * 3)
-    terms = [at, ((k * n + i) * n + j) * n + l, ((j * n + k) * n + i) * n + l]
+    i, j, k, l = np.unravel_index(at, shape)
+    terms = [at, np.ravel_multi_index((k, i, j, l), shape), np.ravel_multi_index((j, k, i, l), shape)]
     first, second, third = (_lookup(index, c.values, t)[0] for t in terms)
     s = (first + second + third) / 3.0
     kept = s.view(np.uint64) != 0
-    return _frozen_entries(n, at[kept], s[kept], False, False)
+    return _frozen_entries(c.dim, at[kept], s[kept], False, False)
 
 
 class TripleSystem:
@@ -314,11 +307,9 @@ class TripleSystem:
         rows = [np.reshape(v, (1, -1)) for v in (x, y, z)]
         return product_batch(self.unfolding("triple"), *rows)[0]
 
-    def sym_tensor(self) -> np.ndarray:
-        """Structure tensor of the fully symmetric product <a,b,c>."""
-        return self._product("symmetrized").dense()
-
     def product_tensor(self, kind: str) -> np.ndarray:
+        """The dense structure tensor of the triple product, or of the fully
+        symmetric product <a,b,c> for ``kind`` "symmetrized"."""
         return self._product(kind).dense()
 
     def _product(self, kind: str) -> _Entries:
