@@ -23,6 +23,7 @@ form, so it carries no complex structure even though its entries are complex.
 
 from __future__ import annotations
 
+import copy
 import re
 import warnings
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import EmptySpec, InvalidInput, InvalidSpec, Unsupported
 from .numerics import row_dots, row_norms
 from .report import FlatEntries
-from .triple_core import Element, LinearMap, TripleSystem, _Entries, check_dim
+from .triple_core import Element, LinearMap, TripleSystem, check_dim
 
 # -- quaternion arithmetic ----------------------------------------------------
 
@@ -320,7 +321,7 @@ def _interleaved_j(pairs: int) -> np.ndarray:
     return np.kron(np.eye(pairs), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
-def _spin_real_entries(r: int, s: int) -> _Entries:
+def _spin_real_entries(r: int, s: int) -> FlatEntries:
     """c[i,j,k,l] = d_ij d_kl + d_jk d_il - d_ik d_jl s_i s_j, with s_i = 1 on
     the first r coordinates and -1 on the other s.  For i != k the three
     Kronecker-delta terms sit at distinct entries [i,i,k,k], [i,k,k,i] and
@@ -337,7 +338,7 @@ def _spin_real_entries(r: int, s: int) -> _Entries:
     diagonal = np.arange(n) * (n**3 + n**2 + n + 1)
     index, values = np.append(index, diagonal), np.append(values, np.ones(n))
     order = np.argsort(index, kind="stable")
-    return _Entries(n, index[order], values[order])
+    return FlatEntries((n,) * 4, index[order], values[order])
 
 
 # (e1, e2, e3, part, sign) for the parts e (0 real, 1 imaginary) of the three
@@ -351,30 +352,23 @@ _PHASES = tuple(
 )
 
 
-def _complexified_entries(real: _Entries, every: bool) -> _Entries:
+def _complexified_entries(real: FlatEntries) -> FlatEntries:
     """The entries of the 2n-dimensional tensor whose part [e1::2, e2::2,
     e3::2, part::2] is sign times the n-dimensional ``real``, per phase of
-    ``_PHASES``, and +0.0 elsewhere.  With ``every``, each phase is written at
-    every entry of ``real``, so that -1 times a +0.0 lists -0.0; otherwise at
-    the entries ``real`` lists only."""
-    n = real.dim
-    if every:
-        source = FlatEntries(n**4, real.index, real.values).flat()
-        at = np.arange(n**4)
-    else:
-        source, at = real.values, np.asarray(real.index, dtype=np.intp)
+    ``_PHASES``, written at the entries ``real`` lists, and +0.0 elsewhere."""
+    n = real.shape[0]
     # (i, j, k, l) -> (2i, 2j, 2k, 2l) in the C order of the (2n)^4 tensor
-    digits = np.unravel_index(at, (n,) * 4)
+    digits = np.unravel_index(np.asarray(real.index, dtype=np.intp), real.shape)
     base = 2 * np.ravel_multi_index(digits, (2 * n,) * 4)
     index, values = [], []
     for e1, e2, e3, part, sign in _PHASES:
-        scaled = source * sign
+        scaled = real.values * sign
         listed = scaled.view(np.uint64) != 0
         index.append(base[listed] + np.ravel_multi_index((e1, e2, e3, part), (2 * n,) * 4))
         values.append(scaled[listed])
     index, values = np.concatenate(index), np.concatenate(values)
     order = np.argsort(index, kind="stable")
-    return _Entries(2 * n, index[order], values[order])
+    return FlatEntries((2 * n,) * 4, index[order], values[order])
 
 
 def build_factor(spec) -> TripleSystem:
@@ -398,7 +392,7 @@ def build_factor(spec) -> TripleSystem:
         tensor = _spin_real_entries(*spec.dims)
         complex_structure = None
     else:  # SPIN_C: the complexification of SPIN_R(n, 0), at its entries only
-        tensor = _complexified_entries(_spin_real_entries(spec.dims[0], 0), every=False)
+        tensor = _complexified_entries(_spin_real_entries(spec.dims[0], 0))
         complex_structure = _interleaved_j(spec.dims[0])
     return TripleSystem(
         name=spec.label(),
@@ -426,7 +420,7 @@ def complexify(system: TripleSystem) -> TripleSystem:
     check_dim(2 * n)
     return TripleSystem(
         name=f"complexified({system.name})",
-        tensor=_complexified_entries(system._entries, every=True),
+        tensor=_complexified_entries(system._entries),
         norm_kind=system.norm_kind,
         rank_hint=None,
         complex_structure=_interleaved_j(n),
@@ -462,7 +456,7 @@ def direct_sum(systems) -> TripleSystem:
     offset = 0
     blocks = []
     for s in systems:
-        digits = np.unravel_index(s._entries.index, (s.dim,) * 4)
+        digits = np.unravel_index(s._entries.index, s._entries.shape)
         index.append(np.ravel_multi_index(tuple(d + offset for d in digits), (total,) * 4))
         values.append(s._entries.values)
         blocks.append((offset, s.dim, s.factor_kind))
@@ -481,7 +475,7 @@ def direct_sum(systems) -> TripleSystem:
     label = "sum(" + "|".join(s.factor_kind for s in systems) + ")"
     return TripleSystem(
         name="sum(" + "|".join(s.name for s in systems) + ")",
-        tensor=_Entries(total, np.concatenate(index), np.concatenate(values)),
+        tensor=FlatEntries((total,) * 4, np.concatenate(index), np.concatenate(values)),
         norm_kind="product",
         rank_hint=rank_hint,
         complex_structure=j,
@@ -492,16 +486,14 @@ def direct_sum(systems) -> TripleSystem:
 
 def as_real_form(system: TripleSystem) -> TripleSystem:
     """The same system viewed as a real form: the complex structure is dropped.
-    The two systems share the one frozen tensor."""
-    return TripleSystem(
-        name=f"realform({system.name})",
-        tensor=system._entries,
-        norm_kind=system.norm_kind,
-        rank_hint=system.rank_hint,
-        complex_structure=None,
-        factor_kind=f"realform({system.factor_kind})",
-        blocks=system.blocks,
-    )
+    It is a copy of the system object, so the two share the one frozen
+    tensor, its dense view and the products built from it."""
+    real = copy.copy(system)
+    real.name = f"realform({system.name})"
+    real.complex_structure = None
+    real.factor_kind = f"realform({system.factor_kind})"
+    real._unfoldings = dict(system._unfoldings)
+    return real
 
 
 # -- factor-kind label utilities ----------------------------------------------

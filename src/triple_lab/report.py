@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -59,16 +60,23 @@ def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-@dataclass(frozen=True, eq=False)
 class FlatEntries:
-    """A flat float64 array of ``size`` entries, held as the entries whose bits
-    are not +0.0 (so -0.0, subnormals, NaN and infinities too): their
-    positions ``index``, ascending, and their ``values``.  Every other entry
-    is +0.0.  The factor files write and read a structure tensor in this form."""
+    """A float64 array of shape ``shape`` (an int is a flat array), held as the
+    entries whose bits are not +0.0 (so -0.0, subnormals, NaN and infinities
+    too): their C-order flat positions ``index``, ascending, and their
+    ``values``.  Every other entry is +0.0.  A triple system stores its
+    structure tensor in this form, and the factor files write and read it.
+    ``dense()`` builds the array on first read and keeps it."""
 
-    size: int
-    index: np.ndarray
-    values: np.ndarray
+    __slots__ = ("shape", "index", "values", "_dense")
+
+    def __init__(self, shape, index, values):
+        self.shape = (int(shape),) if np.ndim(shape) == 0 else tuple(shape)
+        self.index, self.values, self._dense = index, values, None
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
 
     @staticmethod
     def of(array) -> "FlatEntries":
@@ -80,10 +88,18 @@ class FlatEntries:
         return FlatEntries(array.size, index, array[index])
 
     def flat(self) -> np.ndarray:
-        """The array itself: +0.0 with the entries written in."""
+        """The array itself, flat and writable: +0.0 with the entries written in."""
         array = np.zeros(self.size)
         array[self.index] = self.values
         return array
+
+    def dense(self) -> np.ndarray:
+        """The array in its shape, C-ordered and read-only, built on first read and kept."""
+        if self._dense is None:
+            dense = self.flat().reshape(self.shape)
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
 
 
 def _is_flat_floats(value) -> bool:

@@ -56,28 +56,6 @@ def batch_rows(per_row: int) -> int:
     return max(1, BATCH_ENTRIES // max(per_row, 1))
 
 
-class _Entries:
-    """The entries of a C-ordered n^4 tensor whose bits are not +0.0: flat
-    indices ``index``, ascending, and ``values``; every other entry is +0.0.
-    A system's tensor, with int32 indices and frozen arrays; ``dense()``
-    builds the array on first read and keeps it.  Builders and the file
-    reader hand theirs over with writable arrays, which the constructor reads
-    and symmetrizes; frozen ones are another system's, shared as they are."""
-
-    __slots__ = ("dim", "index", "values", "_dense")
-
-    def __init__(self, dim: int, index, values):
-        self.dim, self.index, self.values, self._dense = dim, index, values, None
-
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            n = self.dim
-            dense = FlatEntries(n**4, self.index, self.values).flat().reshape((n,) * 4)
-            dense.flags.writeable = False
-            self._dense = dense
-        return self._dense
-
-
 def _pair_means(a: np.ndarray, b: np.ndarray) -> tuple:
     """(a + b) * 0.5, whether some |a - b| exceeds 1e-10 and whether some sum
     overflows; InvalidInput if an entry of a or b is not finite.  NaN, which
@@ -94,7 +72,7 @@ def _pair_means(a: np.ndarray, b: np.ndarray) -> tuple:
     return sym, asymmetric, overflow
 
 
-def _frozen_entries(n: int, index, values, asymmetric: bool, overflow: bool) -> _Entries:
+def _frozen_entries(n: int, index, values, asymmetric: bool, overflow: bool) -> FlatEntries:
     """The checked, symmetrized entries, whose bits are not +0.0, as a
     system's tensor: InvalidInput on asymmetry, then on overflow."""
     if asymmetric:
@@ -103,10 +81,10 @@ def _frozen_entries(n: int, index, values, asymmetric: bool, overflow: bool) -> 
         raise InvalidInput("tensor entries overflow when symmetrized")
     index = index.astype(np.int32, copy=False)
     index.flags.writeable = values.flags.writeable = False
-    return _Entries(n, index, values)
+    return FlatEntries((n,) * 4, index, values)
 
 
-def _dense_entries(tensor: np.ndarray) -> _Entries:
+def _dense_entries(tensor: np.ndarray) -> FlatEntries:
     """The entries of (c + c_swap) * 0.5, c_swap[i, j, k, l] = c[k, j, i, l],
     for a dense n^4 tensor c of any layout, which is only read.
 
@@ -148,13 +126,19 @@ def _dense_entries(tensor: np.ndarray) -> _Entries:
     return _frozen_entries(n, index, values, asymmetric, overflow)
 
 
-def _listed_entries(given: _Entries) -> _Entries:
+def _listed_entries(given: FlatEntries) -> FlatEntries:
     """The entries of (c + c_swap) * 0.5 for a tensor c handed over as its
     entries, which are only read: the checks of ``_dense_entries``, each
-    entry's swap looked up in the list, and a swap the list lacks added."""
-    n = given.dim
+    entry's swap looked up in the list, and a swap the list lacks added.
+    The list must be one value per index, the indices ascending flat
+    positions of the n^4 tensor."""
+    n = given.shape[0]
     index = np.asarray(given.index, dtype=np.intp)
     values = np.asarray(given.values, dtype=float)
+    if index.ndim != 1 or index.shape != values.shape or np.any(np.diff(index) <= 0) or (
+        index.size and (index[0] < 0 or index[-1] >= n**4)
+    ):
+        raise InvalidInput("tensor entries must be ascending flat indices below n^4, one per value")
     # swapping i and k moves a flat index by (k - i) * (n^3 - n)
     swap = index + (index // n % n - index // n**3) * (n**3 - n)
     swapped, found = _lookup(index, values, swap)
@@ -178,12 +162,12 @@ def _lookup(index: np.ndarray, values: np.ndarray, at: np.ndarray) -> tuple:
     return np.where(found, values[where], 0.0), found
 
 
-def _symmetric_entries(c: _Entries) -> _Entries:
+def _symmetric_entries(c: FlatEntries) -> FlatEntries:
     """The entries of the fully symmetric tensor s[i, j, k, l] =
     (c[i, j, k, l] + c[k, i, j, l] + c[j, k, i, l]) / 3.0, summed in this
     order: an entry c[a, b, d, l] is a term at [a, b, d, l], [b, d, a, l]
     and [d, a, b, l]."""
-    shape = (c.dim,) * 4
+    shape = c.shape
     index = np.asarray(c.index, dtype=np.intp)
     i, j, k, l = np.unravel_index(index, shape)
     at = [index, np.ravel_multi_index((j, k, i, l), shape), np.ravel_multi_index((k, i, j, l), shape)]
@@ -194,7 +178,7 @@ def _symmetric_entries(c: _Entries) -> _Entries:
     first, second, third = (_lookup(index, c.values, t)[0] for t in terms)
     s = (first + second + third) / 3.0
     kept = s.view(np.uint64) != 0
-    return _frozen_entries(c.dim, at[kept], s[kept], False, False)
+    return _frozen_entries(shape[0], at[kept], s[kept], False, False)
 
 
 class TripleSystem:
@@ -202,10 +186,11 @@ class TripleSystem:
 
     The tensor is validated and then symmetrized in the outer slots, so
     c[i, j, k, l] == c[k, j, i, l] holds bit-exactly after construction.
-    It is stored as its entries whose bits are not +0.0 (``_Entries``), and
-    ``tensor`` is its dense view, built on first read.  The caller's array is
-    only read, in any layout and without a copy of it.  Instances are
-    immutable; all operations on them are pure.
+    ``tensor`` is a dense n^4 array or ``FlatEntries`` of that shape, which
+    are only read, an array in any layout and without a copy of it; both are
+    checked alike.  The system stores the result as ``FlatEntries`` with
+    frozen arrays, and ``tensor`` is its dense view, built on first read.
+    Instances are immutable; all operations on them are pure.
     """
 
     def __init__(
@@ -218,17 +203,14 @@ class TripleSystem:
         factor_kind: str = "custom",
         blocks: tuple | None = None,
     ):
-        if isinstance(tensor, _Entries):
-            n = tensor.dim
-            check_dim(n)
-            entries = _listed_entries(tensor) if tensor.values.flags.writeable else tensor
-        else:
+        listed = isinstance(tensor, FlatEntries)
+        if not listed:
             tensor = np.asarray(tensor, dtype=float)
-            if tensor.ndim != 4 or len(set(tensor.shape)) > 1:
-                raise InvalidInput(f"tensor must be n^4, got shape {tensor.shape}")
-            n = tensor.shape[0]
-            check_dim(n)
-            entries = _dense_entries(tensor)
+        if len(tensor.shape) != 4 or len(set(tensor.shape)) > 1:
+            raise InvalidInput(f"tensor must be n^4, got shape {tensor.shape}")
+        n = tensor.shape[0]
+        check_dim(n)
+        entries = _listed_entries(tensor) if listed else _dense_entries(tensor)
         if norm_kind not in NORM_KINDS:
             raise InvalidInput(f"unknown norm_kind {norm_kind!r}")
         # bool is an int subclass but no rank
@@ -312,7 +294,7 @@ class TripleSystem:
         symmetric product <a,b,c> for ``kind`` "symmetrized"."""
         return self._product(kind).dense()
 
-    def _product(self, kind: str) -> _Entries:
+    def _product(self, kind: str) -> FlatEntries:
         """The entries of ``product_tensor(kind)``."""
         if kind == "triple":
             return self._entries
@@ -543,11 +525,11 @@ class GradedUnfolding:
     groups: tuple
 
 
-def graded_unfolding(p: _Entries) -> GradedUnfolding:
+def graded_unfolding(p: FlatEntries) -> GradedUnfolding:
     """The unfolding of the tensor with entries ``p`` split into the blocks of
     its ``sign_grading``.  A tensor of one character is its dense view's
     unfolding; the blocks of any other are written from the entries."""
-    n = p.dim
+    n = p.shape[0]
     nonzero_at = p.values != 0  # not -0.0 either
     nonzero = np.stack(np.unravel_index(p.index[nonzero_at], (n,) * 4))
     values = p.values[nonzero_at]
@@ -817,12 +799,12 @@ def check_hermitian_surrogate(system: TripleSystem) -> Report:
     each factor, so coordinate symmetry of L(a,a) is the finite-dimensional
     surrogate for hermitian-ness.  Advisory only, never acceptance-blocking.
     """
-    worst_asym = 0.0
-    min_eig = 0.0
-    for i in range(system.dim):
-        m = system.tensor[i, i].T  # L(e_i, e_i)
-        worst_asym = max(worst_asym, float(np.max(np.abs(m - m.T))))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()))
+    diagonal = np.arange(system.dim)
+    m = system.tensor[diagonal, diagonal].transpose(0, 2, 1)  # L(e_i, e_i), stacked
+    mt = m.transpose(0, 2, 1)
+    worst_asym = float(np.abs(m - mt).max(initial=0.0))
+    # min(0.0, ...) reads +0.0, not a -0.0 eigenvalue, when none is negative
+    min_eig = min(0.0, float(np.linalg.eigvalsh(0.5 * (m + mt)).min(initial=0.0)))
     return Report(
         statement_id=f"hermitian_surrogate[{system.name}]",
         status=STATUS_ADVISORY,
@@ -834,8 +816,8 @@ def check_hermitian_surrogate(system: TripleSystem) -> Report:
 
 
 def _wire_payload(system: TripleSystem) -> dict:
-    """The wire format with the tensor as ``FlatEntries`` of the system's lists
-    and J as a flat ndarray view; Unsupported when the factor_kind cannot
+    """The wire format with the tensor as the system's ``FlatEntries`` and J
+    as a flat ndarray view; Unsupported when the factor_kind cannot
     carry the blocks, so the file would not load."""
     from .factors import blocks_from_kind  # late import, see check_norm_axiom
 
@@ -849,7 +831,7 @@ def _wire_payload(system: TripleSystem) -> dict:
     return {
         "name": system.name,
         "dim": system.dim,
-        "tensor": FlatEntries(system.dim**4, system._entries.index, system._entries.values),
+        "tensor": system._entries,
         "norm_kind": system.norm_kind,
         "rank_hint": system.rank_hint,
         "complex_structure": None if j is None else j.reshape(-1),
@@ -920,7 +902,7 @@ def system_from_json(payload: dict) -> TripleSystem:
     if isinstance(tensor, FlatEntries):
         if tensor.size != n**4:
             raise InvalidInput(f"tensor length {tensor.size} != dim^4 = {n**4}")
-        tensor = _Entries(n, tensor.index, tensor.values)
+        tensor = FlatEntries((n,) * 4, tensor.index, tensor.values)
     else:
         tensor = _wire_floats(payload, "tensor", n**4, "dim^4").reshape(n, n, n, n)
     j = payload.get("complex_structure")

@@ -222,3 +222,45 @@ def test_numpy_floor_check_finds_numpy_2_calls(tmp_path):
     assert _numpy_2_only_calls(path) == [
         (2, "vecdot"), (3, "copy=None"), (4, "copy=<expression>"), (6, "mT"), (8, "vecdot"),
     ]  # fmt: skip
+
+
+def _writeable_branches(path: Path) -> list:
+    """Lines of ``path`` whose condition reads ``flags.writeable``: an ``if``,
+    ``elif``, ``while``, conditional expression or comprehension filter.  A
+    path chosen by that flag skips whatever the other path checks."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            conditions = [node.test]
+        elif isinstance(node, ast.comprehension):
+            conditions = node.ifs
+        else:
+            continue
+        found += [
+            sub.lineno
+            for condition in conditions
+            for sub in ast.walk(condition)
+            if isinstance(sub, ast.Attribute)
+            and sub.attr == "writeable"
+            and isinstance(sub.value, ast.Attribute)
+            and sub.value.attr == "flags"
+        ]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_branch_on_writeable_flags(path):
+    assert _writeable_branches(path) == []
+
+
+def test_writeable_branch_check_finds_a_flag_selected_path(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "a.flags.writeable = False\n"
+        "e = check(t) if t.values.flags.writeable else t\n"
+        "if ok and not t.flags.writeable:\n"
+        "    pass\n"
+        "kept = [v for v in vs if v.flags.writeable]\n"
+        "frozen = not a.flags.writeable\n"
+    )
+    assert _writeable_branches(path) == [2, 3, 5]

@@ -306,18 +306,43 @@ def test_handed_over_lists_match_the_whole_tensor_oracle(n, entries):
             tensor[k, j, i, l] = swapped
     expected = _symmetrized(tensor)
     flat = tensor.reshape(-1)
-    for index in (np.flatnonzero(flat.view(np.uint64)), np.arange(flat.size)):
-        handed = triple_core._Entries(n, index, flat[index])
-        try:
-            got = TripleSystem("x", handed).tensor
-        except InvalidInput as exc:
-            got = str(exc)
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert got.tobytes() == expected.tobytes()
-            assert handed.index.flags.writeable and handed.values.flags.writeable
+    for listed in (np.flatnonzero(flat.view(np.uint64)), np.arange(flat.size)):
+        # read-only arrays are checked as writable ones are, and neither is frozen
+        for writeable in (True, False):
+            index, values = listed.copy(), flat[listed]
+            index.flags.writeable = values.flags.writeable = writeable
+            handed = report.FlatEntries((n,) * 4, index, values)
+            try:
+                got = TripleSystem("x", handed).tensor
+            except InvalidInput as exc:
+                got = str(exc)
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert got.tobytes() == expected.tobytes()
+            assert index.flags.writeable == values.flags.writeable == writeable
     assert flat.tobytes() == tensor.tobytes()
+
+
+def test_system_from_json_checks_a_read_only_list():
+    # read-only arrays once bypassed every check: this list gave a system with
+    # a NaN entry and c[0,0,1,0] = 5 != c[1,0,0,0] = 0
+    index, values = np.array([0, 2]), np.array([np.nan, 5.0])
+    index.flags.writeable = values.flags.writeable = False
+    payload = {"name": "x", "dim": 2, "norm_kind": "operator"}
+    with pytest.raises(InvalidInput, match="non-finite"):
+        system_from_json(dict(payload, tensor=report.FlatEntries(16, index, values)))
+
+
+@pytest.mark.parametrize(
+    "index, values",
+    [([2, 0], [1.0, 1.0]), ([0, 0], [1.0, 1.0]), ([-1], [1.0]), ([16], [1.0]), ([0, 2], [1.0])],
+    ids=["descending", "repeated", "negative", "past_the_end", "one_value_short"],
+)
+def test_constructor_refuses_a_malformed_list(index, values):
+    entries = report.FlatEntries((2,) * 4, np.array(index), np.array(values))
+    with pytest.raises(InvalidInput, match="ascending flat indices"):
+        TripleSystem("x", entries)
 
 
 def _symmetric_oracle(c):
