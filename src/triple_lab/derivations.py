@@ -122,10 +122,21 @@ def derivation_space(
     entry of character chi only meets rows of the Leibniz operator of
     character chi, so its Gram matrix is block diagonal.  The basis comes
     block by block in the order of ``system.unfolding``.
+
+    ``system`` keeps each space it computes, keyed by ``(kind, check_tol(tol))``,
+    for as long as it lives (the triple space of ``SPIN_R(64,0)`` is 2016 x
+    4096 floats, about 66 MB); a computation that raises keeps nothing.
     """
     if kind not in KINDS:
         raise InvalidInput(f"unknown derivation kind {kind!r}")
-    check_tol(tol)
+    key = (kind, check_tol(tol))
+    if key not in system._spaces:
+        system._spaces[key] = _computed_space(system, *key)
+    return system._spaces[key]
+
+
+def _computed_space(system: TripleSystem, kind: str, tol: float) -> DerivationSpace:
+    """``derivation_space`` of a valid kind and tolerance, computed."""
     n = system.dim
     if n == 0:
         return DerivationSpace(system, kind, (), tol)
@@ -631,12 +642,8 @@ def two_local_lift(
         raise InvalidInput("two_local_lift expects a map on a real form")
     complexified = complexify(system)
     lifted = extend_map_complex(t, complexified)
-    space = derivation_space(complexified, "triple")
     local_report = local_derivation_residual(
-        lifted,
-        default_point_set(complexified, samples=samples, seed=seed),
-        space=space,
-        seed=seed,
+        lifted, default_point_set(complexified, samples=samples, seed=seed), seed=seed
     )
     derivation_report = is_derivation(lifted, "triple")
     return Report(

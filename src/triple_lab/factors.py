@@ -487,12 +487,14 @@ def direct_sum(systems) -> TripleSystem:
 def as_real_form(system: TripleSystem) -> TripleSystem:
     """The same system viewed as a real form: the complex structure is dropped.
     It is a copy of the system object, so the two share the one frozen
-    tensor, its dense view and the products built from it."""
+    tensor, its dense view and the products built from it; its derivation
+    spaces are its own, since a space names the system it was computed on."""
     real = copy.copy(system)
     real.name = f"realform({system.name})"
     real.complex_structure = None
     real.factor_kind = f"realform({system.factor_kind})"
     real._unfoldings = dict(system._unfoldings)
+    real._spaces = {}
     return real
 
 

@@ -95,13 +95,15 @@ def counterexample_map(system: TripleSystem) -> LinearMap:
 
 
 class _RunContext:
-    """The checked suite and its built factors for one reproduction run."""
+    """The checked suite and its systems for one reproduction run; under
+    ``fault`` the first of ``factors`` is a corrupted copy, a system of its own."""
 
     def __init__(self, config: dict, fault: bool = False):
         _check_suite(config)
         self.config = config
         self.samples = config["samples"]
-        self.factors = [factors.build_factor(label) for label in config["factors"]]
+        self._systems = {}
+        self.factors = [self.system(label) for label in config["factors"]]
         if fault and self.factors:
             first = self.factors[0]
             corrupted = np.array(first.tensor)
@@ -114,6 +116,16 @@ class _RunContext:
                 complex_structure=first.complex_structure,
                 factor_kind=first.factor_kind,
             )
+
+    def system(self, *labels) -> TripleSystem:
+        """The clean factor of one label, or the direct sum of several, built once per run."""
+        if labels not in self._systems:
+            self._systems[labels] = (
+                factors.direct_sum(map(self.system, labels))
+                if len(labels) > 1
+                else factors.build_factor(*labels)
+            )
+        return self._systems[labels]
 
 
 def _seeded_members(space, count, seed):
@@ -171,9 +183,8 @@ def repro_example_counterexample(seed: int = DEFAULT_SEED) -> Report:
     cubic_worst = float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
 
     sym_report = derivations.is_derivation(t, "symmetrized", tol=1e-10)
-    space = derivations.derivation_space(system, "triple")
     points = derivations.default_point_set(system, samples=256, seed=seed)
-    local_report = derivations.local_derivation_residual(t, points, space=space, seed=seed)
+    local_report = derivations.local_derivation_residual(t, points, seed=seed)
     triple_report = derivations.is_derivation(t, "triple", tol=1e-10)
 
     # the exact witness is the basis triple ((1,0), (i,0), (1,0)); none if the rule held
@@ -216,7 +227,7 @@ def repro_example_counterexample(seed: int = DEFAULT_SEED) -> Report:
     )
 
 
-def _skew_characterization(statement_id, label_template, sizes, seed) -> Report:
+def _skew_characterization(ctx, statement_id, label_template, seed) -> Report:
     rng = np.random.default_rng(seed)
 
     @timed
@@ -224,7 +235,7 @@ def _skew_characterization(statement_id, label_template, sizes, seed) -> Report:
         with warnings.catch_warnings():
             # toy spin sizes below the classification threshold are intended here
             warnings.simplefilter("ignore")
-            system = factors.build_factor(label_template.format(n=n))
+            system = ctx.system(label_template.format(n=n))
         der = derivations.derivation_space(system, "triple")
         sym = derivations.derivation_space(system, "symmetrized")
         expected_dim = n * (n - 1) // 2
@@ -265,7 +276,7 @@ def _skew_characterization(statement_id, label_template, sizes, seed) -> Report:
         )
         return _sub(f"{label_template.format(n=n)}", ok, residuals, seed=seed)
 
-    return _aggregate(statement_id, seed, map(run, sizes))
+    return _aggregate(statement_id, seed, map(run, ctx.config["hilbert_sizes"]))
 
 
 def _is_gap_summand(spec: factors.FactorSpec) -> bool:
@@ -339,17 +350,13 @@ def _stmt_hilbert_skew(ctx, seed):
     """On real Hilbert factors the triple derivations are exactly the
     skew-symmetric operators; symmetric maps fail every equivalent
     predicate."""
-    return _skew_characterization(
-        "hilbert_factor_skew_characterization", "I_R({n},1)", ctx.config["hilbert_sizes"], seed
-    )
+    return _skew_characterization(ctx, "hilbert_factor_skew_characterization", "I_R({n},1)", seed)
 
 
 def _stmt_spin_skew(ctx, seed):
     """On rank-one real spin factors the triple derivations are exactly the
     skew-symmetric operators."""
-    return _skew_characterization(
-        "spin_rank_one_skew_characterization", "SPIN_R({n},0)", ctx.config["hilbert_sizes"], seed
-    )
+    return _skew_characterization(ctx, "spin_rank_one_skew_characterization", "SPIN_R({n},0)", seed)
 
 
 def _stmt_complex_linear(ctx, seed):
@@ -359,7 +366,7 @@ def _stmt_complex_linear(ctx, seed):
 
     @timed
     def run(label):
-        der = derivations.derivation_space(factors.build_factor(label), "triple")
+        der = derivations.derivation_space(ctx.system(label), "triple")
         rep = derivations.check_complex_linearity(der)
         return _sub(
             f"triple_derivations_commute_with_J[{label}]", rep.status == STATUS_PASS, rep.residuals
@@ -367,7 +374,7 @@ def _stmt_complex_linear(ctx, seed):
 
     @timed
     def breaks(label):
-        sym = derivations.derivation_space(factors.build_factor(label), "symmetrized")
+        sym = derivations.derivation_space(ctx.system(label), "symmetrized")
         rep = derivations.check_complex_linearity(sym)
         worst = rep.residuals["max_commutator"]
         return _sub(
@@ -387,7 +394,7 @@ def _stmt_rank_one_witness(ctx, seed):
 
     @timed
     def run(offset, label):
-        system = factors.build_factor(label)
+        system = ctx.system(label)
         sym = derivations.derivation_space(system, "symmetrized")
         rng = np.random.default_rng(seed ^ offset)
         # row b of one draw holds the weights of member b, then its point: the
@@ -437,7 +444,7 @@ def _stmt_flows(ctx, seed):
         )
 
     items = list(map(run, ctx.factors))
-    t = counterexample_map(factors.build_factor("I_C(2,1)"))
+    t = counterexample_map(ctx.system("I_C(2,1)"))
     items += [breaks_triple_product(t), preserves_symmetrized_product(t)]
     return _aggregate("rank_gt_one_flow_equivalence", seed, items)
 
@@ -461,7 +468,7 @@ def _stmt_ideal_invariance(ctx, seed):
 
     @timed
     def run(specs):
-        system = factors.direct_sum([factors.build_factor(s) for s in specs])
+        system = ctx.system(*specs)
         sym = derivations.derivation_space(system, "symmetrized")
         leak_rep = structure.check_ideal_invariance(system, sym.entries)
         worst_root_leak = 0.0
@@ -489,11 +496,11 @@ def _stmt_ideal_invariance(ctx, seed):
 def _stmt_two_local(ctx, seed):
     """Extending a map to the complexification by T(x) + iT(y) turns
     derivations into derivations and exposes the counterexample."""
-    base = factors.build_factor("I_R(2,2)")
+    base = ctx.system("I_R(2,2)")
     der = derivations.derivation_space(base, "triple")
     member = base.linear_map(_seeded_members(der, 1, seed)[0])
     lifted_ok = derivations.two_local_lift(member, samples=32, seed=seed)
-    real_form = factors.as_real_form(factors.build_factor("I_C(2,1)"))
+    real_form = factors.as_real_form(ctx.system("I_C(2,1)"))
     t = counterexample_map(real_form)
     lifted_bad = derivations.two_local_lift(t, samples=32, seed=seed)
     ok = lifted_ok.status == STATUS_PASS and lifted_bad.status == STATUS_FAIL

@@ -236,6 +236,7 @@ class TripleSystem:
         self.blocks = None if blocks is None else tuple(blocks)
         self._symmetric = None
         self._unfoldings = {}
+        self._spaces = {}  # derivations.derivation_space, by (kind, tol)
 
     @property
     def tensor(self) -> np.ndarray:
@@ -799,8 +800,10 @@ def check_hermitian_surrogate(system: TripleSystem) -> Report:
     each factor, so coordinate symmetry of L(a,a) is the finite-dimensional
     surrogate for hermitian-ness.  Advisory only, never acceptance-blocking.
     """
-    diagonal = np.arange(system.dim)
-    m = system.tensor[diagonal, diagonal].transpose(0, 2, 1)  # L(e_i, e_i), stacked
+    i, j, k, l = np.unravel_index(system._entries.index, (system.dim,) * 4)
+    on = i == j  # the listed entries of the slabs c[i, i]: L(e_i, e_i) = c[i, i].T, stacked
+    m = np.zeros((system.dim,) * 3)
+    m[i[on], l[on], k[on]] = system._entries.values[on]
     mt = m.transpose(0, 2, 1)
     worst_asym = float(np.abs(m - mt).max(initial=0.0))
     # min(0.0, ...) reads +0.0, not a -0.0 eigenvalue, when none is negative

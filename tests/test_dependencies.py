@@ -264,3 +264,54 @@ def test_writeable_branch_check_finds_a_flag_selected_path(tmp_path):
         "frozen = not a.flags.writeable\n"
     )
     assert _writeable_branches(path) == [2, 3, 5]
+
+
+# a statement runner takes its systems from ``repro._RunContext.system``, which
+# builds each once per run; only the context and the two public statement
+# functions, which take their own labels, build one
+SYSTEM_BUILDERS = {"build_factor", "direct_sum"}
+SYSTEM_OWNERS = {"_RunContext", "repro_example_counterexample", "repro_theorem_surrogate"}
+
+
+def _system_builds_outside_owners(path: Path) -> list:
+    """``(definition, line)`` of each name or attribute ``build_factor`` or
+    ``direct_sum`` in a module-level statement of ``path`` other than the
+    definitions in ``SYSTEM_OWNERS``: a call, or the builder handed on."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if getattr(node, "name", None) in SYSTEM_OWNERS:
+            continue
+        found += [
+            (getattr(node, "name", None), sub.lineno)
+            for sub in ast.walk(node)
+            if (sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", None))
+            in SYSTEM_BUILDERS
+        ]
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def test_statement_runners_take_their_systems_from_the_run_context():
+    assert _system_builds_outside_owners(PACKAGE / "repro.py") == []
+
+
+def test_system_build_check_finds_a_runner_that_builds(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "class _RunContext:\n"
+        "    def system(self, label):\n"
+        "        return factors.build_factor(label)\n"
+        "\n"
+        "def repro_theorem_surrogate(specs):\n"
+        "    return factors.direct_sum(map(factors.build_factor, specs))\n"
+        "\n"
+        "def _stmt_a(ctx, seed):\n"
+        "    return ctx.system('direct_sum')\n"
+        "\n"
+        "def _stmt_b(ctx, seed):\n"
+        "    def run(specs):\n"
+        "        return direct_sum([build_factor(s) for s in specs])\n"
+        "    return run\n"
+        "\n"
+        "SYSTEM = factors.build_factor('I_R(2,2)')\n"
+    )
+    assert _system_builds_outside_owners(path) == [("_stmt_b", 13), ("_stmt_b", 13), (None, 16)]

@@ -23,6 +23,7 @@ from triple_lab import (
 from triple_lab import derivations
 from triple_lab.derivations import (
     DEFAULT_SEED,
+    KINDS,
     DerivationSpace,
     _grouped_norms,
     _leibniz_blocks,
@@ -32,7 +33,7 @@ from triple_lab.derivations import (
     space_to_json,
 )
 from triple_lab.errors import InvalidInput, NoSpectralGap, SystemMismatch, Unsupported
-from triple_lab.factors import as_real_form
+from triple_lab.factors import as_real_form, complexify
 from triple_lab.numerics import least_squares_residual, orthonormal_columns, span_distance
 from triple_lab.report import canonical_json
 from triple_lab.repro import counterexample_map, load_suite
@@ -194,6 +195,7 @@ def _assert_blocks_match_oracle(system, kind, monkeypatch):
             assert np.max(np.abs(m - block), initial=0.0) <= 1e-15
             covered[np.ix_(rows, cols)] = True
         assert np.all(leibniz[~covered] == 0.0)
+        system._spaces.clear()  # each block size computes its own space
         space = derivation_space(system, kind)
         basis = space.entries.reshape(space.dim, -1).T
         assert space.dim == kernel.shape[1]
@@ -351,6 +353,47 @@ def test_rank_decision_near_its_cutoff_is_a_typed_error():
                 derivation_space(system, "triple")
         else:
             assert derivation_space(system, "triple").dim == TRIPLE_DIMS["I_R(2,2)"]
+
+
+def test_a_system_keeps_one_space_per_kind_and_tol():
+    system = build_factor("I_C(2,1)")
+    space = derivation_space(system, "triple")
+    assert derivation_space(system, "triple") is space
+    assert derivation_space(system, "triple", 1e-9) is space
+    others = [derivation_space(system, "triple", 1e-8), derivation_space(system, "symmetrized")]
+    assert all(other is not space for other in others)
+    assert others[0] == DerivationSpace(system, "triple", space.basis, 1e-8)
+    assert derivation_space(system, "triple", 1e-8) is others[0]
+    assert derivation_space(system, "symmetrized") is others[1]
+
+
+def test_derived_systems_compute_their_own_spaces():
+    complex_factor = build_factor("I_C(2,1)")
+    real_factor = build_factor("I_R(2,2)")
+    for source in (complex_factor, real_factor):
+        for kind in KINDS:
+            derivation_space(source, kind)
+    # as_real_form copies its source object, so it must not inherit its memo
+    derived = (as_real_form(complex_factor), complexify(real_factor))
+    for system in derived:
+        for kind in KINDS:
+            assert derivation_space(system, kind).system is system
+    assert derivation_space(complex_factor, "triple").system is complex_factor
+
+
+def test_a_failed_rank_decision_is_not_kept(monkeypatch):
+    base = build_factor("I_R(2,2)")
+    tensor = base.tensor.copy()
+    tensor[0, 0, 1, 2] = tensor[1, 0, 0, 2] = base.tensor[0, 0, 1, 2] + 1e-6
+    system = TripleSystem("perturbed I_R(2,2)", tensor)
+    calls = []
+    blocks = derivations._leibniz_blocks
+    monkeypatch.setattr(derivations, "_leibniz_blocks", lambda u: calls.append(u) or blocks(u))
+    for attempt in (1, 2):
+        with pytest.raises(NoSpectralGap):
+            derivation_space(system, "triple")
+        assert len(calls) == attempt
+    assert system._spaces == {}
 
 
 @pytest.mark.parametrize("kind", ["triple", "symmetrized"])

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from triple_lab import build_factor, cli, derivation_space, derivations, repro, triple_core
+from triple_lab import build_factor, cli, derivation_space, derivations, factors, repro, triple_core
 from triple_lab.derivations import DerivationSpace
 from triple_lab.errors import EmptySpec, InvalidInput
 from triple_lab.report import Report, timed
@@ -190,6 +190,43 @@ def test_repro_all_runs_each_registry_runner_once(monkeypatch):
     assert len(set(ids)) == len(ids)
     # only the timing around each runner call sees the sleep
     assert all(item.runtime_ms >= 5 for item in report.items)
+
+
+def test_repro_all_builds_each_system_and_computes_each_space_once(monkeypatch):
+    # before the run context owned the systems: 86 space computations for 54
+    # distinct (system, kind) pairs, and 44 builds of 25 labels; the surrogate
+    # and counterexample statements still build their own systems
+    counts = {}
+
+    def counted(name, function):
+        def run(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return function(*args, **kwargs)
+
+        return run
+
+    blocks, build = derivations._leibniz_blocks, factors.build_factor
+    monkeypatch.setattr(derivations, "_leibniz_blocks", counted("spaces", blocks))
+    monkeypatch.setattr(factors, "build_factor", counted("builds", build))
+    assert repro_all().status == "pass"
+    assert counts["spaces"] <= 57 and counts["builds"] <= 33
+
+
+def test_run_context_builds_each_system_once_and_keeps_the_fault_apart():
+    ctx = repro._RunContext(load_suite(), fault=True)
+    clean = ctx.system("I_R(2,2)")
+    assert ctx.factors[0] is not clean and ctx.factors[0] != clean
+    labels = ctx.config["factors"]
+    assert all(ctx.system(label) is system for label, system in zip(labels[1:], ctx.factors[1:]))
+    pair = ctx.system("I_R(2,2)", "I_C(2,1)")
+    assert pair is ctx.system("I_R(2,2)", "I_C(2,1)")
+    assert pair == factors.direct_sum([build_factor("I_R(2,2)"), build_factor("I_C(2,1)")])
+    # the clean factor's space does not reach the corrupted copy, nor back
+    der = derivation_space(clean, "triple")
+    faulty = derivation_space(ctx.factors[0], "triple")
+    assert faulty.system is ctx.factors[0] and der.system is clean
+    assert (der.dim, faulty.dim) == (2, 0)
+    assert derivation_space(clean, "triple") is der
 
 
 @pytest.fixture(scope="module")

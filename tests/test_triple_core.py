@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import json
 import re
@@ -581,6 +582,55 @@ def test_hermitian_surrogate_is_advisory_and_clean():
         assert report.status == "advisory"
         assert report.residuals["max_asymmetry"] < 1e-12
         assert report.residuals["min_eigenvalue"] > -1e-12
+
+
+def _outer_symmetric(n, seed):
+    """A random tensor symmetric in the outer slots, with a -0.0 entry: L(a,a) is not symmetric."""
+    t = np.random.default_rng(seed).standard_normal((n,) * 4)
+    t = t + t.transpose(2, 1, 0, 3)
+    t[0, 0, 1, 1] = t[1, 0, 0, 1] = -0.0
+    return TripleSystem(f"random {n}", t)
+
+
+SLAB_LABELS = ("I_R(2,2)", "I_C(2,1)", "I_H(2,1)", "SPIN_R(3,1)", "SPIN_C(3)", "I_C(4,4)",
+               "SPIN_R(16,0)", "III_R(8)")  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(pytest.param(functools.partial(build_factor, label), id=label) for label in SLAB_LABELS),
+        pytest.param(functools.partial(_outer_symmetric, 5, 0), id="random 5"),
+        pytest.param(functools.partial(_outer_symmetric, 9, 1), id="random 9"),
+    ],
+)
+def test_hermitian_surrogate_matches_the_dense_slabs(make):
+    # the oracle slices L(e_i, e_i) = c[i, i].T out of the dense tensor
+    system = make()
+    diagonal = np.arange(system.dim)
+    m = system.tensor[diagonal, diagonal].transpose(0, 2, 1)
+    mt = m.transpose(0, 2, 1)
+    expected = {
+        "max_asymmetry": float(np.abs(m - mt).max(initial=0.0)),
+        "min_eigenvalue": min(0.0, float(np.linalg.eigvalsh(0.5 * (m + mt)).min(initial=0.0))),
+    }
+    residuals = check_hermitian_surrogate(system).residuals
+    assert np.array(list(residuals.values())).tobytes() == np.array(list(expected.values())).tobytes()
+    assert list(residuals) == list(expected)
+
+
+def test_hermitian_surrogate_reads_the_entries_not_the_dense_tensor():
+    # n = 64: the dense view alone is n^4 * 8 bytes = 128 MiB; the n slabs are 2 MiB
+    system = build_factor("SPIN_R(64,0)")
+    tracemalloc.start()
+    try:
+        report = check_hermitian_surrogate(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.residuals == {"max_asymmetry": 0.0, "min_eigenvalue": 0.0}
+    assert system._entries._dense is None
+    assert peak < 8 * 2**20
 
 
 def test_system_json_schema_and_roundtrip(tmp_path):
