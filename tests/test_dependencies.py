@@ -267,10 +267,12 @@ def test_writeable_branch_check_finds_a_flag_selected_path(tmp_path):
 
 
 # a statement runner takes its systems from ``repro._RunContext.system``, which
-# builds each once per run; only the context and the two public statement
-# functions, which take their own labels, build one
+# builds each once per run, and hands them to the private forms ``_surrogate``
+# (the context) and ``_counterexample`` (its I_C(2,1)); only the context and
+# the public ``repro_example_counterexample`` build one, and the public
+# ``repro_theorem_surrogate`` builds through a context of its own
 SYSTEM_BUILDERS = {"build_factor", "direct_sum"}
-SYSTEM_OWNERS = {"_RunContext", "repro_example_counterexample", "repro_theorem_surrogate"}
+SYSTEM_OWNERS = {"_RunContext", "repro_example_counterexample"}
 
 
 def _system_builds_outside_owners(path: Path) -> list:
@@ -301,8 +303,8 @@ def test_system_build_check_finds_a_runner_that_builds(tmp_path):
         "    def system(self, label):\n"
         "        return factors.build_factor(label)\n"
         "\n"
-        "def repro_theorem_surrogate(specs):\n"
-        "    return factors.direct_sum(map(factors.build_factor, specs))\n"
+        "def repro_example_counterexample(seed):\n"
+        "    return _counterexample(factors.build_factor('I_C(2,1)'), seed)\n"
         "\n"
         "def _stmt_a(ctx, seed):\n"
         "    return ctx.system('direct_sum')\n"

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import sys
 import time
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
@@ -97,14 +98,28 @@ def test_repro_theorem_surrogate_equal_and_gap():
     assert equal.status == "pass"
     assert equal.residuals["gap"] == 0.0
     assert equal.residuals["max_offblock_leakage"] <= 1e-8
-    assert equal.residuals["basis_local_residual"] <= 1e-8
-    assert equal.residuals["basis_triple_leibniz_residual"] <= 1e-8
+    assert equal.residuals["basis_projection_rest"] <= 1e-8
+    assert equal.witnesses["forbidden_summand"] is False
 
     gap = repro_theorem_surrogate(["I_R(2,2)", "I_C(2,1)"], seed=2)
     assert gap.status == "pass"
     assert gap.residuals["gap"] >= 1.0
+    assert gap.residuals["triple_outside_symmetrized"] <= 1e-8
     assert gap.residuals["witness_triple_leibniz_residual"] > 1e-6
     assert gap.witnesses["forbidden_summand"] is True
+    # the computed rule: I_C(2,1) has the symmetrized tensor of I_R(4,1) and
+    # u(2), of dimension 4, below so(4); I_R(2,2) is rank two
+    rules = {rule["summand"]: rule for rule in gap.witnesses["gap_rule"]}
+    assert rules["I_C(2,1)"] == {
+        "summand": "I_C(2,1)",
+        "hilbert_factor": "I_R(4,1)",
+        "triple_dim": 4,
+        "hilbert_triple_dim": 6,
+        "symmetrized_difference": 0.0,
+        "forces_gap": True,
+    }
+    assert rules["I_R(2,2)"]["symmetrized_difference"] >= 1 / 3
+    assert rules["I_R(2,2)"]["forces_gap"] is False
 
     with pytest.raises(EmptySpec):
         repro_theorem_surrogate([], seed=2)
@@ -137,6 +152,17 @@ def test_tripotent_identities_check_each_symmetrized_basis_map_once(monkeypatch)
     assert all(np.array_equal(a, b) for a, b in zip(checked, basis))
 
 
+@pytest.mark.scale
+@pytest.mark.parametrize("label", ["I_H(4,4)", "SPIN_R(64,0)"])
+def test_public_surrogate_at_the_cap_within_a_minute(label):
+    # n = 64: the two spaces and one projection, no per-map check
+    start = time.perf_counter()
+    report = repro_theorem_surrogate([label], seed=2)
+    assert time.perf_counter() - start <= 60.0
+    assert report.status == "pass"
+    assert report.residuals["gap"] == 0.0
+
+
 @pytest.fixture
 def one_symmetric_basis_map(monkeypatch):
     """Every symmetrized space gets the unit symmetric map I / sqrt(n) as its
@@ -163,8 +189,7 @@ def test_equal_gap_surrogate_fails_on_one_bad_basis_map(one_symmetric_basis_map)
     report = repro_theorem_surrogate(["I_R(2,2)", "SPIN_R(4,0)"], seed=2)
     assert report.witnesses["forbidden_summand"] is False
     assert report.status == "fail"
-    assert report.residuals["basis_local_residual"] > 0.1
-    assert report.residuals["basis_triple_leibniz_residual"] > 0.1
+    assert report.residuals["basis_projection_rest"] > 0.1
 
 
 def test_repro_all_runs_each_registry_runner_once(monkeypatch):
@@ -193,23 +218,24 @@ def test_repro_all_runs_each_registry_runner_once(monkeypatch):
 
 
 def test_repro_all_builds_each_system_and_computes_each_space_once(monkeypatch):
-    # before the run context owned the systems: 86 space computations for 54
-    # distinct (system, kind) pairs, and 44 builds of 25 labels; the surrogate
-    # and counterexample statements still build their own systems
-    counts = {}
+    # the 54 (system, kind) pairs of a run are each computed once, and every
+    # factor is built by the run context's system memo
+    spaces, callers = [], []
+    compute, build = derivations._computed_space, factors.build_factor
 
-    def counted(name, function):
-        def run(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return function(*args, **kwargs)
+    def computed(system, kind, tol):
+        spaces.append((system.name, kind))
+        return compute(system, kind, tol)
 
-        return run
+    def built(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return build(*args, **kwargs)
 
-    blocks, build = derivations._leibniz_blocks, factors.build_factor
-    monkeypatch.setattr(derivations, "_leibniz_blocks", counted("spaces", blocks))
-    monkeypatch.setattr(factors, "build_factor", counted("builds", build))
+    monkeypatch.setattr(derivations, "_computed_space", computed)
+    monkeypatch.setattr(factors, "build_factor", built)
     assert repro_all().status == "pass"
-    assert counts["spaces"] <= 57 and counts["builds"] <= 33
+    assert len(spaces) == len(set(spaces)) == 54
+    assert callers and all(code is repro._RunContext.system.__code__ for code in callers)
 
 
 def test_run_context_builds_each_system_once_and_keeps_the_fault_apart():

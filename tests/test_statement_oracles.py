@@ -16,6 +16,7 @@ import pytest
 
 from triple_lab import build_factor, derivation_space, derivations, direct_sum, repro, structure
 from triple_lab.errors import InvalidInput
+from triple_lab.factors import FactorSpec
 from triple_lab.numerics import expm, span_distance
 from triple_lab.repro import DEFAULT_SEED, counterexample_map, load_suite
 from triple_lab.triple_core import in_slots
@@ -163,6 +164,63 @@ def test_basis_leibniz_and_local_residuals_are_the_per_map_calls(specs):
     for row, b in zip(local, sym.basis):
         single = derivations.local_derivation_residual(b, points, space=der)
         assert abs(float(row.max()) - single.residuals["max_residual"]) <= 1e-15
+
+
+def _label_gap_rule(label):
+    """The surrogate's gap rule as it was first written, by label: rank-one
+    complex or quaternionic columns of length at least two."""
+    spec = FactorSpec.parse(label)
+    return spec.kind in ("I_C", "I_H") and spec.rank() == 1 and max(spec.dims) >= 2
+
+
+def _whole_basis_verdict(labels, seed):
+    """The surrogate's pass/fail as it was first checked, map by map over the
+    whole symmetrized basis: the triple Leibniz rule of every basis map, and
+    without a gap its local residual at 64 + n points."""
+    system = direct_sum([build_factor(label) for label in labels])
+    sym = derivation_space(system, "symmetrized")
+    der = derivation_space(system, "triple")
+    leibniz = derivations.leibniz_residuals(system, sym.entries, "triple")[0]
+    if any(map(_label_gap_rule, labels)):
+        return sym.dim > der.dim and leibniz.max(initial=-1.0) > 1e-6
+    points = derivations.default_point_set(system, samples=64, seed=seed)
+    local = derivations.local_residuals(sym.entries, points, der)
+    return sym.dim == der.dim and max(leibniz.max(initial=0.0), local.max(initial=0.0)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "labels", SUITE["sums_equal"] + SUITE["sums_gap"] + [["I_C(3,1)"], ["I_H(2,1)"]], ids="+".join
+)
+def test_surrogate_projection_reaches_the_whole_basis_verdict(labels):
+    report = repro.repro_theorem_surrogate(labels, DEFAULT_SEED)
+    assert (report.status == "pass") == _whole_basis_verdict(labels, DEFAULT_SEED)
+    forbidden = report.witnesses["forbidden_summand"]
+    assert forbidden == any(map(_label_gap_rule, labels))
+    if not forbidden:
+        assert "witness_map" not in report.witnesses
+        return
+    system = direct_sum([build_factor(label) for label in labels])
+    der = derivation_space(system, "triple")
+    witness = system.linear_map(report.witnesses["witness_map"])
+    # a unit map of the symmetrized space, orthogonal to Der(E), which fails
+    # the triple Leibniz rule
+    assert abs(np.linalg.norm(witness.entries) - 1.0) <= 1e-12
+    assert np.abs(der.entries.reshape(der.dim, -1) @ witness.entries.reshape(-1)).max() <= 1e-12
+    assert derivations.is_derivation(witness, "symmetrized").status == "pass"
+    triple = derivations.leibniz_residual(witness, "triple")["max_residual"]
+    assert triple == report.residuals["witness_triple_leibniz_residual"] > 1e-6
+
+
+SUMMANDS = {label for labels in SUITE["sums_equal"] + SUITE["sums_gap"] for label in labels}
+
+
+@pytest.mark.parametrize("label", sorted(SUMMANDS | {"I_C(1,1)", "I_H(1,1)", "I_C(3,1)", "I_R(4,1)"}))
+def test_computed_gap_rule_is_the_label_rule(label):
+    rule = repro._gap_rule(repro._RunContext(), build_factor(label))
+    assert rule["forces_gap"] == _label_gap_rule(label)
+    # the compared entries are equal exactly, or far apart
+    difference = rule["symmetrized_difference"]
+    assert difference is None or difference == 0.0 or difference >= 1 / 3
 
 
 def test_flows_at_the_cap_take_one_flow_at_a_time():
