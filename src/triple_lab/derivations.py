@@ -144,9 +144,15 @@ def _computed_space(system: TripleSystem, kind: str, tol: float) -> DerivationSp
     if kind == "inner_span":
         # vector (i, j), i < j, is L(e_i, e_j) - L(e_j, e_i), whose entry [l, k]
         # is c[i, j, k, l] - c[j, i, k, l]; it lies in the block of pair (i, j)
-        c = system.tensor
         i, j = np.triu_indices(n, 1)
-        vectors = (c[i, j] - c[j, i]).transpose(0, 2, 1).reshape(i.size, n * n)
+        pair = np.zeros((n, n), dtype=np.intp)
+        pair[i, j] = pair[j, i] = np.arange(i.size)
+        a, b, k, l = np.unravel_index(system._entries.index, (n,) * 4)
+        at, values = pair[a, b] * n * n + l * n + k, system._entries.values
+        vectors = np.zeros(i.size * n * n)
+        vectors[at[a < b]] = values[a < b]
+        vectors[at[a > b]] -= values[a > b]
+        vectors = vectors.reshape(i.size, n * n)
         owners = u.block[i * n + j]
         cutoff = tol
         checked_up_to = np.inf

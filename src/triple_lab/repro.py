@@ -18,7 +18,7 @@ import numpy as np
 from . import derivations, factors, structure, triple_core
 from .errors import EmptySpec, InvalidInput, InvalidSpec, TripleLabError
 from .numerics import row_norms
-from .report import Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS, read_json, timed
+from .report import FlatEntries, Report, STATUS_ADVISORY, STATUS_FAIL, STATUS_PASS, read_json, timed
 from .triple_core import MAX_DIM, Element, LinearMap, TripleSystem, _lookup
 
 DEFAULT_SEED = 0xA11CE
@@ -110,11 +110,13 @@ class _RunContext:
         self.factors = [self.system(label) for label in config["factors"]]
         if fault and self.factors:
             first = self.factors[0]
-            corrupted = np.array(first.tensor)
-            corrupted[0, 0, 0, 0] += 0.1
+            listed = first._entries
+            index = np.union1d(listed.index, [0])  # with the entry c[0, 0, 0, 0]
+            corrupted = _lookup(listed.index, listed.values, index)[0]
+            corrupted[0] += 0.1
             self.factors[0] = TripleSystem(
                 name=first.name,
-                tensor=corrupted,
+                tensor=FlatEntries(listed.shape, index, corrupted),
                 norm_kind=first.norm_kind,
                 rank_hint=first.rank_hint,
                 complex_structure=first.complex_structure,
@@ -292,22 +294,27 @@ def _gap_rule(ctx, summand: TripleSystem) -> dict:
     derivation spaces of a direct sum, read off its tensors.
 
     On a column factor, 2{x,y,z} = <x|y>z + <z|y>x, the symmetrized product
-    reads only the real inner product, so its tensor is that of ``I_R(m,1)``
-    of its dimension m, whose derivations are so(m).  The summand forces a
-    gap iff its triple space is smaller than so(m) and its symmetrized
-    entries are those of ``I_R(m,1)``.  The entries are compared only when
-    the dimensions leave a gap open: ``build_factor("I_R(64,1)")`` takes
-    1.5 s and 430 MB on 2 vCPUs.  Over the suite summands, ``I_C(1,1)``, ``I_H(1,1)``,
+    reads only the real inner product, so its tensor is that of the real
+    spin factor ``SPIN_R(m,0)`` of its dimension m, whose derivations are
+    so(m); its symmetrized entries are those of the real column
+    ``I_R(m,1)``.  The summand forces a gap iff its triple space is smaller
+    than so(m) and its symmetrized entries are those of ``SPIN_R(m,0)``.
+    The entries are compared only when the dimensions leave a gap open, so
+    m >= 2.  Over the suite summands, ``I_C(1,1)``, ``I_H(1,1)``,
     ``I_C(3,1)`` and ``I_R(4,1)`` the largest entry difference is exactly
     0.0 or at least 1/3.
     """
     m = summand.dim
-    hilbert = f"I_R({m},1)"
+    hilbert = f"SPIN_R({m},0)"
     triple_dim = derivations.derivation_space(summand, "triple").dim
     skew_dim = m * (m - 1) // 2
     difference = None
     if triple_dim < skew_dim:
-        mine, theirs = (s._product("symmetrized") for s in (summand, ctx.system(hilbert)))
+        with warnings.catch_warnings():
+            # SPIN_R(2,0) is below the classification threshold, and intended
+            warnings.simplefilter("ignore")
+            spin = ctx.system(hilbert)
+        mine, theirs = (s._product("symmetrized") for s in (summand, spin))
         at = np.concatenate((mine.index, theirs.index))  # an entry of either
         gaps = _lookup(mine.index, mine.values, at)[0] - _lookup(theirs.index, theirs.values, at)[0]
         difference = float(np.abs(gaps).max(initial=0.0))
@@ -646,7 +653,7 @@ def _stmt_inner_leibniz(ctx, seed):
         self_term = derivations.inner_derivation_maps(system, a, a)
         antisym = float(np.abs(delta + flipped).max(initial=0.0))
         antisym = max(antisym, float(np.abs(self_term).max(initial=0.0)))
-        scale = max(1.0, float(np.max(np.abs(system.tensor))) if system.dim else 1.0)
+        scale = max(1.0, float(np.abs(system._entries.values).max(initial=0.0)))
         ok = worst <= 1e-10 * scale * system.dim**2 and antisym <= 1e-12 * scale * system.dim
         return _sub(
             f"inner_leibniz[{system.name}]",

@@ -203,14 +203,15 @@ def verify_rank_witness(system: TripleSystem, family, tol: float = 1e-10) -> Rep
             ok = False
             witness["zero_member"] = idx
     worst_pair = 0.0
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            l_norm = float(np.linalg.norm(L_operator(elements[i], elements[j]).entries, 2))
-            rel = l_norm / max(elements[i].norm() * elements[j].norm(), 1e-300)
-            worst_pair = max(worst_pair, rel)
-            if rel > tol:
-                ok = False
-                witness["non_orthogonal_pair"] = [i, j]
+    coords = np.reshape([el.coords for el in elements], (len(elements), system.dim))
+    first, second = np.triu_indices(len(elements), 1)
+    l_norms = np.linalg.norm(L_maps(system, coords[first], coords[second]), 2, axis=(1, 2))
+    for i, j, l_norm in zip(first.tolist(), second.tolist(), l_norms.tolist()):
+        rel = l_norm / max(elements[i].norm() * elements[j].norm(), 1e-300)
+        worst_pair = max(worst_pair, rel)
+        if rel > tol:
+            ok = False
+            witness["non_orthogonal_pair"] = [i, j]
     residuals["max_pairwise_L_norm"] = worst_pair
     residuals["witness_cardinality"] = float(len(elements))
     if system.rank_hint is not None:

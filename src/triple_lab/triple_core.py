@@ -599,13 +599,35 @@ def L_operator(a: Element, b: Element) -> LinearMap:
 def L_maps(system: TripleSystem, a, b) -> np.ndarray:
     """Entries of L(a, b) for coordinates ``a`` and ``b``, or the (k, n, n) stack
     of L(a_i, b_i) for (k, n) stacks of them; ``L_operator`` is the one-pair case."""
-    return np.einsum("ijkl,...i,...j->...lk", system.tensor, a, b)
+    return _listed_maps(system, a, b, (0, 1, 3, 2))
 
 
 def Q_operator(a: Element) -> LinearMap:
     """The map x -> {a, x, a}."""
-    entries = np.einsum("ijkl,i,k->lj", a.system.tensor, a.coords, a.coords)
-    return LinearMap(a.system, entries)
+    return LinearMap(a.system, _listed_maps(a.system, a.coords, a.coords, (0, 2, 3, 1)))
+
+
+def _listed_maps(system: TripleSystem, a, b, slots) -> np.ndarray:
+    """The maps M with M[r, s] = sum of c[i0, i1, i2, i3] a[i_p] b[i_q] over
+    the entries with i_u = r and i_v = s, for ``slots`` (p, q, u, v): one per
+    row of the (..., n) stacks ``a`` and ``b`` of one shape.
+
+    The entries are the nonzeros that the triple unfolding lists, in
+    ascending flat order, and ``np.bincount`` adds each map entry's terms in
+    that order, so a stack row is its one-row call bit for bit.
+    """
+    u, n = system.unfolding("triple"), system.dim
+    lead = np.shape(a)[:-1]
+    a, b = (np.reshape(np.asarray(v, dtype=float), (math.prod(lead), n)) for v in (a, b))
+    p, q, r, s = (u.nonzero[slot] for slot in slots)
+    rows = batch_rows(u.values.size)
+    maps = np.empty((len(a), n * n))
+    for first in range(0, len(a), rows):
+        terms = u.values * a[first : first + rows, p] * b[first : first + rows, q]
+        bins = (np.arange(len(terms))[:, None] * (n * n) + r * n + s).reshape(-1)
+        sums = np.bincount(bins, weights=terms.reshape(-1), minlength=len(terms) * n * n)
+        maps[first : first + rows] = sums.reshape(len(terms), n * n)
+    return maps.reshape(*lead, n, n)
 
 
 # -- axiom checks -------------------------------------------------------------

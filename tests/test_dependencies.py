@@ -317,3 +317,72 @@ def test_system_build_check_finds_a_runner_that_builds(tmp_path):
         "SYSTEM = factors.build_factor('I_R(2,2)')\n"
     )
     assert _system_builds_outside_owners(path) == [("_stmt_b", 13), ("_stmt_b", 13), (None, 16)]
+
+
+# the functions that may read a dense n^4 view (``.tensor``, ``product_tensor(``
+# or ``.dense(``): the two views themselves, the one-character unfolding, the
+# exhaustive Jordan check (n <= 8) and the callers of ``in_slots``; L, Q and
+# the inner-span generators read the nonzero list
+DENSE_READERS = {
+    "triple_core.TripleSystem.tensor",
+    "triple_core.TripleSystem.product_tensor",
+    "triple_core.graded_unfolding",
+    "triple_core.check_jordan_identity",
+    "triple_core.check_complex_structure",
+    "structure.check_peirce_arithmetic",
+    "derivations.leibniz_residual",
+    "derivations.leibniz_residuals",
+    "derivations.exp_flow_reports",
+}
+
+
+def _dense_reads(path: Path) -> list:
+    """``(definition, line, read)`` of each ``.tensor`` attribute and each call
+    of ``product_tensor`` or ``.dense`` in ``path``, the definition being the
+    dotted name of the function or class around it, under the module's name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Attribute) and child.attr == "tensor":
+                found.append((scope, child.lineno, ".tensor"))
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "product_tensor" or (name == "dense" and isinstance(func, ast.Attribute)):
+                    found.append((scope, child.lineno, f"{name}("))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_only_the_slot_kernels_read_the_dense_view():
+    reads = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _dense_reads(path)]
+    assert [hit for hit in reads if hit[0] not in DENSE_READERS] == []
+
+
+def test_dense_read_check_finds_a_planted_reader(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "class System:\n"
+        "    @property\n"
+        "    def tensor(self):\n"
+        "        return self._entries.dense()\n"
+        "\n"
+        "def L_maps(system, a, b):\n"
+        "    return np.einsum('ijkl,i,j->lk', system.tensor, a, b)\n"
+        "\n"
+        "def runner(system):\n"
+        "    def run():\n"
+        "        return system.product_tensor('triple')\n"
+        "    return run, dense(system)\n"
+    )
+    assert _dense_reads(path) == [
+        ("m.System.tensor", 4, "dense("),
+        ("m.L_maps", 7, ".tensor"),
+        ("m.runner.run", 11, "product_tensor("),
+    ]

@@ -107,12 +107,12 @@ def test_repro_theorem_surrogate_equal_and_gap():
     assert gap.residuals["triple_outside_symmetrized"] <= 1e-8
     assert gap.residuals["witness_triple_leibniz_residual"] > 1e-6
     assert gap.witnesses["forbidden_summand"] is True
-    # the computed rule: I_C(2,1) has the symmetrized tensor of I_R(4,1) and
-    # u(2), of dimension 4, below so(4); I_R(2,2) is rank two
+    # the computed rule: I_C(2,1) has the symmetrized tensor of SPIN_R(4,0)
+    # and u(2), of dimension 4, below so(4); I_R(2,2) is rank two
     rules = {rule["summand"]: rule for rule in gap.witnesses["gap_rule"]}
     assert rules["I_C(2,1)"] == {
         "summand": "I_C(2,1)",
-        "hilbert_factor": "I_R(4,1)",
+        "hilbert_factor": "SPIN_R(4,0)",
         "triple_dim": 4,
         "hilbert_triple_dim": 6,
         "symmetrized_difference": 0.0,

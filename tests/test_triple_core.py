@@ -25,7 +25,7 @@ from triple_lab import (
 )
 from triple_lab.errors import InvalidInput, SystemMismatch, TooLarge, Unsupported
 from triple_lab.factors import direct_sum
-from triple_lab import factors, report, triple_core
+from triple_lab import derivations, factors, report, structure, triple_core
 from triple_lab.report import canonical_json, read_json_array, write_json
 from triple_lab.repro import load_suite
 from triple_lab.triple_core import (
@@ -1367,6 +1367,52 @@ def test_L_maps_rows_are_the_L_operator():
             single = triple_core.L_operator(system.element(x), system.element(y)).entries
             assert np.array_equal(row, single)
             assert np.array_equal(row, np.einsum("ijkl,i,j->lk", system.tensor, x, y))
+
+
+def test_Q_operator_is_its_einsum_formula():
+    rng = np.random.default_rng(6)
+    for label in ("SPIN_R(4,0)", "I_C(2,1)", "I_H(2,1)", "III_R(3)"):
+        system = build_factor(label)
+        for x in rng.standard_normal((6, system.dim)):
+            expected = np.einsum("ijkl,i,k->lj", system.tensor, x, x)
+            assert np.array_equal(Q_operator(system.element(x)).entries, expected)
+
+
+def _tripotent(system):
+    return factors.canonical_tripotents(system)[0]
+
+
+def _pair(system, rng):
+    return [system.element(x) for x in rng.standard_normal((2, system.dim))]
+
+
+# each call takes a system and a seeded generator
+LISTED_OPERATOR_CALLS = {
+    "L_operator": lambda s, rng: L_operator(*_pair(s, rng)),
+    "L_maps": lambda s, rng: triple_core.L_maps(s, *rng.standard_normal((2, 3, s.dim))),
+    "Q_operator": lambda s, rng: Q_operator(_pair(s, rng)[0]),
+    "peirce": lambda s, rng: structure.peirce(_tripotent(s)),
+    "cube_root": lambda s, rng: structure.cube_root(_tripotent(s) * 8.0),
+    "verify_rank_witness": lambda s, rng: structure.verify_rank_witness(
+        s, factors.canonical_rank_witness(s)
+    ),
+    "is_minimal_tripotent": lambda s, rng: structure.is_minimal_tripotent(_tripotent(s)),
+    "inner_derivation": lambda s, rng: derivations.inner_derivation(*_pair(s, rng)),
+    **{
+        f"derivation_space[{kind}]": lambda s, rng, kind=kind: derivations.derivation_space(s, kind)
+        for kind in derivations.KINDS
+    },
+}
+
+
+@pytest.mark.parametrize("name", LISTED_OPERATOR_CALLS)
+def test_operators_leave_the_dense_view_unbuilt(name):
+    # n = 32, many sign blocks: L, Q and the inner-span generators read the
+    # nonzero list, so no call builds the n^4 view
+    system = build_factor("I_C(4,4)")
+    LISTED_OPERATOR_CALLS[name](system, np.random.default_rng(7))
+    assert system._entries._dense is None
+    assert system._symmetric is None or system._symmetric._dense is None
 
 
 def test_in_slots_edge_cases():
