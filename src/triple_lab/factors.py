@@ -34,7 +34,7 @@ import numpy as np
 from .errors import EmptySpec, InvalidInput, InvalidSpec, Unsupported
 from .numerics import row_dots, row_norms
 from .report import FlatEntries
-from .triple_core import Element, LinearMap, TripleSystem, check_dim
+from .triple_core import Element, LinearMap, TripleSystem, _run_starts, check_dim
 
 # -- quaternion arithmetic ----------------------------------------------------
 
@@ -287,7 +287,29 @@ def _real_embedding(field: str, basis: np.ndarray):
     return rho, 2 if field == "C" else 4
 
 
-def _matrix_tensor(field: str, basis: np.ndarray) -> np.ndarray:
+def _joined(key: np.ndarray) -> tuple:
+    """(left, right): the positions of every ordered pair of entries of
+    ``key`` with equal keys, by key ascending, then by left and right
+    position."""
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(_run_starts(key[order]))
+    sizes = np.diff(starts, append=key.size)
+    per = np.repeat(sizes, sizes)  # the group size at each sorted position
+    first = np.repeat(np.repeat(starts, sizes), per)
+    within = np.arange(first.size) - np.repeat(np.cumsum(per) - per, per)
+    return np.repeat(order, per), order[first + within]
+
+
+def _summed(key: np.ndarray, values: np.ndarray) -> tuple:
+    """The distinct keys ascending and the sum of each one's values, in the
+    order they come; sums whose bits are +0.0 are dropped."""
+    keys, at = np.unique(key, return_inverse=True)
+    sums = np.bincount(at, weights=values, minlength=keys.size)
+    kept = sums.view(np.uint64) != 0
+    return keys[kept], sums[kept]
+
+
+def _matrix_entries(field: str, basis: np.ndarray) -> FlatEntries:
     """Structure constants of {x,y,z} = (x y* z + z y* x) / 2 in the given basis.
 
     The basis is orthonormal for Re tr(x y*), so with the real matrices
@@ -297,24 +319,35 @@ def _matrix_tensor(field: str, basis: np.ndarray) -> np.ndarray:
                       + tr(rho_k rho_j^T rho_i rho_l^T)) / (2d).
 
     With the rows Z[(i,j)] = [vec(rho_i rho_j^T), vec(rho_j^T rho_i)], the dot
-    product Z[(i,j)] . Z[(l,k)] is the sum of the two traces.  So the
-    (n^2, n^2) unfolding of c is one GEMM of Z with Z_swap, its rows
-    reindexed (i,j) -> (j,i), and the tensor comes out in C order without
-    any n^3 m^2 product stack.
+    product Z[(i,j)] . Z[(l,k)] is the sum of the two traces.  Both are read
+    off the nonzeros of rho alone: Z from two joins of rho's entries, on the
+    column and on the row, and c from one join of Z's entries on the Z
+    column, each summed per key in the order of the join keys.  Nothing of
+    size n^4 is formed, and no BLAS call is made.
     """
     rho, d = _real_embedding(field, basis)
     n, rows, cols = rho.shape
-    z = np.empty((n, n, rows * rows + cols * cols))
-    left = rho.reshape(n * rows, cols)
-    outer = z[..., : rows * rows].reshape(n, n, rows, rows)
-    outer[...] = (left @ left.T).reshape(n, rows, n, rows).transpose(0, 2, 1, 3)
-    right = rho.transpose(1, 0, 2).reshape(rows, n * cols)
-    inner = z[..., rows * rows :].reshape(n, n, cols, cols)
-    inner[...] = (right.T @ right).reshape(n, cols, n, cols).transpose(2, 0, 1, 3)
-    swapped = z.transpose(1, 0, 2).reshape(n * n, -1)
-    c = z.reshape(n * n, -1) @ swapped.T
-    c *= 1.0 / (2 * d)
-    return c.reshape((n,) * 4)
+    width = rows * rows + cols * cols
+    b, r, c = np.nonzero(rho)
+    v = rho[b, r, c]
+    # rho_i[r, c] rho_j[s, c] -> Z[(i,j)] at (r, s); rho_j[r, a] rho_i[r, b] -> at rows^2 + (a, b)
+    one, two = _joined(c)
+    three, four = _joined(r)
+    key = np.concatenate(
+        [
+            (b[one] * n + b[two]) * width + r[one] * rows + r[two],
+            (b[four] * n + b[three]) * width + rows * rows + c[three] * cols + c[four],
+        ]
+    )
+    z_key, z = _summed(key, np.concatenate([v[one] * v[two], v[three] * v[four]]))
+    # Z[(i,j)] . Z[(l,k)] -> c[i, j, k, l]
+    pair = z_key // width
+    one, two = _joined(z_key % width)
+    key, products = pair[one] * (n * n) + pair[two] % n * n + pair[two] // n, z[one] * z[two]
+    del one, two  # the largest arrays of the build; the sum sorts the keys beside them
+    index, values = _summed(key, products)
+    values *= 1.0 / (2 * d)
+    return FlatEntries((n,) * 4, index, values)
 
 
 def _interleaved_j(pairs: int) -> np.ndarray:
@@ -384,9 +417,7 @@ def build_factor(spec) -> TripleSystem:
             stacklevel=2,
         )
     if kind in _MATRIX_FIELD:
-        # the GEMM's dense output, which the constructor reads for its entries
-        field, basis = _basis_for(spec.label())
-        tensor = _matrix_tensor(field, basis)
+        tensor = _matrix_entries(*_basis_for(spec.label()))
         complex_structure = _interleaved_j(spec.dims[0] * spec.dims[1]) if kind == "I_C" else None
     elif kind == "SPIN_R":
         tensor = _spin_real_entries(*spec.dims)

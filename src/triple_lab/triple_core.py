@@ -948,7 +948,7 @@ def system_from_json(payload: dict) -> TripleSystem:
 
 
 def save_system(system: TripleSystem, path) -> None:
-    """Write the wire format; ``canonical_bytes`` writes the tensor from its lists."""
+    """Write the wire format; ``write_json`` streams the tensor from its lists."""
     write_json(_wire_payload(system), path)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import tracemalloc
 import warnings
 
@@ -330,9 +331,9 @@ def test_constructors_refuse_oversized_dimensions_before_allocating():
 
 
 def test_matrix_factor_builds_without_product_stacks():
-    # III_R(8), n = 36: the built tensor, which the constructor reads, is n^4
-    # doubles; the n^3 m^2 product stacks of an einsum contraction (24 MB
-    # each) would not fit beside it
+    # III_R(8), n = 36: the n^3 m^2 product stacks of an einsum contraction
+    # (24 MB each) would not fit, nor one dense n^4 tensor (13 MB), which the
+    # GEMM build formed
     factors._basis_for.cache_clear()
     tracemalloc.start()
     try:
@@ -341,16 +342,15 @@ def test_matrix_factor_builds_without_product_stacks():
     finally:
         tracemalloc.stop()
     assert system.dim == 36
-    assert peak < 2.5 * 36**4 * 8
+    assert peak < 36**4 * 8
 
 
 @pytest.mark.parametrize("label", ["II_R(8)", "III_R(8)", "I_C(4,4)", "SPIN_R(16,0)", "SPIN_C(8)"])
 def test_built_tensors_are_handed_to_the_constructor(label):
-    # the builders hand their nonzero lists to the constructor, and a matrix
-    # factor its GEMM's dense output, which is only read: the matrix builds
-    # peak at that GEMM (1.20-1.34 n^4 doubles), the spin builds at 0.09-0.18
-    # (1.14-1.16 when they filled a dense array; 2.02-2.53 n^4 doubles when
-    # the constructor copied it)
+    # every builder hands its nonzero list to the constructor: the builds
+    # peak at 0.05-0.09 n^4 doubles for the matrix kinds and 0.09-0.18 for
+    # the spin kinds (1.20-1.34 when a matrix build handed over its GEMM's
+    # dense output; 2.02-2.53 when the constructor copied a dense array)
     factors._basis_for.cache_clear()
     n = FactorSpec.parse(label).dim()
     tracemalloc.start()
@@ -360,7 +360,77 @@ def test_built_tensors_are_handed_to_the_constructor(label):
     finally:
         tracemalloc.stop()
     assert system.dim == n and not system.tensor.flags.writeable
-    assert peak < (0.2 if label.startswith("SPIN") else 1.35) * n**4 * 8
+    assert peak < 0.2 * n**4 * 8
+
+
+def _matrix_tensor(field, basis):
+    """The dense structure tensor of a matrix kind as one real GEMM, the
+    build that the entry lists replaced: with the rows Z[(i,j)] =
+    [vec(rho_i rho_j^T), vec(rho_j^T rho_i)] of ``factors._matrix_entries``,
+    the (n^2, n^2) unfolding of c is Z times Z_swap^T, Z_swap[(l,k)] = Z[(k,l)],
+    over 2d."""
+    rho, d = factors._real_embedding(field, basis)
+    n, rows, cols = rho.shape
+    z = np.empty((n, n, rows * rows + cols * cols))
+    left = rho.reshape(n * rows, cols)
+    outer = z[..., : rows * rows].reshape(n, n, rows, rows)
+    outer[...] = (left @ left.T).reshape(n, rows, n, rows).transpose(0, 2, 1, 3)
+    right = rho.transpose(1, 0, 2).reshape(rows, n * cols)
+    inner = z[..., rows * rows :].reshape(n, n, cols, cols)
+    inner[...] = (right.T @ right).reshape(n, cols, n, cols).transpose(2, 0, 1, 3)
+    swapped = z.transpose(1, 0, 2).reshape(n * n, -1)
+    c = z.reshape(n * n, -1) @ swapped.T
+    c *= 1.0 / (2 * d)
+    return c.reshape((n,) * 4)
+
+
+# every matrix family at small sizes, and the factors of the benchmark's
+# wire-format part (n = 28..36)
+GEMM_ORACLE_LABELS = [
+    "I_R(1,1)", "I_R(2,3)", "I_C(3,1)", "I_C(2,2)", "I_H(1,1)", "I_H(2,3)",
+    "II_R(2)", "II_R(5)", "II_C(1)", "II_C(3)", "II_H(1)", "II_H(3)",
+    "III_R(1)", "III_R(4)", "III_H(1)", "III_H(3)",
+    "II_R(8)", "I_C(4,4)", "III_R(8)", "I_H(3,3)",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("label", GEMM_ORACLE_LABELS)
+def test_matrix_entries_equal_the_dense_gemm(label):
+    # the two builds sum the same products in other orders, and the GEMM with
+    # fused multiply-adds: the stored entries of types I and real II/III are
+    # bit-equal, the others at most 1.1e-16 apart (one ulp in [0.5, 1), and
+    # no entry exceeds 1)
+    expected = TripleSystem(label, _matrix_tensor(*factors._basis_for(label)))._entries
+    built = build_factor(label)._entries
+    assert np.array_equal(built.index, expected.index)
+    if FactorSpec.parse(label).kind in ("I_R", "I_C", "I_H", "II_R", "III_R"):
+        assert built.values.tobytes() == expected.values.tobytes()
+    else:
+        assert np.max(np.abs(built.values - expected.values)) <= np.spacing(0.5)
+    assert np.max(np.abs(expected.values)) <= 1.0
+
+
+# n = 45..64, where one dense tensor is 32-128 MiB
+CAP_BUILDS = ["I_R(64,1)", "I_C(32,1)", "I_H(16,1)", "I_H(4,4)", "II_C(8)", "II_H(5)", "III_H(5)"]
+
+
+@pytest.mark.parametrize("label", CAP_BUILDS)
+def test_matrix_builds_at_the_cap_form_no_dense_tensor(label):
+    # under a quarter of one n = 64 dense tensor and within a second; the
+    # GEMM build took 0.1-2.0 s and a 56-385 MiB traced peak on these, the
+    # entry lists 2-45 ms and 0.8-15 MiB
+    factors._basis_for.cache_clear()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        system = build_factor(label)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert elapsed < 1.0
+    assert system._entries._dense is None
 
 
 def _einsum_spin_real(r, s):
@@ -447,28 +517,29 @@ def test_canonical_tripotents_and_witnesses(label):
 
 # SHA-256 prefixes of (basis, tripotent coordinates, rank-witness coordinates),
 # recorded from the per-kind constructors that the single (u, v, unit)
-# enumeration replaced.  The arrays come from exact assignments and correctly
-# rounded scalar operations, no BLAS call, so the digests hold on any
-# little-endian machine.
+# enumeration replaced, and of the built tensor's (index, values), recorded
+# from the entry-list builds.  The arrays come from exact assignments and
+# correctly rounded scalar operations summed in a fixed order, no BLAS call,
+# so the digests hold on any little-endian machine.
 ENUMERATION_DIGESTS = {
-    "I_R(1,3)": ("785ebf8d1f3b24aa", "4f2f028327bb81d0", "4f2f028327bb81d0"),
-    "I_C(3,1)": ("dc03ffd3f186452e", "5b9dc27822f05b99", "5b9dc27822f05b99"),
-    "I_H(1,1)": ("4fba9cfbbf2a2db6", "17ef346263a3f021", "17ef346263a3f021"),
-    "I_H(2,3)": ("84b29d0d08542b57", "0bd4b706fe4c4600", "72399c9e09a64f81"),
-    "II_R(2)": ("62326871855b6b27", "9a6a58cb766ff109", "9a6a58cb766ff109"),
-    "II_R(5)": ("68cd0109a5f51c6b", "048728f7b5d29d06", "fc3c9f7ae47fd696"),
-    "II_C(1)": ("42ee487f212ac2ea", "c6144efb4632f420", "c6144efb4632f420"),
-    "II_C(3)": ("a903806a6940897c", "d4a55727b8d7fbc8", "d0fe6a698a37ddf8"),
-    "II_H(1)": ("5fe6f8ecc577bcbe", "c6144efb4632f420", "c6144efb4632f420"),
-    "II_H(3)": ("118a75e1d376dd60", "fd5377873579e760", "db9d9ca0f268aa0f"),
-    "III_R(1)": ("2fb95dbacbac8331", "c6144efb4632f420", "c6144efb4632f420"),
-    "III_R(4)": ("53898276edab6fec", "d6e443f26b11e41a", "6dc6ab21496f4074"),
-    "III_H(1)": ("d60a188fa88f9c89", "4f2f028327bb81d0", "4f2f028327bb81d0"),
-    "III_H(3)": ("7f0f160bd545f3c7", "5abfc6b4edfbc4a3", "1ca896ba043b48bf"),
-    "SPIN_R(3,0)": (None, "4f2f028327bb81d0", "4f2f028327bb81d0"),
-    "SPIN_R(4,2)": (None, "be947e1a2462090c", "085bf60f4988f954"),
-    "SPIN_C(1)": (None, "0e8576dbd5f5b941", "0e8576dbd5f5b941"),
-    "SPIN_C(4)": (None, "becbd024514c9529", "a90e1d2a60c8d51c"),
+    "I_R(1,3)": ("785ebf8d1f3b24aa", "4f2f028327bb81d0", "4f2f028327bb81d0", "49ab6a67debdc11b"),
+    "I_C(3,1)": ("dc03ffd3f186452e", "5b9dc27822f05b99", "5b9dc27822f05b99", "93972742d09eeffc"),
+    "I_H(1,1)": ("4fba9cfbbf2a2db6", "17ef346263a3f021", "17ef346263a3f021", "82d39cda431b2524"),
+    "I_H(2,3)": ("84b29d0d08542b57", "0bd4b706fe4c4600", "72399c9e09a64f81", "1f3fa53c7deea5f0"),
+    "II_R(2)": ("62326871855b6b27", "9a6a58cb766ff109", "9a6a58cb766ff109", "49d9a0c88265169d"),
+    "II_R(5)": ("68cd0109a5f51c6b", "048728f7b5d29d06", "fc3c9f7ae47fd696", "afd05d8ba8ccf9a8"),
+    "II_C(1)": ("42ee487f212ac2ea", "c6144efb4632f420", "c6144efb4632f420", "4ef1df722b9ccfb8"),
+    "II_C(3)": ("a903806a6940897c", "d4a55727b8d7fbc8", "d0fe6a698a37ddf8", "a5ab28f208fd1aaf"),
+    "II_H(1)": ("5fe6f8ecc577bcbe", "c6144efb4632f420", "c6144efb4632f420", "4ef1df722b9ccfb8"),
+    "II_H(3)": ("118a75e1d376dd60", "fd5377873579e760", "db9d9ca0f268aa0f", "9017b6f4e1cd04a0"),
+    "III_R(1)": ("2fb95dbacbac8331", "c6144efb4632f420", "c6144efb4632f420", "4ef1df722b9ccfb8"),
+    "III_R(4)": ("53898276edab6fec", "d6e443f26b11e41a", "6dc6ab21496f4074", "1f52990bdfc8b69b"),
+    "III_H(1)": ("d60a188fa88f9c89", "4f2f028327bb81d0", "4f2f028327bb81d0", "21d75f0bf64d6449"),
+    "III_H(3)": ("7f0f160bd545f3c7", "5abfc6b4edfbc4a3", "1ca896ba043b48bf", "eeed1cc0d4b527a7"),
+    "SPIN_R(3,0)": (None, "4f2f028327bb81d0", "4f2f028327bb81d0", "21d75f0bf64d6449"),
+    "SPIN_R(4,2)": (None, "be947e1a2462090c", "085bf60f4988f954", "cbd9d8f80f4be7d0"),
+    "SPIN_C(1)": (None, "0e8576dbd5f5b941", "0e8576dbd5f5b941", "7fe6ad52f1fc2d06"),
+    "SPIN_C(4)": (None, "becbd024514c9529", "a90e1d2a60c8d51c", "fe44da28a0b503b1"),
 }
 
 
@@ -480,11 +551,17 @@ def _digest(arrays) -> str:
 
 @pytest.mark.parametrize("label", list(ENUMERATION_DIGESTS))
 def test_basis_tripotents_and_witnesses_are_pinned(label):
-    basis, tripotents, witness = ENUMERATION_DIGESTS[label]
+    basis, tripotents, witness, _ = ENUMERATION_DIGESTS[label]
     if basis is not None:
         assert _digest(factors._basis_for(label)[1]) == basis
     assert _digest(factors._tripotent_coord_list(label)) == tripotents
     assert _digest(factors._witness_coord_list(label)) == witness
+
+
+@pytest.mark.parametrize("label", list(ENUMERATION_DIGESTS))
+def test_factor_tensors_are_pinned(label):
+    entries = build_factor(label)._entries
+    assert _digest((entries.index, entries.values)) == ENUMERATION_DIGESTS[label][3]
 
 
 def test_canonical_tripotents_on_sums_and_real_forms():

@@ -857,6 +857,21 @@ def test_saved_files_take_the_zero_run_reader(tmp_path, monkeypatch, case):
         assert loaded.tensor.tobytes() == oracle.tobytes()
 
 
+def test_factor_files_are_written_without_joining_their_bytes(tmp_path):
+    # III_R(8), a 6.5 MiB file: streaming its pieces peaks at 2.2 MiB traced,
+    # joining them first took 8.8 MiB
+    system = build_factor("III_R(8)")
+    path = tmp_path / "system.json"
+    tracemalloc.start()
+    try:
+        triple_core.save_system(system, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+    assert path.read_bytes() == report.canonical_bytes(system_to_json(system))
+
+
 @pytest.mark.parametrize(
     "token, longer",
     [
